@@ -12,6 +12,7 @@ The built-in defaults reproduce the reference timing and noise numbers
 with no file at all; a file only overrides what it names.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -246,8 +247,9 @@ def parse_config(text: str) -> RunConfig:
         config.noise = replace(config.noise, **noise)
     if config.noise.n_samples < 1:
         raise ConfigError("noise.n_samples must be at least 1")
-    if config.noise.filter_threshold_db <= 0:
-        raise ConfigError("noise.filter_threshold_db must be positive")
+    threshold = config.noise.filter_threshold_db
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ConfigError("noise.filter_threshold_db must be positive and finite")
     if config.noise.filter_guard_samples < 0:
         raise ConfigError("noise.filter_guard_samples must be non-negative")
 

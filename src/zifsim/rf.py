@@ -9,6 +9,7 @@ and 62 dB manual gain; they are regression targets, not physical claims.
 
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,7 +79,10 @@ def noise_floor_delta(
 
 @dataclass
 class IqCapture:
-    """Raw receiver samples: (i, q) pairs as signed 16-bit integers."""
+    """Raw receiver samples: (i, q) pairs as signed 16-bit integers.
+
+    An int16 array is held as given, without a copy.
+    """
 
     samples: np.ndarray  # shape (n, 2)
     sample_rate_hz: int = 20_000_000
@@ -89,32 +93,58 @@ class IqCapture:
         samples = np.asarray(self.samples)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must have shape (n, 2), got {samples.shape}")
-        # check in int64 so abs(-32768) does not wrap in int16
-        if samples.size and int(np.abs(samples.astype(np.int64)).max()) > IQ_LIMIT:
-            raise ValueError(f"sample magnitude exceeds {IQ_LIMIT}")
-        self.samples = samples.astype(np.int16)
+        if samples.size:
+            if samples.dtype == np.int16:
+                # -32768 is the only int16 value beyond the limit
+                out_of_range = int(samples.min()) < -IQ_LIMIT
+            else:
+                # check in int64 so abs() cannot wrap
+                out_of_range = int(np.abs(samples.astype(np.int64)).max()) > IQ_LIMIT
+            if out_of_range:
+                raise ValueError(f"sample magnitude exceeds {IQ_LIMIT}")
+        self.samples = samples.astype(np.int16, copy=False)
 
     def __len__(self):
         return self.samples.shape[0]
 
 
-def average_power_db(capture: IqCapture) -> float:
-    """10*log10 of mean(i^2 + q^2), relative dB."""
-    if len(capture) == 0:
+def _linear_power(samples: np.ndarray) -> np.ndarray:
+    """Per-sample i*i + q*q as float64.
+
+    Exact: q*q fits int32 and every sum is an integer below 2**53.
+    """
+    i, q = samples[:, 0], samples[:, 1]
+    power = np.multiply(i, i, dtype=np.float64)
+    power += np.multiply(q, q, dtype=np.int32)
+    return power
+
+
+def _to_db(power: np.ndarray, out=None) -> np.ndarray:
+    """10*log10 of linear power, element-wise; zero maps to -inf."""
+    with np.errstate(divide="ignore"):
+        db = np.log10(power, out=out)
+    db *= 10.0
+    return db
+
+
+def _mean_power_db(power: np.ndarray) -> float:
+    if power.size == 0:
         raise DataError("cannot average an empty capture")
-    iq = capture.samples.astype(np.float64)
-    mean_power = float(np.mean(iq[:, 0] ** 2 + iq[:, 1] ** 2))
+    mean_power = float(np.mean(power))
     if mean_power == 0.0:
         raise DataError("all-zero capture has no finite power")
     return 10.0 * math.log10(mean_power)
 
 
+def average_power_db(capture: IqCapture) -> float:
+    """10*log10 of mean(i^2 + q^2), relative dB."""
+    return _mean_power_db(_linear_power(capture.samples))
+
+
 def sample_power_db(capture: IqCapture) -> np.ndarray:
     """Per-sample power in dB; zero samples map to -inf."""
-    iq = capture.samples.astype(np.float64)
-    power = iq[:, 0] ** 2 + iq[:, 1] ** 2
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(power)
+    power = _linear_power(capture.samples)
+    return _to_db(power, out=power)
 
 
 @dataclass
@@ -122,6 +152,44 @@ class PacketFilterResult:
     kept: np.ndarray  # remaining power series
     keep_mask: np.ndarray  # bool, aligned with the input series
     samples_filtered: int
+
+
+def _median(series: np.ndarray) -> float:
+    """np.median of a non-empty 1-D series, from one partition.
+
+    Like np.median, it averages the two middle values of an even-length
+    series with np.mean and returns NaN when the series holds any NaN. The
+    result equals np.median's; only the sign of a zero median may differ,
+    which no threshold test can see.
+    """
+    k = series.size // 2
+    part = np.partition(series, k)
+    if np.isnan(part[k:].max()):  # NaN sorts last
+        return math.nan
+    if series.size % 2:
+        return part[k]
+    return np.mean(np.array([part[:k].max(), part[k]]))
+
+
+def _dilate(hot: np.ndarray, guard: int) -> np.ndarray:
+    """Widen every run of True by guard samples on each side, clamped.
+
+    Works on run edges, so the cost is O(n) whatever the guard width.
+    """
+    n = hot.size
+    padded = np.concatenate(([False], hot, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    starts = np.maximum(edges[::2] - guard, 0)
+    ends = np.minimum(edges[1::2] + guard, n)
+    # merge widened runs that now overlap
+    apart = starts[1:] >= ends[:-1]
+    starts = starts[np.concatenate(([True], apart))]
+    ends = ends[np.concatenate((apart, [True]))]
+    # stretches alternate kept, removed: [0, s0) [s0, e0) [e0, s1) ... [e, n)
+    bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(), [n]))
+    removed = np.zeros(bounds.size - 1, dtype=bool)
+    removed[1::2] = True
+    return np.repeat(removed, np.diff(bounds))
 
 
 def filter_packets(
@@ -134,27 +202,24 @@ def filter_packets(
     Every maximal run of samples more than the threshold above the series
     median is removed, together with guard_samples on each side of the run.
     Refuses when that would discard more than 90% of the series, since the
-    remainder would not be a trustworthy floor estimate.
+    remainder would not be a trustworthy floor estimate. The cost is O(n)
+    whatever the guard width.
     """
     series = np.asarray(power_series, dtype=np.float64)
     if series.size == 0:
         raise ValueError("power series is empty")
-    if threshold_db_above_median <= 0:
-        raise ValueError("threshold must be positive")
+    if not (threshold_db_above_median > 0 and math.isfinite(threshold_db_above_median)):
+        raise ValueError("threshold must be positive and finite")
     if guard_samples < 0:
         raise ValueError("guard_samples must be non-negative")
 
-    hot = series > np.median(series) + threshold_db_above_median
-    if hot.any() and guard_samples:
-        # center-slice the full convolution; mode="same" returns the window
-        # length, not the series length, when the series is shorter
-        window = np.ones(2 * guard_samples + 1)
-        spread = np.convolve(hot.astype(np.float64), window, mode="full")
-        removed = spread[guard_samples:guard_samples + series.size] > 0
+    hot = series > _median(series) + threshold_db_above_median
+    if guard_samples and hot.any():
+        removed = _dilate(hot, guard_samples)
     else:
         removed = hot
 
-    n_removed = int(removed.sum())
+    n_removed = int(np.count_nonzero(removed))
     if n_removed > 0.9 * series.size:
         raise FilterRefusedError(
             f"filter would remove {n_removed} of {series.size} samples; "
@@ -178,20 +243,20 @@ def noise_floor_report(
     threshold_db_above_median: float = 10.0,
     guard_samples: int = 16,
 ) -> NoiseFloorReport:
-    """Full analysis pipeline: per-sample power, burst filter, average."""
-    result = filter_packets(
-        sample_power_db(capture), threshold_db_above_median, guard_samples
-    )
-    remaining = IqCapture(
-        capture.samples[result.keep_mask],
-        sample_rate_hz=capture.sample_rate_hz,
-        band=capture.band,
-        mode=capture.mode,
-    )
+    """Full analysis pipeline: per-sample power, burst filter, average.
+
+    Linear power is computed once; the filter sees its dB series and the
+    average is taken over the kept linear values.
+    """
+    power = _linear_power(capture.samples)
+    result = filter_packets(_to_db(power), threshold_db_above_median, guard_samples)
+    keep_mask, n_filtered = result.keep_mask, result.samples_filtered
+    del result  # frees the filter's dB copy of the kept samples
+    kept = power[keep_mask]
     return NoiseFloorReport(
-        average_power_db=average_power_db(remaining),
-        sample_count_used=len(remaining),
-        samples_filtered=result.samples_filtered,
+        average_power_db=_mean_power_db(kept),
+        sample_count_used=kept.size,
+        samples_filtered=n_filtered,
     )
 
 
@@ -222,38 +287,52 @@ def read_sidecar(meta_path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise DataError(f"malformed sidecar line: {line!r}")
+                raise DataError(f"sidecar {meta_path}: malformed line {line!r}")
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
     return entries
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
+# sidecar key -> parser; each key is also an IqCapture field
+_SIDECAR_FIELDS = {"sample_rate_hz": _positive_int, "band": Band, "mode": EnsmMode}
+
+
 def load_capture(path) -> IqCapture:
     """Read the binary capture format; sidecar metadata is used if present."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raw = np.fromfile(fh, dtype=np.uint8)
+        else:  # a pipe has no file position for np.fromfile
+            raw = np.frombuffer(fh.read(), dtype=np.uint8)
+    if not raw.size:
         raise DataError(f"capture file {path} is empty")
-    if len(blob) % 4:
+    if raw.size % 4:
         raise DataError(
-            f"capture file {path} is {len(blob)} bytes, not a whole number "
+            f"capture file {path} is {raw.size} bytes, not a whole number "
             "of int16 i/q pairs"
         )
-    samples = np.frombuffer(blob, dtype="<i2").reshape(-1, 2)
+    samples = raw.view("<i2").reshape(-1, 2)
 
-    sample_rate_hz = 20_000_000
-    band = None
-    mode = None
+    fields = {}
     meta_path = f"{path}.meta"
     if os.path.exists(meta_path):
         meta = read_sidecar(meta_path)
-        if "sample_rate_hz" in meta:
-            sample_rate_hz = int(meta["sample_rate_hz"])
-        if "band" in meta:
-            band = Band(meta["band"])
-        if "mode" in meta:
-            mode = EnsmMode(meta["mode"])
-    return IqCapture(samples, sample_rate_hz=sample_rate_hz, band=band, mode=mode)
+        for key, parse in _SIDECAR_FIELDS.items():
+            if key in meta:
+                try:
+                    fields[key] = parse(meta[key])
+                except ValueError:
+                    raise DataError(
+                        f"sidecar {meta_path}: invalid {key} {meta[key]!r}"
+                    ) from None
+    return IqCapture(samples, **fields)
 
 
 def synthesize_capture(
@@ -274,5 +353,6 @@ def synthesize_capture(
     sigma = math.sqrt(target / 2.0)
     rng = np.random.default_rng(seed)
     iq = rng.normal(0.0, sigma, size=(n_samples, 2))
-    iq = np.clip(np.rint(iq), -IQ_LIMIT, IQ_LIMIT).astype(np.int16)
-    return IqCapture(iq, band=band, mode=mode)
+    np.rint(iq, out=iq)
+    np.clip(iq, -IQ_LIMIT, IQ_LIMIT, out=iq)
+    return IqCapture(iq.astype(np.int16), band=band, mode=mode)

@@ -199,6 +199,38 @@ def test_noise_missing_capture_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("line,key", [
+    ("sample_rate_hz = abc", "sample_rate_hz"),
+    ("band = 7g", "band"),
+    ("mode = warp", "mode"),
+])
+def test_noise_bad_sidecar_exits_1(capsys, tmp_path, line, key):
+    path = tmp_path / "cap.iq"
+    save_capture(IqCapture(make_burst_capture()), path)
+    (tmp_path / "cap.iq.meta").write_text(line + "\n")
+    code, out, err = run_cli(capsys, "noise", "--capture", str(path))
+    assert code == 1
+    assert f"{path}.meta" in err and key in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_noise_non_finite_threshold_exits_2(capsys, tmp_path, threshold):
+    cfg = tmp_path / "thr.cfg"
+    cfg.write_text(f"noise.filter_threshold_db = {threshold}\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "noise", "--mode", "fdd",
+                             "--band", "2g4")
+    assert code == 2
+    assert "filter_threshold_db" in err
+
+
+@pytest.mark.parametrize("n_flag", [("--n", "0"), ("--n=-3",)])
+def test_noise_non_positive_n_exits_2(capsys, n_flag):
+    code, out, err = run_cli(capsys, "noise", "--mode", "fdd", "--band", "2g4",
+                             *n_flag)
+    assert code == 2
+    assert out == ""
+
+
 def test_noise_refusal_exits_1(capsys, tmp_path):
     # alternating spikes: the guard dilation would remove everything
     i = np.zeros(100, dtype=np.int16)

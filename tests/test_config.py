@@ -141,8 +141,9 @@ def test_semantic_validation():
         parse_config("trace.start_ns = 100\ntrace.end_ns = 0\n")
     with pytest.raises(ConfigError):
         parse_config("noise.n_samples = 0\n")
-    with pytest.raises(ConfigError):
-        parse_config("noise.filter_threshold_db = 0\n")
+    for threshold in ("0", "nan", "inf", "-inf"):
+        with pytest.raises(ConfigError):
+            parse_config(f"noise.filter_threshold_db = {threshold}\n")
     with pytest.raises(ConfigError):
         parse_config("noise.filter_guard_samples = -1\n")
     with pytest.raises(ConfigError):

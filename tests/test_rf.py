@@ -1,7 +1,9 @@
 """RF state mapping, capture analysis, burst filtering, capture files."""
 
 import math
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -197,6 +199,22 @@ def test_filter_idempotent_on_burst_fixtures():
         assert second.samples_filtered == 0
 
 
+def test_filter_nan_median_removes_nothing():
+    # np.median of a series holding NaN is NaN, so no sample is above it
+    for series in ([0.0, 0.0, 50.0, math.nan], [0.0, 50.0, math.nan]):
+        assert filter_packets(series).samples_filtered == 0
+
+
+def test_filter_infinite_median():
+    # the median is -inf when the middle values are zero-power samples
+    # (every finite sample is then above the cut), and NaN when the two
+    # middle values of an even series are -inf and +inf (nothing is)
+    result = filter_packets([-math.inf] * 5 + [1.0] * 5, guard_samples=0)
+    assert result.keep_mask.tolist() == [True] * 5 + [False] * 5
+    with np.errstate(invalid="ignore"):  # -inf + inf in the median
+        assert filter_packets([-math.inf, math.inf]).samples_filtered == 0
+
+
 def test_filter_refuses_when_too_much_would_go():
     series = [0.0] * 100
     for k in (0, 33, 66, 99):
@@ -208,8 +226,9 @@ def test_filter_refuses_when_too_much_would_go():
 def test_filter_validation():
     with pytest.raises(ValueError):
         filter_packets([])
-    with pytest.raises(ValueError):
-        filter_packets([1.0], threshold_db_above_median=0.0)
+    for threshold in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            filter_packets([1.0], threshold_db_above_median=threshold)
     with pytest.raises(ValueError):
         filter_packets([1.0], guard_samples=-1)
 
@@ -286,6 +305,22 @@ def test_load_capture_without_sidecar(tmp_path):
     assert loaded.samples.tolist() == [[1, 2]]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_capture_from_pipe(tmp_path):
+    # a pipe has no size or file position up front
+    fifo = tmp_path / "cap.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=(b"\x01\x00\x02\x00\x03\x00\x04\x00",),
+        daemon=True,
+    )
+    writer.start()
+    loaded = load_capture(fifo)
+    writer.join(timeout=5)
+    assert not writer.is_alive()
+    assert loaded.samples.tolist() == [[1, 2], [3, 4]]
+
+
 def test_load_capture_error_cases(tmp_path):
     empty = tmp_path / "empty.iq"
     empty.write_bytes(b"")
@@ -295,6 +330,22 @@ def test_load_capture_error_cases(tmp_path):
     odd.write_bytes(b"\x01\x00\x02")
     with pytest.raises(DataError):
         load_capture(odd)
+
+
+@pytest.mark.parametrize("line,key", [
+    ("sample_rate_hz = abc", "sample_rate_hz"),
+    ("sample_rate_hz = 0", "sample_rate_hz"),
+    ("band = 7g", "band"),
+    ("mode = warp", "mode"),
+    ("band 5g", "malformed"),
+])
+def test_load_capture_bad_sidecar_names_file_and_key(tmp_path, line, key):
+    path = tmp_path / "cap.iq"
+    path.write_bytes(b"\x01\x00\x02\x00")
+    (tmp_path / "cap.iq.meta").write_text(line + "\n")
+    with pytest.raises(DataError, match=key) as info:
+        load_capture(path)
+    assert f"{path}.meta" in str(info.value)
 
 
 def test_synthesize_validation(rf):
