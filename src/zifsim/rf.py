@@ -9,7 +9,6 @@ and 62 dB manual gain; they are regression targets, not physical claims.
 
 import math
 import os
-import stat
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,10 +78,7 @@ def noise_floor_delta(
 
 @dataclass
 class IqCapture:
-    """Raw receiver samples: (i, q) pairs as signed 16-bit integers.
-
-    An int16 array is held as given, without a copy.
-    """
+    """Raw receiver samples: (i, q) pairs as signed 16-bit integers."""
 
     samples: np.ndarray  # shape (n, 2)
     sample_rate_hz: int = 20_000_000
@@ -102,7 +98,7 @@ class IqCapture:
                 out_of_range = int(np.abs(samples.astype(np.int64)).max()) > IQ_LIMIT
             if out_of_range:
                 raise ValueError(f"sample magnitude exceeds {IQ_LIMIT}")
-        self.samples = samples.astype(np.int16, copy=False)
+        self.samples = samples.astype(np.int16)
 
     def __len__(self):
         return self.samples.shape[0]
@@ -157,10 +153,12 @@ class PacketFilterResult:
 def _median(series: np.ndarray) -> float:
     """np.median of a non-empty 1-D series, from one partition.
 
-    Like np.median, it averages the two middle values of an even-length
-    series with np.mean and returns NaN when the series holds any NaN. The
-    result equals np.median's; only the sign of a zero median may differ,
-    which no threshold test can see.
+    np.median partitions at two or three positions (one for the NaN
+    check) and is about 3x slower on 1e7 samples. Like np.median, this
+    averages the two middle values of an even-length series with np.mean
+    and returns NaN when the series holds any NaN. The result equals
+    np.median's; only the sign of a zero median may differ, which no
+    threshold test can see.
     """
     k = series.size // 2
     part = np.partition(series, k)
@@ -307,18 +305,15 @@ _SIDECAR_FIELDS = {"sample_rate_hz": _positive_int, "band": Band, "mode": EnsmMo
 def load_capture(path) -> IqCapture:
     """Read the binary capture format; sidecar metadata is used if present."""
     with open(path, "rb") as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raw = np.fromfile(fh, dtype=np.uint8)
-        else:  # a pipe has no file position for np.fromfile
-            raw = np.frombuffer(fh.read(), dtype=np.uint8)
-    if not raw.size:
+        blob = fh.read()
+    if not blob:
         raise DataError(f"capture file {path} is empty")
-    if raw.size % 4:
+    if len(blob) % 4:
         raise DataError(
-            f"capture file {path} is {raw.size} bytes, not a whole number "
+            f"capture file {path} is {len(blob)} bytes, not a whole number "
             "of int16 i/q pairs"
         )
-    samples = raw.view("<i2").reshape(-1, 2)
+    samples = np.frombuffer(blob, dtype="<i2").reshape(-1, 2)
 
     fields = {}
     meta_path = f"{path}.meta"

@@ -89,6 +89,13 @@ def test_capture_validation():
     assert len(capture) == 2
 
 
+def test_capture_owns_its_samples():
+    source = np.array([[1, -1], [2, -2]], dtype=np.int16)
+    capture = IqCapture(source)
+    source[0, 0] = -32768
+    assert capture.samples.tolist() == [[1, -1], [2, -2]]
+
+
 def test_average_power_known_values():
     ones = IqCapture(np.tile(np.array([[1, 0]], dtype=np.int16), (50, 1)))
     assert average_power_db(ones) == pytest.approx(0.0, abs=1e-12)
@@ -177,14 +184,18 @@ def test_filter_matches_brute_force_oracle():
     for _ in range(500):
         n = rng.randint(1, 400)
         series, _ = make_burst_series(rng, n)
-        guard = rng.choice((0, 1, 4, 16))
+        for _ in range(rng.randint(0, 3)):  # zero-power samples
+            series[rng.randrange(n)] = -math.inf
+        threshold = rng.choice((10.0, rng.uniform(0.5, 30.0)))
+        guard = rng.choice((0, 1, 4, 16, rng.randint(0, n + 5)))
+        oracle = brute_force_keep_mask(series, threshold, guard)
         try:
-            result = filter_packets(series, guard_samples=guard)
+            result = filter_packets(series, threshold, guard)
         except FilterRefusedError:
-            oracle = brute_force_keep_mask(series, 10.0, guard)
             assert (len(series) - sum(oracle)) > 0.9 * len(series)
             continue
-        assert list(result.keep_mask) == brute_force_keep_mask(series, 10.0, guard)
+        assert list(result.keep_mask) == oracle
+        assert result.samples_filtered == len(series) - sum(oracle)
 
 
 def test_filter_idempotent_on_burst_fixtures():
