@@ -32,10 +32,10 @@ from .rf import (
     synthesize_capture,
 )
 from .sim import (
-    CommandKind,
     expand_schedule,
-    find_trigger_ns,
+    find_step,
     measure_turnaround,
+    render_trace,
     sample_trace,
     trace_to_csv,
 )
@@ -203,56 +203,28 @@ def cmd_turnaround(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
 
 def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     band = Band(args.band) if args.band else config.trace.band
-    events = expand_schedule(
+    timeline = expand_schedule(
         config.schedule, config.clocks, config.profile, band=band, rf=config.rf
     )
-    for event in events:
+    for event in timeline.events:
         if event.warning:
             emitter.status(f"warning: {event.warning} (t={ns_value(event.time_ns)} ns)")
     trace = sample_trace(
-        events,
+        timeline,
         (config.trace.start_ns, config.trace.end_ns),
         interval_ns=config.trace.interval_ns,
-        band=band,
-        rf=config.rf,
         settling_tau_ns=config.trace.settling_tau_ns,
     )
+    emitter.data(trace_to_csv(trace) if fmt == "csv" else render_trace(trace, fmt))
 
-    if fmt == "csv":
-        emitter.data(trace_to_csv(trace))
-    else:
-        rows = [
-            {"time_us": round(t / 1000.0, 2), "power_db": round(v, 2)}
-            for t, v in zip(trace.times_ns(), trace.samples)
-        ]
-        if fmt == "json":
-            emitter.data(_render_rows(["time_us", "power_db"], rows, "json"))
-        else:
-            table_rows = [
-                {"time_us": f"{r['time_us']:.2f}", "power_db": f"{r['power_db']:.2f}"}
-                for r in rows
-            ]
-            emitter.data(_render_rows(["time_us", "power_db"], table_rows, "table"))
-
-    trigger_ns = find_trigger_ns(config.schedule)
-    measured = None
-    direction = None
-    if trigger_ns is not None:
-        direction = Direction.RX_TO_TX
-        for cmd in config.schedule:
-            if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF):
-                if cmd.kind is CommandKind.LO_OFF:
-                    direction = Direction.TX_TO_RX
-                break
-        try:
-            measured = measure_turnaround(trace, trigger_ns, direction)
-        except MeasurementError:
-            measured = None
-    if measured is None:
-        emitter.status("measured turnaround: n/a")
+    try:
+        step = find_step(config.schedule, timeline.events)
+        measured = measure_turnaround(trace, step)
+    except MeasurementError as exc:
+        emitter.status(f"measured turnaround: n/a ({exc})")
     else:
         emitter.status(
-            f"measured turnaround: {measured / 1000.0:.2f} us ({direction.value})"
+            f"measured turnaround: {measured / 1000.0:.2f} us ({step.direction.value})"
         )
     return 0
 

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .mac import BUILTIN_DEADLINES, ProtocolDeadline
 from .params import ClockConfig, TimingProfile
 from .rf import Band, RfModelParams
-from .sim import Command, CommandKind
+from .sim import TIME_LIMIT_NS, Command, CommandKind
 
 OUTPUT_FORMATS = ("csv", "json", "table")
 
@@ -203,9 +203,11 @@ def parse_config(text: str) -> RunConfig:
                 deadlines_builtin = _parse_bool(key, value)
             elif rest.startswith("extra.") and rest[len("extra."):]:
                 name = rest[len("extra."):]
-                extra_deadlines.append(
-                    ProtocolDeadline(name, _parse_int(key, value), source="config")
-                )
+                try:
+                    deadline = ProtocolDeadline(name, _parse_int(key, value), source="config")
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
+                extra_deadlines.append(deadline)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         elif section == "output" and rest in ("format", "path"):
@@ -239,10 +241,15 @@ def parse_config(text: str) -> RunConfig:
 
     if trace:
         config.trace = replace(config.trace, **trace)
-    if config.trace.interval_ns <= 0:
-        raise ConfigError("trace.interval_ns must be positive")
+    if not 0 < config.trace.interval_ns < TIME_LIMIT_NS:
+        raise ConfigError("trace.interval_ns must be positive and below 2**53")
     if config.trace.end_ns < config.trace.start_ns:
         raise ConfigError("trace.end_ns must not precede trace.start_ns")
+    if not (-TIME_LIMIT_NS < config.trace.start_ns and config.trace.end_ns < TIME_LIMIT_NS):
+        raise ConfigError("trace.start_ns and trace.end_ns must lie within +/-2**53 ns")
+    tau = config.trace.settling_tau_ns
+    if not (tau >= 0 and math.isfinite(tau)):
+        raise ConfigError("trace.settling_tau_ns must be non-negative and finite")
     if noise:
         config.noise = replace(config.noise, **noise)
     if config.noise.n_samples < 1:

@@ -45,6 +45,9 @@ class RfModelParams:
     agc_gain_db: float = 62.0
 
     def __post_init__(self):
+        for name in ("packet_delta_db", "agc_gain_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for band in Band:
             values = (
                 self.lo_on_delta_db[band],
@@ -145,9 +148,14 @@ def sample_power_db(capture: IqCapture) -> np.ndarray:
 
 @dataclass
 class PacketFilterResult:
-    kept: np.ndarray  # remaining power series
-    keep_mask: np.ndarray  # bool, aligned with the input series
+    series: np.ndarray  # the filtered power series
+    keep_mask: np.ndarray  # bool, aligned with the series
     samples_filtered: int
+
+    @property
+    def kept(self) -> np.ndarray:
+        """The remaining power series, copied out on each read."""
+        return self.series[self.keep_mask]
 
 
 def _median(series: np.ndarray) -> float:
@@ -223,10 +231,7 @@ def filter_packets(
             f"filter would remove {n_removed} of {series.size} samples; "
             "series is too noisy to estimate a floor"
         )
-    keep_mask = ~removed
-    return PacketFilterResult(
-        kept=series[keep_mask], keep_mask=keep_mask, samples_filtered=n_removed
-    )
+    return PacketFilterResult(series=series, keep_mask=~removed, samples_filtered=n_removed)
 
 
 @dataclass
@@ -249,7 +254,7 @@ def noise_floor_report(
     power = _linear_power(capture.samples)
     result = filter_packets(_to_db(power), threshold_db_above_median, guard_samples)
     keep_mask, n_filtered = result.keep_mask, result.samples_filtered
-    del result  # frees the filter's dB copy of the kept samples
+    del result  # frees the dB series before the kept power is copied out
     kept = power[keep_mask]
     return NoiseFloorReport(
         average_power_db=_mean_power_db(kept),

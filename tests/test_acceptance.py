@@ -31,6 +31,7 @@ from zifsim import (
     encode_frame,
     expand_schedule,
     filter_packets,
+    find_step,
     flush_time_ns,
     frame_duration_ns,
     measure_turnaround,
@@ -113,23 +114,24 @@ def test_criterion_3_trace_pipeline():
         clocks, profile, rf = ClockConfig(), TimingProfile(), RfModelParams()
         window, interval = (-2500, 2500), 50
 
+        on = [Command(0, CommandKind.LO_ON)]
         for band in Band:
-            on_events = expand_schedule(
-                [Command(0, CommandKind.LO_ON)], clocks, profile, band=band, rf=rf
-            )
-            on_trace = sample_trace(on_events, window, interval_ns=interval,
-                                    band=band, rf=rf)
-            tt_on = measure_turnaround(on_trace, 0, Direction.RX_TO_TX)
+            on_events = expand_schedule(on, clocks, profile, band=band, rf=rf)
+            on_trace = sample_trace(on_events, window, interval_ns=interval)
+            step = find_step(on, on_events.events)
+            assert step.direction is Direction.RX_TO_TX
+            tt_on = measure_turnaround(on_trace, step)
             assert abs(tt_on - 650) <= interval
             # on/off power delta, exact against the model parameters
             delta = on_trace.samples[-1] - on_trace.samples[0]
             assert delta == rf.lo_on_delta_db[band]
 
-        off_events = expand_schedule(
-            [Command(0, CommandKind.LO_OFF)], clocks, profile, rf=rf
-        )
-        off_trace = sample_trace(off_events, window, interval_ns=interval, rf=rf)
-        tt_off = measure_turnaround(off_trace, 0, Direction.TX_TO_RX)
+        off = [Command(0, CommandKind.LO_OFF)]
+        off_events = expand_schedule(off, clocks, profile, rf=rf)
+        off_trace = sample_trace(off_events, window, interval_ns=interval)
+        step = find_step(off, off_events.events)
+        assert step.direction is Direction.TX_TO_RX
+        tt_off = measure_turnaround(off_trace, step)
         assert abs(tt_off - 500) <= interval
 
         assert rf.lo_on_delta_db[Band.B2G4] == 30.0

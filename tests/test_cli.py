@@ -129,6 +129,43 @@ def test_trace_empty_schedule_is_flat_with_na(capsys, tmp_path):
     assert "measured turnaround: n/a" in err
 
 
+@pytest.mark.parametrize("schedule,expected", [
+    # the step after the trigger is measured up to the next LO state change
+    (("lo-on @ 0", "lo-off @ 1500"), "0.65 us (rx-tx)"),
+    # mid-schedule trigger: the direction comes from the LO command at it
+    (("lo-on @ 0", "trigger @ 1000", "lo-off @ 1000"), "0.50 us (tx-rx)"),
+])
+def test_trace_measures_the_step_after_the_trigger(capsys, tmp_path, schedule, expected):
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text("".join(f"schedule.{i} = {c}\n" for i, c in enumerate(schedule)))
+    code, out, err = run_cli(capsys, "-c", str(cfg), "trace", "--format", "csv")
+    assert code == 0
+    assert f"measured turnaround: {expected}" in err.splitlines()
+
+
+def test_trace_without_lo_command_after_trigger_says_why(capsys, tmp_path):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text("schedule.0 = lo-on @ 0\nschedule.1 = trigger @ 1000\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "trace", "--format", "csv")
+    assert code == 0
+    assert "measured turnaround: n/a (no LO command at or after the trigger" in err
+
+
+@pytest.mark.parametrize("line", [
+    "trace.settling_tau_ns = -5",
+    "trace.settling_tau_ns = nan",
+    "rf.packet_delta_db = nan",
+    "deadlines.extra.foo = -3",
+    "trace.end_ns = 9007199254740992",
+])
+def test_trace_bad_config_values_exit_2(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "trace", "--format", "csv")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_trace_overlapping_spi_exits_1(capsys, tmp_path):
     cfg = tmp_path / "overlap.cfg"
     cfg.write_text("schedule.0 = lo-on @ 0\nschedule.1 = lo-off @ 100\n")

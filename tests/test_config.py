@@ -151,6 +151,18 @@ def test_semantic_validation():
     with pytest.raises(ConfigError):
         # violates the per-band floor ordering invariant
         parse_config("rf.fdd_rx_floor_db.2g4 = 10.0\n")
+    for tau in ("-5", "nan", "inf"):
+        with pytest.raises(ConfigError, match="settling_tau_ns"):
+            parse_config(f"trace.settling_tau_ns = {tau}\n")
+    for key in ("packet_delta_db", "agc_gain_db"):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"rf.{key} = nan\n")
+    with pytest.raises(ConfigError, match="deadlines.extra.foo"):
+        parse_config("deadlines.extra.foo = -3\n")
+    for window in ("trace.start_ns = -9007199254740992", "trace.end_ns = 9007199254740992",
+                   "trace.interval_ns = 9007199254740992"):
+        with pytest.raises(ConfigError):
+            parse_config(window + "\n")
 
 
 def test_output_controls():

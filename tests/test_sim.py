@@ -11,12 +11,15 @@ from zifsim import (
     CommandKind,
     Direction,
     EnsmMode,
+    LoStep,
     MeasurementError,
     OverlappingSpiError,
     PowerTrace,
     ScheduleError,
+    Timeline,
     TimingProfile,
     expand_schedule,
+    find_step,
     find_trigger_ns,
     measure_turnaround,
     sample_trace,
@@ -28,14 +31,22 @@ from zifsim.sim import Effect
 WINDOW = (-2500, 2500)
 
 
+def _commands(schedule):
+    return [Command(t, k) for t, k in schedule]
+
+
 def _expand(schedule, clocks, profile, **kwargs):
-    return expand_schedule(
-        [Command(t, k) for t, k in schedule], clocks, profile, **kwargs
-    )
+    return expand_schedule(_commands(schedule), clocks, profile, **kwargs)
+
+
+def _measure(schedule, clocks, profile, window=WINDOW, interval_ns=50):
+    timeline = _expand(schedule, clocks, profile)
+    trace = sample_trace(timeline, window, interval_ns=interval_ns)
+    return measure_turnaround(trace, find_step(_commands(schedule), timeline.events))
 
 
 def test_lo_on_expansion(clocks, profile):
-    events = _expand([(0, CommandKind.LO_ON)], clocks, profile)
+    events = _expand([(0, CommandKind.LO_ON)], clocks, profile).events
     assert [(e.time_ns, e.effect) for e in events] == [
         (0, Effect.SPI_START),
         (480, Effect.SPI_END),
@@ -45,7 +56,8 @@ def test_lo_on_expansion(clocks, profile):
 
 
 def test_lo_off_expansion(clocks, profile):
-    events = _expand([(0, CommandKind.LO_OFF)], clocks, profile)
+    timeline = _expand([(0, CommandKind.LO_OFF)], clocks, profile)
+    events = timeline.events
     assert [(e.time_ns, e.effect) for e in events] == [
         (0, Effect.SPI_START),
         (480, Effect.SPI_END),
@@ -53,20 +65,23 @@ def test_lo_off_expansion(clocks, profile):
     ]
     # LO inferred on before the off command, so the SPI events sit at +30
     assert [e.power_after_dbr for e in events] == [30.0, 30.0, 0.0]
+    assert timeline.initial_dbr == 30.0
 
 
 def test_empty_schedule_expands_to_nothing(clocks, profile):
-    assert _expand([], clocks, profile) == []
+    timeline = _expand([], clocks, profile)
+    assert timeline.events == [] and len(timeline) == 0
+    assert timeline.initial_dbr == 0.0
 
 
 def test_band_selects_the_power_step(clocks, profile):
-    events = _expand([(0, CommandKind.LO_ON)], clocks, profile, band=Band.B5G)
+    events = _expand([(0, CommandKind.LO_ON)], clocks, profile, band=Band.B5G).events
     assert events[-1].power_after_dbr == 22.0
 
 
 def test_trigger_produces_no_event(clocks, profile):
     events = _expand([(0, CommandKind.TRIGGER), (100, CommandKind.LO_ON)],
-                     clocks, profile)
+                     clocks, profile).events
     assert [e.effect for e in events] == [
         Effect.SPI_START, Effect.SPI_END, Effect.LO_POWERED_UP,
     ]
@@ -81,7 +96,7 @@ def test_overlapping_spi_rejected_with_timestamps(clocks, profile):
 
 def test_back_to_back_spi_at_frame_boundary_ok(clocks, profile):
     events = _expand([(0, CommandKind.LO_ON), (480, CommandKind.LO_OFF)],
-                     clocks, profile)
+                     clocks, profile).events
     assert [e.effect for e in events] == [
         Effect.SPI_START, Effect.SPI_END, Effect.SPI_START,
         Effect.LO_POWERED_UP, Effect.SPI_END, Effect.LO_POWERED_DOWN,
@@ -114,7 +129,7 @@ def test_packet_power_stacks_on_lo(clocks, profile):
         [(0, CommandKind.LO_ON), (1000, CommandKind.TX_PACKET_START),
          (2000, CommandKind.TX_PACKET_END)],
         clocks, profile,
-    )
+    ).events
     levels = {e.effect: e.power_after_dbr for e in events}
     assert levels[Effect.PACKET_ON] == 45.0  # 30 + 15
     assert levels[Effect.PACKET_OFF] == 30.0
@@ -125,7 +140,7 @@ def test_packet_while_lo_down_warns_but_stays_at_floor(clocks, profile):
     events = _expand(
         [(0, CommandKind.TX_PACKET_START), (100, CommandKind.TX_PACKET_END)],
         clocks, profile,
-    )
+    ).events
     on = [e for e in events if e.effect is Effect.PACKET_ON][0]
     assert on.warning is not None
     assert on.power_after_dbr == 0.0
@@ -141,9 +156,9 @@ def test_find_trigger_prefers_explicit_trigger():
 def test_sample_trace_grid_and_right_continuity(clocks, profile):
     events = _expand([(0, CommandKind.LO_ON)], clocks, profile)
     trace = sample_trace(events, (600, 700), interval_ns=20)
-    assert trace.times_ns() == (600, 620, 640, 660, 680, 700)
+    assert trace.times_ns().tolist() == [600, 620, 640, 660, 680, 700]
     # the sample exactly on the 640 ns event takes the post-event level
-    assert trace.samples == (0.0, 0.0, 30.0, 30.0, 30.0, 30.0)
+    assert trace.samples.tolist() == [0.0, 0.0, 30.0, 30.0, 30.0, 30.0]
 
 
 def test_sample_trace_window_length(clocks, profile):
@@ -154,7 +169,7 @@ def test_sample_trace_window_length(clocks, profile):
 
 
 def test_no_events_means_constant_floor():
-    trace = sample_trace([], WINDOW, interval_ns=50)
+    trace = sample_trace(Timeline([]), WINDOW, interval_ns=50)
     assert set(trace.samples) == {0.0}
 
 
@@ -166,35 +181,33 @@ def test_baseline_inferred_for_falling_trace(clocks, profile):
 
 
 def test_measured_turnarounds_match_the_model(clocks, profile):
-    on = sample_trace(_expand([(0, CommandKind.LO_ON)], clocks, profile),
-                      WINDOW, interval_ns=50)
-    off = sample_trace(_expand([(0, CommandKind.LO_OFF)], clocks, profile),
-                       WINDOW, interval_ns=50)
-    assert measure_turnaround(on, 0, Direction.RX_TO_TX) == 650
-    assert measure_turnaround(off, 0, Direction.TX_TO_RX) == 500
+    assert _measure([(0, CommandKind.LO_ON)], clocks, profile) == 650
+    assert _measure([(0, CommandKind.LO_OFF)], clocks, profile) == 500
+    # the first step after the trigger, in a schedule that steps back
+    on_off = [(0, CommandKind.LO_ON), (1500, CommandKind.LO_OFF)]
+    assert _measure(on_off, clocks, profile) == 650
+    mid = [(0, CommandKind.LO_ON), (1000, CommandKind.TRIGGER), (1000, CommandKind.LO_OFF)]
+    assert _measure(mid, clocks, profile) == 500
 
 
 def test_measurement_agrees_with_budget_across_spi_clocks(profile):
     # simulated turnaround within one sample interval of the budget total
     for hz in (10_000_000, 25_000_000, 50_000_000):
         clocks = ClockConfig(spi_clock_hz=hz)
-        events = _expand([(0, CommandKind.LO_ON)], clocks, profile)
-        trace = sample_trace(events, (-2500, 5000), interval_ns=50)
-        measured = measure_turnaround(trace, 0, Direction.RX_TO_TX)
+        measured = _measure([(0, CommandKind.LO_ON)], clocks, profile, window=(-2500, 5000))
         budget = turnaround_budget(EnsmMode.LO_CONTROL, Direction.RX_TO_TX,
                                    clocks, profile)
         assert abs(measured - budget.total_ns) <= 50
 
 
 def test_halving_interval_never_increases_error(clocks, profile):
-    events = _expand([(0, CommandKind.LO_ON)], clocks, profile)
     exact = 640
     for start in (40, 50):
         interval = start
         last_error = None
         while interval >= 5:
-            trace = sample_trace(events, WINDOW, interval_ns=interval)
-            measured = measure_turnaround(trace, 0, Direction.RX_TO_TX)
+            measured = _measure([(0, CommandKind.LO_ON)], clocks, profile,
+                                interval_ns=interval)
             error = abs(measured - exact)
             if last_error is not None:
                 assert error <= last_error
@@ -212,7 +225,7 @@ def test_trace_translation_invariance(clocks, profile):
         _expand([(1000 + delta, CommandKind.LO_ON)], clocks, profile),
         (delta, 4000 + delta), interval_ns=50,
     )
-    assert base.samples == moved.samples
+    assert base.samples.tolist() == moved.samples.tolist()
 
 
 def test_determinism(clocks, profile):
@@ -225,14 +238,20 @@ def test_determinism(clocks, profile):
 def test_measurement_errors(clocks, profile):
     flat = PowerTrace(start_ns=0, interval_ns=50, samples=(1.0,) * 20)
     with pytest.raises(MeasurementError):
-        measure_turnaround(flat, 100, Direction.RX_TO_TX)
+        measure_turnaround(flat, LoStep(100, Direction.RX_TO_TX, 1.0))
     events = _expand([(0, CommandKind.LO_ON)], clocks, profile)
     trace = sample_trace(events, WINDOW, interval_ns=50)
-    with pytest.raises(MeasurementError):
-        measure_turnaround(trace, 5000, Direction.RX_TO_TX)  # beyond the window
+    with pytest.raises(MeasurementError):  # beyond the window
+        measure_turnaround(trace, LoStep(5000, Direction.RX_TO_TX, 30.0))
     with pytest.raises(MeasurementError):
         # looking for a falling edge in a rising trace
-        measure_turnaround(trace, 0, Direction.TX_TO_RX)
+        measure_turnaround(trace, LoStep(0, Direction.TX_TO_RX, 0.0))
+    with pytest.raises(MeasurementError):
+        find_step([Command(0, CommandKind.TX_PACKET_START),
+                   Command(10, CommandKind.TX_PACKET_END)], [])
+    with pytest.raises(MeasurementError):  # no LO command at or after the trigger
+        find_step([Command(0, CommandKind.LO_ON), Command(10, CommandKind.TRIGGER)],
+                  events.events)
 
 
 def test_sample_trace_validation(clocks, profile):
@@ -241,6 +260,48 @@ def test_sample_trace_validation(clocks, profile):
         sample_trace(events, WINDOW, interval_ns=0)
     with pytest.raises(ValueError):
         sample_trace(events, (100, 0), interval_ns=50)
+
+
+@pytest.mark.parametrize("tau", [-5.0, math.nan, math.inf])
+def test_sample_trace_rejects_bad_settling(clocks, profile, tau):
+    events = _expand([(0, CommandKind.LO_ON)], clocks, profile)
+    with pytest.raises(ValueError, match="settling_tau_ns"):
+        sample_trace(events, WINDOW, interval_ns=50, settling_tau_ns=tau)
+
+
+def test_sample_trace_rejects_windows_beyond_exact_float_times(clocks, profile):
+    events = _expand([(0, CommandKind.LO_ON)], clocks, profile)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        sample_trace(events, (0, 2**53), interval_ns=50)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        sample_trace(events, (0, 100), interval_ns=2**53)
+
+
+@pytest.mark.parametrize("schedule,expected", [
+    ([(0, CommandKind.LO_ON), (1500, CommandKind.LO_OFF)],
+     LoStep(0, Direction.RX_TO_TX, 30.0, 2000)),
+    ([(0, CommandKind.LO_ON), (1000, CommandKind.TRIGGER), (1000, CommandKind.LO_OFF)],
+     LoStep(1000, Direction.TX_TO_RX, 0.0, None)),
+    # a packet inside the window does not move the step's level
+    ([(0, CommandKind.TRIGGER), (0, CommandKind.LO_ON),
+      (700, CommandKind.TX_PACKET_START), (900, CommandKind.TX_PACKET_END),
+      (1000, CommandKind.LO_OFF)],
+     LoStep(0, Direction.RX_TO_TX, 30.0, 1500)),
+])
+def test_find_step_takes_the_first_lo_command_at_or_after_the_trigger(
+        clocks, profile, schedule, expected):
+    assert find_step(_commands(schedule), _expand(schedule, clocks, profile).events) == expected
+
+
+def test_step_that_misses_its_window_is_not_measured(clocks, profile):
+    # the divider is up at 640, but the next LO state change (the lo-off
+    # at 480 lands at 980) comes before any sample on the 1000 ns grid;
+    # the rise at 2000 belongs to the second lo-on
+    schedule = [(0, CommandKind.LO_ON), (480, CommandKind.LO_OFF), (960, CommandKind.LO_ON)]
+    timeline = _expand(schedule, clocks, profile)
+    trace = sample_trace(timeline, (-2000, 3000), interval_ns=1000)
+    with pytest.raises(MeasurementError, match="crossing"):
+        measure_turnaround(trace, find_step(_commands(schedule), timeline.events))
 
 
 def test_settling_relaxes_exponentially(clocks, profile):

@@ -1,0 +1,270 @@
+"""Hypothesis properties of the trace simulator.
+
+The array sampling and the columnar text rendering must equal, bit for
+bit and byte for byte, the per-row loops they replace. Those loops are
+kept below as the oracle: the sampling loop (with the initial level
+handed in, where it used to infer it from the first event), the csv
+writer and the CLI's table and json formatting of a trace.
+"""
+
+import io
+import json
+import math
+import struct
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zifsim import (
+    Band,
+    ClockConfig,
+    Command,
+    CommandKind,
+    Direction,
+    EnsmMode,
+    PowerTrace,
+    RfModelParams,
+    TimingProfile,
+    expand_schedule,
+    find_step,
+    frame_duration_ns,
+    measure_turnaround,
+    render_trace,
+    sample_trace,
+    trace_to_csv,
+    turnaround_budget,
+)
+
+# Deterministic and bounded so the tier-1 run stays fast and stable.
+PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+
+# --- oracle: the per-row code the array version replaces -------------------
+
+def oracle_samples(events, window, interval_ns, baseline, settling_tau_ns):
+    start_ns, end_ns = window
+    events = sorted(events, key=lambda ev: ev.time_ns)
+    count = int((end_ns - start_ns) // interval_ns) + 1
+    samples = []
+    index = 0
+    level = baseline
+    last_change_t = None
+    value_at_change = baseline
+    for k in range(count):
+        t = start_ns + k * interval_ns
+        while index < len(events) and events[index].time_ns <= t:
+            new_level = events[index].power_after_dbr
+            if settling_tau_ns > 0 and new_level != level:
+                value_at_change = oracle_settled(
+                    level, value_at_change, last_change_t, events[index].time_ns,
+                    settling_tau_ns,
+                )
+                last_change_t = events[index].time_ns
+            level = new_level
+            index += 1
+        if settling_tau_ns > 0:
+            samples.append(
+                oracle_settled(level, value_at_change, last_change_t, t, settling_tau_ns)
+            )
+        else:
+            samples.append(level)
+    return samples
+
+
+def oracle_settled(target, value_at_change, change_t, t, tau):
+    if change_t is None:
+        return float(target)
+    dt = float(t - change_t)
+    return float(target + (value_at_change - target) * math.exp(-dt / tau))
+
+
+def oracle_times(trace):
+    return [trace.start_ns + k * trace.interval_ns for k in range(trace.samples.size)]
+
+
+def oracle_fmt2(value):
+    text = f"{value:.2f}"
+    return "0.00" if text == "-0.00" else text
+
+
+def oracle_csv(trace):
+    lines = ["time_us,power_db"]
+    for t, v in zip(oracle_times(trace), trace.samples.tolist()):
+        lines.append(f"{oracle_fmt2(t / 1000.0)},{oracle_fmt2(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_rows(trace):
+    return [
+        {"time_us": round(t / 1000.0, 2), "power_db": round(v, 2)}
+        for t, v in zip(oracle_times(trace), trace.samples.tolist())
+    ]
+
+
+def oracle_json(trace):
+    return json.dumps(oracle_rows(trace), indent=2) + "\n"
+
+
+def oracle_table(trace):
+    texts = [[f"{r['time_us']:.2f}", f"{r['power_db']:.2f}"] for r in oracle_rows(trace)]
+    names = ["time_us", "power_db"]
+    widths = [max(len(name), *(len(t[i]) for t in texts)) if texts else len(name)
+              for i, name in enumerate(names)]
+    out = io.StringIO()
+    for cells in [names, *texts]:
+        line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
+        out.write(line.rstrip() + "\n")
+    return out.getvalue()
+
+
+ORACLE = {"csv": oracle_csv, "table": oracle_table, "json": oracle_json}
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+# --- strategies -------------------------------------------------------------
+
+# 7 and 9 MHz give Fraction frame ends; the others integral ones.
+SPI_CLOCKS = (50_000_000, 48_000_000, 25_000_000, 9_000_000, 7_000_000)
+# levels that round to -0.00 or sit near a two-decimal tie, as well as the
+# model's own; packet steps never cancel an LO level
+LO_LEVELS = (30.0, 22.0, -0.0, -0.004, 0.001, 0.005, 2.675, 12.345)
+PACKET_STEPS = (15.0, 2.5, 7.125)
+
+
+@st.composite
+def schedules(draw):
+    """Valid command schedules: LO writes at least a frame apart, packets
+    paired, triggers anywhere, integral or Fraction event times."""
+    clocks = ClockConfig(spi_clock_hz=draw(st.sampled_from(SPI_CLOCKS)))
+    frame = frame_duration_ns(clocks)
+    commands = []
+    t = draw(st.integers(0, 800))
+    spi_free = 0
+    packet_open = False
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(list(CommandKind)))
+        t += draw(st.integers(0, 1500))
+        if kind in (CommandKind.TX_PACKET_START, CommandKind.TX_PACKET_END):
+            kind = CommandKind.TX_PACKET_END if packet_open else CommandKind.TX_PACKET_START
+            packet_open = not packet_open
+        elif kind is not CommandKind.TRIGGER:
+            t = max(t, math.ceil(spi_free))
+            spi_free = t + frame
+        commands.append(Command(t, kind))
+    if packet_open:
+        commands.append(Command(t + draw(st.integers(0, 500)), CommandKind.TX_PACKET_END))
+    return commands, clocks
+
+
+@st.composite
+def traced_schedules(draw):
+    commands, clocks = draw(schedules())
+    band = draw(st.sampled_from(list(Band)))
+    rf = RfModelParams(
+        lo_on_delta_db={b: draw(st.sampled_from(LO_LEVELS)) for b in Band},
+        packet_delta_db=draw(st.sampled_from(PACKET_STEPS)),
+    )
+    initial_lo_on = draw(st.sampled_from((None, True, False)))
+    timeline = expand_schedule(commands, clocks, TimingProfile(), band=band, rf=rf,
+                               initial_lo_on=initial_lo_on)
+    interval = draw(st.sampled_from((1, 5, 7, 10, 15, 25, 50, 250)) | st.integers(1, 400))
+    start = draw(st.integers(-3000, 3000))
+    end = start + draw(st.integers(0, 300)) * interval + draw(st.integers(0, interval - 1))
+    tau = draw(st.sampled_from((0.0, 0.0, 1.0, 10.0, 200.0)) | st.floats(0.01, 1e4))
+    return timeline, (start, end), interval, tau
+
+
+@st.composite
+def traces(draw):
+    """Arbitrary traces: negative and huge start times, ties at t % 10 == 5,
+    powers that round to -0.00, non-finite powers."""
+    interval = draw(st.integers(1, 1000))
+    count = draw(st.integers(1, 60))
+    start = draw(st.integers(-4000, 4000) | st.integers(-(2**53) + 1, 2**53 - 1 - count * interval))
+    power = st.sampled_from((-0.0, 0.0, -0.004, 0.005, 0.015, 2.675, -1.005, 30.0)) | st.floats()
+    return PowerTrace(start, interval, draw(st.lists(power, min_size=count, max_size=count)))
+
+
+# --- properties ---------------------------------------------------------------
+
+@PROFILE
+@given(traced_schedules())
+def test_samples_equal_the_loop(case):
+    timeline, window, interval, tau = case
+    trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
+    expected = oracle_samples(timeline.events, window, interval, timeline.initial_dbr, tau)
+    assert bits(trace.samples.tolist()) == bits(expected)
+    assert trace.times_ns().tolist() == oracle_times(trace)
+
+
+@PROFILE
+@given(traced_schedules())
+def test_renderings_of_sampled_traces_equal_the_loop(case):
+    timeline, window, interval, tau = case
+    trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
+    assert trace_to_csv(trace) == oracle_csv(trace)
+    for fmt, oracle in ORACLE.items():
+        assert render_trace(trace, fmt) == oracle(trace), fmt
+
+
+@PROFILE
+@given(traces())
+def test_renderings_equal_the_loop(trace):
+    for fmt, oracle in ORACLE.items():
+        assert render_trace(trace, fmt) == oracle(trace), fmt
+
+
+def test_renderings_of_negative_zero_cells():
+    # -3 ns and the dB values below round to -0.00: the csv shows 0.00,
+    # the table -0.00 and json -0.0
+    trace = PowerTrace(-3, 1, [-0.001, -0.0, 0.0, 0.004, -0.005])
+    for fmt, oracle in ORACLE.items():
+        assert render_trace(trace, fmt) == oracle(trace), fmt
+    assert render_trace(trace, "csv").splitlines()[1] == "0.00,0.00"
+    assert render_trace(trace, "table").splitlines()[1] == "-0.00    -0.00"
+    assert '"power_db": -0.0' in render_trace(trace, "json")
+
+
+def test_renderings_of_an_empty_trace():
+    trace = PowerTrace(0, 50, [])
+    for fmt, oracle in ORACLE.items():
+        assert render_trace(trace, fmt) == oracle(trace), fmt
+
+
+def test_ties_round_by_the_float_quotient():
+    # 0.005 us is just above its tie and 0.015 us just below
+    trace = PowerTrace(5, 10, [0.0, 0.0])
+    assert render_trace(trace, "csv") == "time_us,power_db\n0.01,0.00\n0.01,0.00\n"
+    assert render_trace(trace, "csv") == oracle_csv(trace)
+
+
+@PROFILE
+@given(
+    st.sampled_from(SPI_CLOCKS),
+    st.sampled_from((CommandKind.LO_ON, CommandKind.LO_OFF)),
+    st.integers(0, 5000),
+    st.integers(0, 5000),
+    st.sampled_from((1, 5, 7, 10, 25, 50, 250)) | st.integers(1, 700),
+    st.integers(0, 10_000),
+    st.sampled_from(list(Band)),
+)
+def test_single_step_measures_its_budget_on_the_grid(spi_hz, kind, command_ns, lead_ns,
+                                                     interval, start_back, band):
+    clocks, profile = ClockConfig(spi_clock_hz=spi_hz), TimingProfile()
+    trigger_ns = max(0, command_ns - lead_ns)
+    commands = [Command(trigger_ns, CommandKind.TRIGGER), Command(command_ns, kind)]
+    timeline = expand_schedule(commands, clocks, profile, band=band)
+    direction = Direction.RX_TO_TX if kind is CommandKind.LO_ON else Direction.TX_TO_RX
+    budget = turnaround_budget(EnsmMode.LO_CONTROL, direction, clocks, profile).total_ns
+    start = trigger_ns - start_back
+    end = command_ns + math.ceil(budget) + interval
+    trace = sample_trace(timeline, (start, end), interval_ns=interval)
+
+    k = math.ceil(Fraction(command_ns + budget - start) / interval)
+    step = find_step(commands, timeline.events)
+    assert step.direction is direction
+    assert measure_turnaround(trace, step) == start + k * interval - trigger_ns
