@@ -233,6 +233,9 @@ def cmd_noise(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     if args.n is not None and args.n < 1:
         emitter.status("error: --n must be at least 1")
         return 2
+    if args.seed is not None and args.seed < 0:
+        emitter.status("error: --seed must be non-negative")
+        return 2
     if args.capture:
         capture = load_capture(args.capture)
     else:

@@ -8,18 +8,25 @@ so timing arithmetic stays exact. Example:
     rf.lo_on_delta_db.2g4 = 30.0
     schedule.0 = lo-on @ 0
 
+Settings keys are `section.field`, or `section.field.<band>` for a per-band
+field, read off the dataclass fields of RunConfig's sections (clocks,
+profile, rf, trace, noise); each dataclass checks its own values.
+
 The built-in defaults reproduce the reference timing and noise numbers
 with no file at all; a file only overrides what it names.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, is_dataclass, replace
+from enum import Enum
 
 from .errors import ConfigError
 from .mac import BUILTIN_DEADLINES, ProtocolDeadline
-from .params import ClockConfig, TimingProfile
+from .params import ClockConfig, TimingProfile, field_types
 from .rf import Band, RfModelParams
-from .sim import TIME_LIMIT_NS, Command, CommandKind
+from .sim import Command, CommandKind, check_sampling
 
 OUTPUT_FORMATS = ("csv", "json", "table")
 
@@ -32,6 +39,9 @@ class TraceSettings:
     interval_ns: int = 50
     settling_tau_ns: float = 0.0
 
+    def __post_init__(self):
+        check_sampling(self.start_ns, self.end_ns, self.interval_ns, self.settling_tau_ns)
+
 
 @dataclass
 class NoiseSettings:
@@ -39,6 +49,17 @@ class NoiseSettings:
     seed: int = 1
     filter_threshold_db: float = 10.0
     filter_guard_samples: int = 16
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        threshold = self.filter_threshold_db
+        if not (threshold > 0 and math.isfinite(threshold)):
+            raise ValueError("filter_threshold_db must be positive and finite")
+        if self.filter_guard_samples < 0:
+            raise ValueError("filter_guard_samples must be non-negative")
 
 
 @dataclass
@@ -85,25 +106,19 @@ def _parse_float(key, value):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _parse_band(key, value):
+def _parse_enum(kind, key, value):
     try:
-        return Band(value)
+        return kind(value)
     except ValueError:
-        names = ", ".join(b.value for b in Band)
-        raise ConfigError(f"{key}: unknown band {value!r} (use {names})") from None
+        names = ", ".join(member.value for member in kind)
+        raise ConfigError(f"{key}: expected one of {names}, got {value!r}") from None
 
 
 def _parse_command(key, value):
     kind_text, sep, time_text = value.partition("@")
     if not sep:
         raise ConfigError(f"{key}: expected '<kind> @ <time_ns>', got {value!r}")
-    try:
-        kind = CommandKind(kind_text.strip())
-    except ValueError:
-        names = ", ".join(k.value for k in CommandKind)
-        raise ConfigError(
-            f"{key}: unknown command kind {kind_text.strip()!r} (use {names})"
-        ) from None
+    kind = _parse_enum(CommandKind, key, kind_text.strip())
     time_ns = _parse_int(key, time_text.strip())
     try:
         return Command(time_ns, kind)
@@ -111,52 +126,39 @@ def _parse_command(key, value):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-_CLOCK_KEYS = {
-    "ref_clock_hz": _parse_int,
-    "adc_clock_hz": _parse_int,
-    "spi_clock_hz": _parse_int,
-    "allow_spi_overclock": _parse_bool,
-}
-_PROFILE_KEYS = {
-    "vco_cal_ns": _parse_int,
-    "pll_lock_ns": _parse_int,
-    "dac_powerup_ns": _parse_int,
-    "flush_cycles": _parse_int,
-    "lo_div_powerup_ns": _parse_int,
-    "lo_div_powerdown_ns": _parse_int,
-}
-_RF_BAND_KEYS = ("lo_on_delta_db", "base_rx_floor_db", "fdd_rx_floor_db",
-                 "locontrol_rx_floor_db")
-_RF_SCALAR_KEYS = {"packet_delta_db": _parse_float, "agc_gain_db": _parse_float}
-_TRACE_KEYS = {
-    "band": _parse_band,
-    "start_ns": _parse_int,
-    "end_ns": _parse_int,
-    "interval_ns": _parse_int,
-    "settling_tau_ns": _parse_float,
-}
-_NOISE_KEYS = {
-    "n_samples": _parse_int,
-    "seed": _parse_int,
-    "filter_threshold_db": _parse_float,
-    "filter_guard_samples": _parse_int,
-}
+def _value_parser(kind):
+    """Text parser for a settings field annotated as `kind`."""
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return functools.partial(_parse_enum, kind)
+    return {bool: _parse_bool, int: _parse_int, float: _parse_float}[kind]
+
+
+def _settings_keys() -> dict:
+    """Key -> (section, field, band or None, value parser), in dump order."""
+    keys = {}
+    for section, cls in field_types(RunConfig):
+        if not is_dataclass(cls):
+            continue
+        for name, kind in field_types(cls):
+            if typing.get_origin(kind) is dict:
+                member_type, value_type = typing.get_args(kind)
+                parse = _value_parser(value_type)
+                for member in member_type:
+                    keys[f"{section}.{name}.{member.value}"] = (section, name, member, parse)
+            else:
+                keys[f"{section}.{name}"] = (section, name, None, _value_parser(kind))
+    return keys
+
+
+_SETTINGS = _settings_keys()
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a RunConfig, on top of the defaults."""
-    clocks = {}
-    profile = {}
-    rf_band = {name: {} for name in _RF_BAND_KEYS}
-    rf_scalar = {}
-    trace = {}
-    noise = {}
+    config = default_config()
+    settings = {}  # section -> field -> value, a dict by band if per-band
     schedule_entries = {}
     schedule_empty = False
-    deadlines_builtin = None
-    extra_deadlines = []
-    output = {}
-
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -167,115 +169,62 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
         value = value.strip()
+        section, _, rest = key.partition(".")
+        # schedule lines dominate long files, so they take the first branch;
+        # duplicates are found by index, so schedule.0 and schedule.00 collide
+        if section == "schedule" and rest.isdecimal():
+            index = int(rest)
+            if index in schedule_entries:
+                raise ConfigError(f"line {lineno}: duplicate schedule index {key!r}")
+            schedule_entries[index] = _parse_command(key, value)
+            continue
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
 
-        section, _, rest = key.partition(".")
-        if section == "clocks" and rest in _CLOCK_KEYS:
-            clocks[rest] = _CLOCK_KEYS[rest](key, value)
-        elif section == "profile" and rest in _PROFILE_KEYS:
-            profile[rest] = _PROFILE_KEYS[rest](key, value)
-        elif section == "rf":
-            name, _, band_text = rest.partition(".")
-            if name in _RF_BAND_KEYS and band_text:
-                band = _parse_band(key, band_text)
-                rf_band[name][band] = _parse_float(key, value)
-            elif name in _RF_SCALAR_KEYS and not band_text:
-                rf_scalar[name] = _RF_SCALAR_KEYS[name](key, value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        elif section == "trace" and rest in _TRACE_KEYS:
-            trace[rest] = _TRACE_KEYS[rest](key, value)
-        elif section == "noise" and rest in _NOISE_KEYS:
-            noise[rest] = _NOISE_KEYS[rest](key, value)
-        elif section == "schedule":
-            if rest == "empty":
-                schedule_empty = _parse_bool(key, value)
-            else:
-                try:
-                    index = int(rest)
-                except ValueError:
-                    raise ConfigError(f"line {lineno}: unknown key {key!r}") from None
-                schedule_entries[index] = _parse_command(key, value)
-        elif section == "deadlines":
-            if rest == "builtin":
-                deadlines_builtin = _parse_bool(key, value)
-            elif rest.startswith("extra.") and rest[len("extra."):]:
-                name = rest[len("extra."):]
-                try:
-                    deadline = ProtocolDeadline(name, _parse_int(key, value), source="config")
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
-                extra_deadlines.append(deadline)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        elif section == "output" and rest in ("format", "path"):
-            output[rest] = value
+        if key in _SETTINGS:
+            section, name, band, parse = _SETTINGS[key]
+            fields = settings.setdefault(section, {})
+            if band is None:
+                fields[name] = parse(key, value)
+            else:  # a per-band key overrides that band only
+                default = getattr(getattr(config, section), name)
+                fields.setdefault(name, dict(default))[band] = parse(key, value)
+        elif key == "schedule.empty":
+            schedule_empty = _parse_bool(key, value)
+        elif key == "deadlines.builtin":
+            config.deadlines_builtin = _parse_bool(key, value)
+        elif section == "deadlines" and rest.startswith("extra.") and rest[len("extra."):]:
+            name = rest[len("extra."):]
+            try:
+                deadline = ProtocolDeadline(name, _parse_int(key, value), source="config")
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+            config.extra_deadlines.append(deadline)
+        elif key == "output.format":
+            if value not in OUTPUT_FORMATS:
+                raise ConfigError(
+                    f"output.format must be one of {', '.join(OUTPUT_FORMATS)}"
+                )
+            config.output_format = value
+        elif key == "output.path":
+            config.output_path = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
     if schedule_empty and schedule_entries:
         raise ConfigError("schedule.empty = true conflicts with schedule entries")
-
-    config = default_config()
-    try:
-        if clocks:
-            config.clocks = replace(config.clocks, **clocks)
-        if profile:
-            config.profile = replace(config.profile, **profile)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    rf_kwargs = dict(rf_scalar)
-    for name in _RF_BAND_KEYS:
-        if rf_band[name]:
-            merged = dict(getattr(config.rf, name))
-            merged.update(rf_band[name])
-            rf_kwargs[name] = merged
-    if rf_kwargs:
-        try:
-            config.rf = replace(config.rf, **rf_kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    if trace:
-        config.trace = replace(config.trace, **trace)
-    if not 0 < config.trace.interval_ns < TIME_LIMIT_NS:
-        raise ConfigError("trace.interval_ns must be positive and below 2**53")
-    if config.trace.end_ns < config.trace.start_ns:
-        raise ConfigError("trace.end_ns must not precede trace.start_ns")
-    if not (-TIME_LIMIT_NS < config.trace.start_ns and config.trace.end_ns < TIME_LIMIT_NS):
-        raise ConfigError("trace.start_ns and trace.end_ns must lie within +/-2**53 ns")
-    tau = config.trace.settling_tau_ns
-    if not (tau >= 0 and math.isfinite(tau)):
-        raise ConfigError("trace.settling_tau_ns must be non-negative and finite")
-    if noise:
-        config.noise = replace(config.noise, **noise)
-    if config.noise.n_samples < 1:
-        raise ConfigError("noise.n_samples must be at least 1")
-    threshold = config.noise.filter_threshold_db
-    if not (threshold > 0 and math.isfinite(threshold)):
-        raise ConfigError("noise.filter_threshold_db must be positive and finite")
-    if config.noise.filter_guard_samples < 0:
-        raise ConfigError("noise.filter_guard_samples must be non-negative")
-
     if schedule_empty:
         config.schedule = []
     elif schedule_entries:
         config.schedule = [schedule_entries[i] for i in sorted(schedule_entries)]
-    if deadlines_builtin is not None:
-        config.deadlines_builtin = deadlines_builtin
-    if extra_deadlines:
-        config.extra_deadlines = extra_deadlines
-    if "format" in output:
-        if output["format"] not in OUTPUT_FORMATS:
-            raise ConfigError(
-                f"output.format must be one of {', '.join(OUTPUT_FORMATS)}"
-            )
-        config.output_format = output["format"]
-    if "path" in output:
-        config.output_path = output["path"]
+
+    for section, fields in settings.items():
+        try:
+            setattr(config, section, replace(getattr(config, section), **fields))
+        except ValueError as exc:
+            # every settings check message starts with its field name
+            raise ConfigError(f"{section}.{exc}") from None
     return config
 
 
@@ -288,42 +237,26 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+def _value_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
 
 
 def dump_config(config: RunConfig) -> str:
     """Render a RunConfig as config text; parse_config inverts it."""
     lines = ["# zifsim run configuration"]
-    lines.append(f"clocks.ref_clock_hz = {config.clocks.ref_clock_hz}")
-    lines.append(f"clocks.adc_clock_hz = {config.clocks.adc_clock_hz}")
-    lines.append(f"clocks.spi_clock_hz = {config.clocks.spi_clock_hz}")
-    lines.append(
-        f"clocks.allow_spi_overclock = {_bool_text(config.clocks.allow_spi_overclock)}"
-    )
-    for name in _PROFILE_KEYS:
-        lines.append(f"profile.{name} = {getattr(config.profile, name)}")
-    for name in _RF_BAND_KEYS:
-        mapping = getattr(config.rf, name)
-        for band in Band:
-            lines.append(f"rf.{name}.{band.value} = {mapping[band]}")
-    lines.append(f"rf.packet_delta_db = {config.rf.packet_delta_db}")
-    lines.append(f"rf.agc_gain_db = {config.rf.agc_gain_db}")
-    lines.append(f"trace.band = {config.trace.band.value}")
-    lines.append(f"trace.start_ns = {config.trace.start_ns}")
-    lines.append(f"trace.end_ns = {config.trace.end_ns}")
-    lines.append(f"trace.interval_ns = {config.trace.interval_ns}")
-    lines.append(f"trace.settling_tau_ns = {config.trace.settling_tau_ns}")
-    lines.append(f"noise.n_samples = {config.noise.n_samples}")
-    lines.append(f"noise.seed = {config.noise.seed}")
-    lines.append(f"noise.filter_threshold_db = {config.noise.filter_threshold_db}")
-    lines.append(f"noise.filter_guard_samples = {config.noise.filter_guard_samples}")
+    for key, (section, name, band, _) in _SETTINGS.items():
+        value = getattr(getattr(config, section), name)
+        lines.append(f"{key} = {_value_text(value if band is None else value[band])}")
     if config.schedule:
         for index, cmd in enumerate(config.schedule):
             lines.append(f"schedule.{index} = {cmd.kind.value} @ {cmd.time_ns}")
     else:
         lines.append("schedule.empty = true")
-    lines.append(f"deadlines.builtin = {_bool_text(config.deadlines_builtin)}")
+    lines.append(f"deadlines.builtin = {_value_text(config.deadlines_builtin)}")
     for deadline in config.extra_deadlines:
         lines.append(f"deadlines.extra.{deadline.name} = {deadline.deadline_ns}")
     lines.append(f"output.format = {config.output_format}")

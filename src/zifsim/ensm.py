@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .params import ClockConfig, TimingProfile, cycles_to_ns, ns_value
+from .params import ClockConfig, TimingProfile, cycles_to_ns, exact_ns, ns_value
 from .spi import frame_duration_ns
 
 
@@ -51,20 +51,12 @@ class TurnaroundBudget:
 
 
 def _stage_total(components):
-    if not components:
-        return 0
     stages = {}
     for comp in components:
         prev = stages.get(comp.stage)
         if prev is None or comp.duration_ns > prev:
             stages[comp.stage] = comp.duration_ns
-    total = sum(stages[stage] for stage in sorted(stages))
-    return int(total) if Fraction(total).denominator == 1 else total
-
-
-def _normalize(value):
-    frac = Fraction(value)
-    return int(frac) if frac.denominator == 1 else frac
+    return exact_ns(sum(stages[stage] for stage in sorted(stages)))
 
 
 def flush_time_ns(clocks: ClockConfig, profile: TimingProfile):
@@ -77,7 +69,7 @@ def _build(mode, direction, stages):
     for stage_index, stage in enumerate(stages):
         for name, duration in stage:
             components.append(
-                BudgetComponent(name=name, duration_ns=_normalize(duration), stage=stage_index)
+                BudgetComponent(name=name, duration_ns=exact_ns(duration), stage=stage_index)
             )
     components = tuple(components)
     return TurnaroundBudget(

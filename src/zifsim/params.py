@@ -5,18 +5,25 @@ every derived duration is an exact rational number. Durations that come out
 integral are normalized to plain ints; everything else stays a Fraction.
 """
 
-from dataclasses import dataclass
+import functools
+import typing
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 NS_PER_S = 1_000_000_000
+
+
+def exact_ns(duration) -> int | Fraction:
+    """An exact duration as a plain int when integral, else a Fraction."""
+    frac = Fraction(duration)
+    return int(frac) if frac.denominator == 1 else frac
 
 
 def cycles_to_ns(cycles: int, clock_hz: int) -> int | Fraction:
     """Exact duration of `cycles` periods of a `clock_hz` clock, in ns."""
     if clock_hz <= 0:
         raise ValueError(f"clock_hz must be positive, got {clock_hz}")
-    ns = Fraction(cycles * NS_PER_S, clock_hz)
-    return int(ns) if ns.denominator == 1 else ns
+    return exact_ns(Fraction(cycles * NS_PER_S, clock_hz))
 
 
 def ns_value(duration) -> int | float:
@@ -25,8 +32,15 @@ def ns_value(duration) -> int | float:
     Used only at serialization boundaries (CSV/JSON); internal arithmetic
     stays rational.
     """
-    frac = Fraction(duration)
-    return int(frac) if frac.denominator == 1 else float(frac)
+    value = exact_ns(duration)
+    return float(value) if isinstance(value, Fraction) else value
+
+
+@functools.cache
+def field_types(cls) -> tuple:
+    """(name, resolved type) of each field of dataclass `cls`, in order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -40,7 +54,7 @@ class ClockConfig:
     allow_spi_overclock: bool = False
 
     def __post_init__(self):
-        for name in ("ref_clock_hz", "adc_clock_hz", "spi_clock_hz"):
+        for name in (n for n, kind in field_types(type(self)) if kind is int):
             value = getattr(self, name)
             if value != int(value):
                 raise ValueError(f"{name} must be an integer hertz value, got {value!r}")
@@ -66,14 +80,7 @@ class TimingProfile:
     lo_div_powerdown_ns: int = 20
 
     def __post_init__(self):
-        for name in (
-            "vco_cal_ns",
-            "pll_lock_ns",
-            "dac_powerup_ns",
-            "flush_cycles",
-            "lo_div_powerup_ns",
-            "lo_div_powerdown_ns",
-        ):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if value != int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

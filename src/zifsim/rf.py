@@ -16,6 +16,7 @@ import numpy as np
 
 from .ensm import EnsmMode
 from .errors import DataError, FilterRefusedError
+from .params import field_types
 
 IQ_LIMIT = 32767  # samples are signed 16-bit
 
@@ -25,7 +26,10 @@ class Band(Enum):
     B5G = "5g"  # Wi-Fi channel 44
 
 
-def _per_band(b2g4: float, b5g: float) -> dict:
+_PerBand = dict[Band, float]
+
+
+def _per_band(b2g4: float, b5g: float) -> _PerBand:
     return {Band.B2G4: b2g4, Band.B5G: b5g}
 
 
@@ -34,32 +38,32 @@ class RfModelParams:
     """Calibrated power levels, per band where leakage is band-dependent."""
 
     # Tx power step when the LO divider comes up, relative to LO-off.
-    lo_on_delta_db: dict = field(default_factory=lambda: _per_band(30.0, 22.0))
+    lo_on_delta_db: _PerBand = field(default_factory=lambda: _per_band(30.0, 22.0))
+    # Rx noise floor per switching strategy.
+    base_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(53.3, 53.7))
+    fdd_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(66.4, 58.0))
+    locontrol_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(53.0, 53.4))
     # Extra step at packet start; trace cosmetics only.
     packet_delta_db: float = 15.0
-    # Rx noise floor per switching strategy.
-    base_rx_floor_db: dict = field(default_factory=lambda: _per_band(53.3, 53.7))
-    fdd_rx_floor_db: dict = field(default_factory=lambda: _per_band(66.4, 58.0))
-    locontrol_rx_floor_db: dict = field(default_factory=lambda: _per_band(53.0, 53.4))
     # Manual AGC setting the floors were calibrated at; metadata only.
     agc_gain_db: float = 62.0
 
     def __post_init__(self):
-        for name in ("packet_delta_db", "agc_gain_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, kind in field_types(type(self)):
+            value = getattr(self, name)
+            if kind is float:
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+                continue
+            for band in Band:
+                if not math.isfinite(value[band]):
+                    raise ValueError(
+                        f"{name} must be finite for band {band.value}, got {value[band]}"
+                    )
         for band in Band:
-            values = (
-                self.lo_on_delta_db[band],
-                self.base_rx_floor_db[band],
-                self.fdd_rx_floor_db[band],
-                self.locontrol_rx_floor_db[band],
-            )
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"non-finite rf parameter for band {band.value}")
             if self.fdd_rx_floor_db[band] < self.locontrol_rx_floor_db[band]:
                 raise ValueError(
-                    f"fdd floor below lo-control floor for band {band.value}"
+                    f"fdd_rx_floor_db below locontrol_rx_floor_db for band {band.value}"
                 )
 
 
@@ -221,7 +225,8 @@ def filter_packets(
 
     hot = series > _median(series) + threshold_db_above_median
     if guard_samples and hot.any():
-        removed = _dilate(hot, guard_samples)
+        # a guard of n already reaches both ends; a wider one overflows int64
+        removed = _dilate(hot, min(guard_samples, series.size))
     else:
         removed = hot
 

@@ -292,6 +292,22 @@ class PowerTrace:
 TIME_LIMIT_NS = 2**53
 
 
+def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:
+    """Raise ValueError unless the window, interval and tau can be sampled."""
+    if not 0 < interval_ns < TIME_LIMIT_NS:
+        raise ValueError(f"interval_ns must be positive and below 2**53, got {interval_ns}")
+    if end_ns < start_ns:
+        raise ValueError(f"end_ns must not precede start_ns, got {start_ns}..{end_ns}")
+    if not (-TIME_LIMIT_NS < start_ns and end_ns < TIME_LIMIT_NS):
+        raise ValueError(
+            f"start_ns and end_ns must lie within +/-2**53 ns, got {start_ns}..{end_ns}"
+        )
+    if not (settling_tau_ns >= 0 and math.isfinite(settling_tau_ns)):
+        raise ValueError(
+            f"settling_tau_ns must be non-negative and finite, got {settling_tau_ns}"
+        )
+
+
 def sample_trace(
     timeline: Timeline,
     window,
@@ -307,16 +323,7 @@ def sample_trace(
     realism.
     """
     start_ns, end_ns = window
-    if not 0 < interval_ns < TIME_LIMIT_NS:
-        raise ValueError(f"interval_ns must be positive and below 2**53, got {interval_ns}")
-    if end_ns < start_ns:
-        raise ValueError(f"invalid window: {window}")
-    if not (-TIME_LIMIT_NS < start_ns and end_ns < TIME_LIMIT_NS):
-        raise ValueError(f"window must lie within +/-2**53 ns, got {window}")
-    if not (settling_tau_ns >= 0 and math.isfinite(settling_tau_ns)):
-        raise ValueError(
-            f"settling_tau_ns must be non-negative and finite, got {settling_tau_ns}"
-        )
+    check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns)
 
     count = int((end_ns - start_ns) // interval_ns) + 1
     times = start_ns + interval_ns * np.arange(count, dtype=np.int64)

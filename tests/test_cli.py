@@ -11,11 +11,13 @@ import pytest
 from zifsim import (
     BUILTIN_DEADLINES,
     ClockConfig,
+    FilterRefusedError,
     IqCapture,
     TimingProfile,
     compliance_matrix,
     default_config,
     dump_config,
+    filter_packets,
     matrix_to_csv,
     sample_power_db,
     save_capture,
@@ -268,6 +270,31 @@ def test_noise_non_positive_n_exits_2(capsys, n_flag):
     assert out == ""
 
 
+def test_noise_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "noise", "--mode", "fdd", "--band", "2g4",
+                             "--seed", "-1")
+    assert code == 2
+    assert out == "" and "--seed" in err
+
+
+def test_noise_guard_wider_than_int64_acts_as_guard_n(capsys, tmp_path):
+    huge = 10**22
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text(f"noise.filter_guard_samples = {huge}\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "noise", "--mode", "fdd",
+                             "--band", "2g4")
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    # any burst plus a guard of n or more removes every sample
+    series = sample_power_db(IqCapture(make_burst_capture()))
+    assert not any(brute_force_keep_mask(series, 10.0, huge))
+    with pytest.raises(FilterRefusedError) as wide:
+        filter_packets(series, 10.0, huge)
+    with pytest.raises(FilterRefusedError) as exact:
+        filter_packets(series, 10.0, series.size)
+    assert str(wide.value) == str(exact.value)
+
+
 def test_noise_refusal_exits_1(capsys, tmp_path):
     # alternating spikes: the guard dilation would remove everything
     i = np.zeros(100, dtype=np.int16)
@@ -408,6 +435,7 @@ GOLDEN_CASES = [
     ("noise_fdd_2g4.csv", ("noise", "--mode", "fdd", "--band", "2g4",
                            "--format", "csv")),
     ("comply_default.csv", ("comply", "--format", "csv")),
+    ("config_dump_default.cfg", ("config", "--dump")),
 ]
 
 
@@ -418,7 +446,7 @@ def test_golden_outputs(capsys, name, argv):
     assert out == (GOLDEN / name).read_text()
 
 
-@pytest.mark.parametrize("argv", [c[1] for c in GOLDEN_CASES] + [("config", "--dump")],
+@pytest.mark.parametrize("argv", [c[1] for c in GOLDEN_CASES],
                          ids=["turnaround", "trace", "noise", "comply", "config"])
 def test_subcommands_are_deterministic(capsys, argv):
     first = run_cli(capsys, *argv)

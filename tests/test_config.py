@@ -1,11 +1,14 @@
 """Config text parsing, validation, and dump/parse inversion."""
 
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from zifsim import (
     Band,
     CommandKind,
     ConfigError,
+    RunConfig,
     default_config,
     dump_config,
     load_config,
@@ -49,6 +52,26 @@ def test_dump_parse_roundtrip_nondefault():
     text = dump_config(config)
     assert dump_config(parse_config(text)) == text
     assert "deadlines.extra.custom = 700" in text
+
+
+def test_every_settings_field_dumps_and_parses_back():
+    # walks the section dataclasses, so a new field needs no edit here
+    default = default_config()
+    dump = {line.partition(" = ")[0]: line for line in dump_config(default).splitlines()}
+    for section in (f.name for f in fields(RunConfig)):
+        settings = getattr(default, section)
+        if not is_dataclass(settings):
+            continue
+        for f in fields(settings):
+            value = getattr(settings, f.name)
+            if isinstance(value, dict):
+                keys = [f"{section}.{f.name}.{band.value}" for band in value]
+            else:
+                keys = [f"{section}.{f.name}"]
+            for key in keys:
+                assert key in dump
+                parsed = getattr(parse_config(dump[key] + "\n"), section)
+                assert getattr(parsed, f.name) == value
 
 
 def test_section_overrides():
@@ -132,6 +155,10 @@ def test_schedule_value_errors():
         parse_config("schedule.0 = lo-on @ -5\n")
     with pytest.raises(ConfigError):
         parse_config("schedule.first = lo-on @ 0\n")
+    with pytest.raises(ConfigError, match="duplicate"):
+        parse_config("schedule.0 = lo-on @ 0\nschedule.00 = lo-off @ 5000\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("schedule.-1 = lo-on @ 0\n")
 
 
 def test_semantic_validation():
@@ -146,6 +173,8 @@ def test_semantic_validation():
             parse_config(f"noise.filter_threshold_db = {threshold}\n")
     with pytest.raises(ConfigError):
         parse_config("noise.filter_guard_samples = -1\n")
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config("noise.seed = -1\n")
     with pytest.raises(ConfigError):
         parse_config("clocks.spi_clock_hz = 0\n")
     with pytest.raises(ConfigError):
