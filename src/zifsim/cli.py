@@ -32,6 +32,7 @@ from .rf import (
     synthesize_capture,
 )
 from .sim import (
+    PACKET_WARNING,
     expand_schedule,
     find_step,
     measure_turnaround,
@@ -206,9 +207,8 @@ def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     timeline = expand_schedule(
         config.schedule, config.clocks, config.profile, band=band, rf=config.rf
     )
-    for event in timeline.events:
-        if event.warning:
-            emitter.status(f"warning: {event.warning} (t={ns_value(event.time_ns)} ns)")
+    for index in timeline.warned.nonzero()[0].tolist():
+        emitter.status(f"warning: {PACKET_WARNING} (t={ns_value(timeline.time_ns(index))} ns)")
     trace = sample_trace(
         timeline,
         (config.trace.start_ns, config.trace.end_ns),
@@ -218,7 +218,7 @@ def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     emitter.data(trace_to_csv(trace) if fmt == "csv" else render_trace(trace, fmt))
 
     try:
-        step = find_step(config.schedule, timeline.events)
+        step = find_step(config.schedule, timeline)
         measured = measure_turnaround(trace, step)
     except MeasurementError as exc:
         emitter.status(f"measured turnaround: n/a ({exc})")

@@ -114,11 +114,17 @@ def _parse_enum(kind, key, value):
         raise ConfigError(f"{key}: expected one of {names}, got {value!r}") from None
 
 
+_COMMAND_KINDS = {kind.value: kind for kind in CommandKind}
+
+
 def _parse_command(key, value):
     kind_text, sep, time_text = value.partition("@")
     if not sep:
         raise ConfigError(f"{key}: expected '<kind> @ <time_ns>', got {value!r}")
-    kind = _parse_enum(CommandKind, key, kind_text.strip())
+    kind_text = kind_text.strip()
+    kind = _COMMAND_KINDS.get(kind_text)
+    if kind is None:  # the enum lookup words the error
+        kind = _parse_enum(CommandKind, key, kind_text)
     time_ns = _parse_int(key, time_text.strip())
     try:
         return Command(time_ns, kind)

@@ -12,6 +12,11 @@ from fractions import Fraction
 
 NS_PER_S = 1_000_000_000
 
+# Times and delays stay below 2**53 ns (about 104 days): every such time
+# has an exact float64 value, which keeps rendered microseconds exact, and
+# sums of a few of them stay exact in int64.
+TIME_LIMIT_NS = 2**53
+
 
 def exact_ns(duration) -> int | Fraction:
     """An exact duration as a plain int when integral, else a Fraction."""
@@ -87,3 +92,6 @@ class TimingProfile:
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
             object.__setattr__(self, name, int(value))
+        for name in ("lo_div_powerup_ns", "lo_div_powerdown_ns"):
+            if getattr(self, name) >= TIME_LIMIT_NS:
+                raise ValueError(f"{name} must be below 2**53 ns, got {getattr(self, name)}")

@@ -2,13 +2,12 @@
 
 A command schedule (register writes, packet markers, an optional trigger)
 expands into timed events with the wire and power-up latencies applied,
-and the event list can then be sampled onto a uniform grid the way a
-signal analyzer in zero-span mode would see it. Traces are float64
-arrays; sampling, step measurement and text rendering work on whole
-columns.
+and the events can then be sampled onto a uniform grid the way a signal
+analyzer in zero-span mode would see it. The expanded events and the
+traces are numpy columns; expansion, sampling, step measurement and text
+rendering work on whole columns.
 """
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .ensm import Direction
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
-from .params import ClockConfig, TimingProfile
+from .params import TIME_LIMIT_NS, ClockConfig, TimingProfile
 from .rf import Band, RfModelParams
 from .spi import frame_duration_ns
 
@@ -39,8 +38,15 @@ class Command:
     kind: CommandKind
 
     def __post_init__(self):
-        if self.time_ns < 0:
-            raise ValueError(f"command time must be non-negative, got {self.time_ns}")
+        time_ns = self.time_ns
+        if time_ns < 0:
+            raise ValueError(f"command time must be non-negative, got {time_ns}")
+        if time_ns >= TIME_LIMIT_NS:
+            raise ValueError(f"command time must be below 2**53 ns, got {time_ns}")
+        if type(time_ns) is not int:  # int() of a NaN raises ValueError too
+            if time_ns != int(time_ns):
+                raise ValueError(f"command time must be an integer, got {time_ns!r}")
+            object.__setattr__(self, "time_ns", int(time_ns))
 
 
 class Effect(Enum):
@@ -50,6 +56,17 @@ class Effect(Enum):
     LO_POWERED_DOWN = "lo-powered-down"
     PACKET_ON = "packet-on"
     PACKET_OFF = "packet-off"
+
+
+# Column codes: a command kind or an effect is stored as its position in
+# member order.
+_KINDS = tuple(CommandKind)
+EFFECTS = tuple(Effect)
+_LO_ON, _LO_OFF, _PACKET_START, _PACKET_END, _TRIGGER = range(len(_KINDS))
+_SPI_START, _SPI_END, _LO_UP, _LO_DOWN, _PACKET_ON, _PACKET_OFF = range(len(EFFECTS))
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+
+PACKET_WARNING = "packet transmitted while the LO divider is down"
 
 
 @dataclass(frozen=True)
@@ -62,62 +79,94 @@ class SimEvent:
     warning: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Timeline:
-    """An expanded schedule: its events in time order and the power level
-    in force before the first of them."""
+    """An expanded schedule as columns, one row per event in time order,
+    and the power level in force before the first event.
 
-    events: list[SimEvent]
+    Event i happens at floor_ns[i], plus frac_ns when plus_frac[i] is set.
+    An event happens at a command time or one SPI frame and a divider
+    delay after it, so the frame's fractional part is the only one an
+    event time can have. `effect` holds codes into EFFECTS, and `warned`
+    marks the events that carry PACKET_WARNING.
+    """
+
+    floor_ns: np.ndarray  # int64
+    plus_frac: np.ndarray  # bool
+    effect: np.ndarray  # int8
+    power_after_dbr: np.ndarray  # float64
+    warned: np.ndarray  # bool
+    frac_ns: int | Fraction = 0
     initial_dbr: float = 0.0
 
     def __len__(self):
         """The number of events."""
-        return len(self.events)
+        return self.floor_ns.size
+
+    def ceil_ns(self) -> np.ndarray:
+        """The event times rounded up to whole ns, as int64."""
+        return self.floor_ns + self.plus_frac
+
+    def time_ns(self, index) -> int | Fraction:
+        """The exact time of event `index`."""
+        return int(self.floor_ns[index]) + (self.frac_ns if self.plus_frac[index] else 0)
+
+    @property
+    def events(self) -> list[SimEvent]:
+        """The events as objects, built on each read; for tests and debugging."""
+        rows = zip(self.effect.tolist(), self.power_after_dbr.tolist(), self.warned.tolist())
+        return [
+            SimEvent(self.time_ns(i), EFFECTS[code], power, PACKET_WARNING if warned else None)
+            for i, (code, power, warned) in enumerate(rows)
+        ]
 
 
-def _level(lo_on: bool, packet_on: bool, band: Band, rf: RfModelParams) -> float:
-    if not lo_on:
-        return 0.0
-    level = rf.lo_on_delta_db[band]
-    if packet_on:
-        level += rf.packet_delta_db
-    return level
+_time = attrgetter("time_ns")
+_kind = attrgetter("kind")
 
 
-def _validate_schedule(commands):
-    last_time = None
-    packet_open = False
-    for cmd in commands:
-        if last_time is not None and cmd.time_ns < last_time:
-            raise ScheduleError(
-                f"schedule not sorted: {cmd.kind.value} at {cmd.time_ns} ns "
-                f"after {last_time} ns"
-            )
-        last_time = cmd.time_ns
-        if cmd.kind is CommandKind.TX_PACKET_START:
-            if packet_open:
-                raise ScheduleError(
-                    f"packet start at {cmd.time_ns} ns inside an open packet"
-                )
-            packet_open = True
-        elif cmd.kind is CommandKind.TX_PACKET_END:
-            if not packet_open:
-                raise ScheduleError(
-                    f"packet end at {cmd.time_ns} ns without a matching start"
-                )
-            packet_open = False
-    if packet_open:
+def _validate_schedule(times, kinds):
+    """Raise ScheduleError for the first command, in schedule order, that
+    comes before its predecessor or breaks the packet nesting."""
+    unsorted = np.flatnonzero(times[1:] < times[:-1]) + 1
+    # packet commands must alternate start, end, start, ...
+    packets = np.flatnonzero((kinds == _PACKET_START) | (kinds == _PACKET_END))
+    expected = np.where(np.arange(packets.size) % 2, _PACKET_END, _PACKET_START)
+    misnested = packets[kinds[packets] != expected]
+    if unsorted.size and not (misnested.size and misnested[0] < unsorted[0]):
+        i = unsorted[0]
+        raise ScheduleError(
+            f"schedule not sorted: {_KINDS[kinds[i]].value} at {times[i]} ns "
+            f"after {times[i - 1]} ns"
+        )
+    if misnested.size:
+        i = misnested[0]
+        if kinds[i] == _PACKET_START:
+            raise ScheduleError(f"packet start at {times[i]} ns inside an open packet")
+        raise ScheduleError(f"packet end at {times[i]} ns without a matching start")
+    if packets.size % 2:
         raise ScheduleError("schedule leaves a packet open (missing end)")
 
 
-def infer_initial_lo_on(commands) -> bool:
-    """LO starts on exactly when the first LO command switches it off."""
-    for cmd in commands:
-        if cmd.kind is CommandKind.LO_ON:
-            return False
-        if cmd.kind is CommandKind.LO_OFF:
-            return True
-    return False
+def _check_spi_overlap(times, kinds, frame_ns):
+    """Raise OverlappingSpiError for the first LO command that starts
+    before the previous LO command's frame has left the wire."""
+    lo_times = times[kinds <= _LO_OFF]
+    # integer gaps: gap < frame_ns exactly when gap < ceil(frame_ns)
+    overlaps = np.flatnonzero(np.diff(lo_times) < math.ceil(frame_ns))
+    if overlaps.size:
+        k = overlaps[0]
+        raise OverlappingSpiError(
+            f"register write at {lo_times[k + 1]} ns overlaps the frame "
+            f"that ends at {int(lo_times[k]) + frame_ns} ns"
+        )
+
+
+def _forward_fill(is_set, values, initial):
+    """At each position the value at the last set position at or before
+    it, or `initial` before the first."""
+    last = np.maximum.accumulate(np.where(is_set, np.arange(is_set.size), -1))
+    return np.where(last >= 0, values[last], initial)
 
 
 def expand_schedule(
@@ -134,68 +183,63 @@ def expand_schedule(
     followed by the divider state change after its power-up or power-down
     delay. A second LO command before the previous frame has left the wire
     is rejected. Trigger commands mark a measurement reference and produce
-    no event. The LO state before the first command is `initial_lo_on`,
-    inferred from the commands when None.
+    no event. The LO state before the first command is `initial_lo_on`;
+    when None, the LO starts on exactly when the first LO command switches
+    it off. Simultaneous events keep schedule order.
     """
     if rf is None:
         rf = RfModelParams()
     commands = list(commands)
-    _validate_schedule(commands)
+    n = len(commands)
+    times = np.fromiter(map(_time, commands), np.int64, n)
+    kinds = np.fromiter(map(_KIND_CODE.__getitem__, map(_kind, commands)), np.int8, n)
+    _validate_schedule(times, kinds)
     if initial_lo_on is None:
-        initial_lo_on = infer_initial_lo_on(commands)
+        lo_commands = np.flatnonzero(kinds <= _LO_OFF)
+        initial_lo_on = bool(lo_commands.size and kinds[lo_commands[0]] == _LO_OFF)
 
     frame_ns = frame_duration_ns(clocks)
-    pending = []  # (time, effect)
-    spi_busy_until = None
-    for cmd in commands:
-        if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF):
-            if spi_busy_until is not None and cmd.time_ns < spi_busy_until:
-                raise OverlappingSpiError(
-                    f"register write at {cmd.time_ns} ns overlaps the frame "
-                    f"that ends at {spi_busy_until} ns"
-                )
-            end = cmd.time_ns + frame_ns
-            spi_busy_until = end
-            pending.append((cmd.time_ns, Effect.SPI_START))
-            pending.append((end, Effect.SPI_END))
-            if cmd.kind is CommandKind.LO_ON:
-                pending.append((end + profile.lo_div_powerup_ns, Effect.LO_POWERED_UP))
-            else:
-                pending.append(
-                    (end + profile.lo_div_powerdown_ns, Effect.LO_POWERED_DOWN)
-                )
-        elif cmd.kind is CommandKind.TX_PACKET_START:
-            pending.append((cmd.time_ns, Effect.PACKET_ON))
-        elif cmd.kind is CommandKind.TX_PACKET_END:
-            pending.append((cmd.time_ns, Effect.PACKET_OFF))
-        # TRIGGER: reference only
+    _check_spi_overlap(times, kinds, frame_ns)
+    frame_floor = math.floor(frame_ns)
+    frac_ns = frame_ns - frame_floor
+    # the events of each command kind, a row per kind in _KINDS order: how
+    # many, their effects and the offsets of their floors from the command
+    # time; only the frame end and the divider event (sub-index 1 and 2)
+    # add the frame's fraction
+    per_kind = np.array([3, 3, 1, 1, 0])
+    effects = np.array([[_SPI_START, _SPI_END, _LO_UP], [_SPI_START, _SPI_END, _LO_DOWN],
+                        [_PACKET_ON, 0, 0], [_PACKET_OFF, 0, 0], [0, 0, 0]], np.int8)
+    up, down = profile.lo_div_powerup_ns, profile.lo_div_powerdown_ns
+    offsets = np.array([[0, frame_floor, frame_floor + up], [0, frame_floor, frame_floor + down],
+                        [0, 0, 0], [0, 0, 0], [0, 0, 0]], np.int64)
 
-    pending.sort(key=lambda item: item[0])  # stable for simultaneous events
+    counts = per_kind[kinds]
+    command = np.repeat(np.arange(n), counts)
+    sub = np.arange(command.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    kind = kinds[command]
+    floor_ns = times[command] + offsets[kind, sub]
+    plus_frac = (sub > 0) & (frac_ns != 0)
+    # a stable sort on the exact time keeps simultaneous events in
+    # schedule order; floor_ns stays below 2**55, so the key fits int64
+    order = np.argsort(2 * floor_ns + plus_frac, kind="stable")
+    floor_ns, plus_frac, effect = floor_ns[order], plus_frac[order], effects[kind, sub][order]
 
-    events = []
-    lo_on = initial_lo_on
-    packet_on = False
-    for time_ns, effect in pending:
-        warning = None
-        if effect is Effect.LO_POWERED_UP:
-            lo_on = True
-        elif effect is Effect.LO_POWERED_DOWN:
-            lo_on = False
-        elif effect is Effect.PACKET_ON:
-            packet_on = True
-            if not lo_on:
-                warning = "packet transmitted while the LO divider is down"
-        elif effect is Effect.PACKET_OFF:
-            packet_on = False
-        events.append(
-            SimEvent(
-                time_ns=time_ns,
-                effect=effect,
-                power_after_dbr=_level(lo_on, packet_on, band, rf),
-                warning=warning,
-            )
-        )
-    return Timeline(events, _level(initial_lo_on, False, band, rf))
+    lo_on = _forward_fill((effect == _LO_UP) | (effect == _LO_DOWN), effect == _LO_UP,
+                          initial_lo_on)
+    packet_on = _forward_fill((effect == _PACKET_ON) | (effect == _PACKET_OFF),
+                              effect == _PACKET_ON, False)
+    lo_level = rf.lo_on_delta_db[band]
+    # the power by LO and packet state: the packet adds to the LO level
+    levels = np.array([0.0, 0.0, lo_level, lo_level + rf.packet_delta_db])
+    return Timeline(
+        floor_ns=floor_ns,
+        plus_frac=plus_frac,
+        effect=effect,
+        power_after_dbr=levels[2 * lo_on + packet_on],
+        warned=(effect == _PACKET_ON) & ~lo_on,
+        frac_ns=frac_ns,
+        initial_dbr=float(levels[2 * initial_lo_on]),
+    )
 
 
 def find_trigger_ns(commands):
@@ -207,13 +251,6 @@ def find_trigger_ns(commands):
         if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF):
             return cmd.time_ns
     return None
-
-
-_LO_EFFECTS = {
-    CommandKind.LO_ON: Effect.LO_POWERED_UP,
-    CommandKind.LO_OFF: Effect.LO_POWERED_DOWN,
-}
-_time = attrgetter("time_ns")
 
 
 @dataclass(frozen=True)
@@ -231,34 +268,37 @@ class LoStep:
     end_ns: int | Fraction | None = None
 
 
-def find_step(commands, events) -> LoStep:
+def find_step(commands, timeline: Timeline) -> LoStep:
     """The first LO step at or after the trigger (see `find_trigger_ns`).
 
     The first LO command at or after the trigger gives the direction, and
-    the divider event it causes gives the level. `events` is the expansion
-    of `commands`. Raises MeasurementError when there is no such command.
+    the divider event it causes gives the level. `timeline` is the
+    expansion of `commands`. Raises MeasurementError when there is no such
+    command.
     """
     trigger_ns = find_trigger_ns(commands)
     if trigger_ns is None:
         raise MeasurementError("no trigger and no LO command in the schedule")
     command = next(
-        (cmd for cmd in commands if cmd.kind in _LO_EFFECTS and cmd.time_ns >= trigger_ns),
+        (cmd for cmd in commands
+         if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF) and cmd.time_ns >= trigger_ns),
         None,
     )
     if command is None:
         raise MeasurementError(f"no LO command at or after the trigger at {trigger_ns} ns")
-    effect = _LO_EFFECTS[command.kind]
-    first = bisect.bisect_left(events, command.time_ns, key=_time)
-    index = next((i for i in range(first, len(events)) if events[i].effect is effect), None)
-    if index is None:
+    rising = command.kind is CommandKind.LO_ON
+    # an event is at or after the integral command time when its floor is
+    first = int(np.searchsorted(timeline.floor_ns, command.time_ns))
+    effect = timeline.effect[first:]
+    caused = np.flatnonzero(effect == (_LO_UP if rising else _LO_DOWN))
+    if not caused.size:
         raise MeasurementError(f"no divider event for the LO command at {command.time_ns} ns")
-    end_ns = next(
-        (events[i].time_ns for i in range(index + 1, len(events))
-         if events[i].effect in _LO_EFFECTS.values()),
-        None,
-    )
-    direction = Direction.RX_TO_TX if command.kind is CommandKind.LO_ON else Direction.TX_TO_RX
-    return LoStep(trigger_ns, direction, events[index].power_after_dbr, end_ns)
+    after = effect[caused[0] + 1:]
+    changes = np.flatnonzero((after == _LO_UP) | (after == _LO_DOWN))
+    index = first + int(caused[0])
+    end_ns = timeline.time_ns(index + 1 + int(changes[0])) if changes.size else None
+    direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
+    return LoStep(trigger_ns, direction, float(timeline.power_after_dbr[index]), end_ns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,12 +324,6 @@ class PowerTrace:
     def times_ns(self) -> np.ndarray:
         """Sample times in ns, as int64."""
         return self.start_ns + self.interval_ns * np.arange(self.samples.size, dtype=np.int64)
-
-
-# Sample times and intervals stay below 2**53 ns (about 104 days) in
-# magnitude: every such time has an exact float64 value, which keeps the
-# rendered microseconds exact.
-TIME_LIMIT_NS = 2**53
 
 
 def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:
@@ -327,29 +361,18 @@ def sample_trace(
 
     count = int((end_ns - start_ns) // interval_ns) + 1
     times = start_ns + interval_ns * np.arange(count, dtype=np.int64)
-    events = timeline.events
-    # Every sample sees the events up to the window start and none after
-    # its end. In between, an event at time e is seen by sample t exactly
-    # when ceil(e) <= t, since t is an integer: Fraction times stay exact.
-    first = bisect.bisect_right(events, start_ns, key=_time)
-    last = bisect.bisect_right(events, int(times[-1]), key=_time, lo=first)
-    keys = np.fromiter(
-        (math.ceil(ev.time_ns) for ev in events[first:last]), np.int64, last - first
-    )
-    # each event is first seen by the first sample at or after it; a running
-    # count over the grid gives the number of events each sample sees
-    seen = first + np.cumsum(np.bincount(np.searchsorted(times, keys), minlength=count))
+    # an event at time e is seen by sample t exactly when ceil(e) <= t,
+    # since t is an integer: Fraction times stay exact
+    seen = np.searchsorted(timeline.ceil_ns(), times, side="right")
     # levels[j]: the power after the first j events
-    levels = np.empty(last + 1)
-    levels[0] = timeline.initial_dbr
-    levels[1:] = [ev.power_after_dbr for ev in events[:last]]
+    levels = np.concatenate(([timeline.initial_dbr], timeline.power_after_dbr[:seen[-1]]))
     samples = levels[seen]
     if settling_tau_ns > 0:
-        samples = _settle(samples, levels, events, seen, times, settling_tau_ns)
+        samples = _settle(samples, levels, timeline, seen, times, settling_tau_ns)
     return PowerTrace(start_ns=start_ns, interval_ns=interval_ns, samples=samples)
 
 
-def _settle(targets, levels, events, seen, times, tau):
+def _settle(targets, levels, timeline, seen, times, tau):
     """First-order settling of a sampled step trace.
 
     At each level change at time c the value restarts from where it was at
@@ -361,12 +384,20 @@ def _settle(targets, levels, events, seen, times, tau):
     changes = np.flatnonzero(levels[1:] != levels[:-1])  # event indices
     if not changes.size:
         return targets
-    change_ns = [events[i].time_ns for i in changes.tolist()]
+    # change times over the frame's denominator, as exact integers
+    frac = Fraction(timeline.frac_ns)
+    den = frac.denominator
+    floor_ns = timeline.floor_ns[changes]
+    bound = (max(abs(int(times[0])), abs(int(times[-1]))) + int(floor_ns[-1]) + 1) * den
+    dtype = np.int64 if bound < 2**63 else object
+    scaled = floor_ns.astype(dtype) * den + np.where(
+        timeline.plus_frac[changes], frac.numerator, 0).astype(dtype)
     # the value at each change, relaxed toward the level before it
+    when = scaled.tolist()
     value_at_change = []
-    for k, (when, level) in enumerate(zip(change_ns, levels[changes].tolist())):
+    for k, level in enumerate(levels[changes].tolist()):
         if k:
-            dt = float(when - change_ns[k - 1])
+            dt = (when[k] - when[k - 1]) / den  # int / int rounds once, like float()
             level = level + (value_at_change[-1] - level) * math.exp(-dt / tau)
         value_at_change.append(level)
 
@@ -374,12 +405,8 @@ def _settle(targets, levels, events, seen, times, tau):
     rank = np.searchsorted(changes, seen) - 1
     settling = np.flatnonzero(rank >= 0)
     rank = rank[settling]
-    # t - c over a common denominator, as exact integers
-    den = math.lcm(*{Fraction(c).denominator for c in change_ns})
-    scaled = [int(c * den) for c in change_ns]
-    bound = max(abs(int(times[0])), abs(int(times[-1]))) * den + max(scaled)
-    dtype = np.int64 if bound < 2**63 else object
-    numer = times[settling].astype(dtype) * den - np.array(scaled, dtype=dtype)[rank]
+    # t - c over the common denominator
+    numer = times[settling].astype(dtype) * den - scaled[rank]
     distinct, index = np.unique(numer, return_inverse=True)
     decay = np.array([math.exp(-(n / den) / tau) for n in distinct.tolist()])[index]
 

@@ -188,6 +188,51 @@ def test_trace_packet_warning_surfaces(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_trace_warning_lines_in_order(capsys, tmp_path):
+    # At 7 MHz the frames end at Fraction times: the lo-on at 200 powers up
+    # at 26520/7 (3788.57) ns and the lo-off at 4000 powers down at
+    # 52140/7 (7448.57) ns, so the packets at 3788 and 7449 warn and those
+    # at 3789 and 7448 do not.
+    cfg = tmp_path / "warn.cfg"
+    cfg.write_text(
+        "clocks.spi_clock_hz = 7000000\n"
+        "schedule.0 = tx-packet-start @ 0\n"
+        "schedule.1 = tx-packet-end @ 100\n"
+        "schedule.2 = lo-on @ 200\n"
+        "schedule.3 = tx-packet-start @ 3788\n"
+        "schedule.4 = tx-packet-end @ 3789\n"
+        "schedule.5 = tx-packet-start @ 3789\n"
+        "schedule.6 = tx-packet-end @ 4000\n"
+        "schedule.7 = lo-off @ 4000\n"
+        "schedule.8 = tx-packet-start @ 7448\n"
+        "schedule.9 = tx-packet-end @ 7449\n"
+        "schedule.10 = tx-packet-start @ 7449\n"
+        "schedule.11 = tx-packet-end @ 7600\n"
+    )
+    code, out, err = run_cli(capsys, "-c", str(cfg), "trace", "--format", "csv")
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: packet transmitted while the LO divider is down (t=0 ns)",
+        "warning: packet transmitted while the LO divider is down (t=3788 ns)",
+        "warning: packet transmitted while the LO divider is down (t=7449 ns)",
+        "measured turnaround: n/a (no rising crossing after the trigger)",
+    ]
+
+
+@pytest.mark.parametrize("line,key", [
+    ("schedule.0 = lo-on @ 9007199254740992", "schedule.0"),
+    ("schedule.3 = lo-on @ 100000000000000000000000", "schedule.3"),
+    ("profile.lo_div_powerup_ns = 9007199254740992", "profile.lo_div_powerup_ns"),
+    ("profile.lo_div_powerdown_ns = 9007199254740992", "profile.lo_div_powerdown_ns"),
+])
+def test_trace_times_beyond_2_53_ns_exit_2(capsys, tmp_path, line, key):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "trace", "--format", "csv")
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {key}") and "2**53" in err
+
+
 def test_noise_synthetic_row(capsys):
     code, out, err = run_cli(
         capsys, "noise", "--mode", "fdd", "--band", "2g4", "--format", "csv",

@@ -1,6 +1,7 @@
 """Schedule expansion, trace sampling, and turnaround measurement."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,6 @@ from zifsim import (
     OverlappingSpiError,
     PowerTrace,
     ScheduleError,
-    Timeline,
     TimingProfile,
     expand_schedule,
     find_step,
@@ -42,7 +42,7 @@ def _expand(schedule, clocks, profile, **kwargs):
 def _measure(schedule, clocks, profile, window=WINDOW, interval_ns=50):
     timeline = _expand(schedule, clocks, profile)
     trace = sample_trace(timeline, window, interval_ns=interval_ns)
-    return measure_turnaround(trace, find_step(_commands(schedule), timeline.events))
+    return measure_turnaround(trace, find_step(_commands(schedule), timeline))
 
 
 def test_lo_on_expansion(clocks, profile):
@@ -124,6 +124,20 @@ def test_negative_command_time_rejected():
         Command(-1, CommandKind.LO_ON)
 
 
+def test_command_time_is_an_integer_below_2_53_ns():
+    # the expanded event times are int64 columns, exact only for these
+    assert Command(Fraction(4), CommandKind.LO_ON).time_ns == 4
+    assert type(Command(4.0, CommandKind.LO_ON).time_ns) is int
+    with pytest.raises(ValueError, match="integer"):
+        Command(Fraction(1, 2), CommandKind.LO_ON)
+    for bad in (2**53, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Command(bad, CommandKind.LO_ON)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        Command(2**53, CommandKind.LO_ON)
+    assert Command(2**53 - 1, CommandKind.LO_ON).time_ns == 2**53 - 1
+
+
 def test_packet_power_stacks_on_lo(clocks, profile):
     events = _expand(
         [(0, CommandKind.LO_ON), (1000, CommandKind.TX_PACKET_START),
@@ -168,8 +182,8 @@ def test_sample_trace_window_length(clocks, profile):
     assert trace.start_ns == -2500 and trace.interval_ns == 50
 
 
-def test_no_events_means_constant_floor():
-    trace = sample_trace(Timeline([]), WINDOW, interval_ns=50)
+def test_no_events_means_constant_floor(clocks, profile):
+    trace = sample_trace(_expand([], clocks, profile), WINDOW, interval_ns=50)
     assert set(trace.samples) == {0.0}
 
 
@@ -247,11 +261,10 @@ def test_measurement_errors(clocks, profile):
         # looking for a falling edge in a rising trace
         measure_turnaround(trace, LoStep(0, Direction.TX_TO_RX, 0.0))
     with pytest.raises(MeasurementError):
-        find_step([Command(0, CommandKind.TX_PACKET_START),
-                   Command(10, CommandKind.TX_PACKET_END)], [])
+        packets = [Command(0, CommandKind.TX_PACKET_START), Command(10, CommandKind.TX_PACKET_END)]
+        find_step(packets, expand_schedule(packets, clocks, profile))
     with pytest.raises(MeasurementError):  # no LO command at or after the trigger
-        find_step([Command(0, CommandKind.LO_ON), Command(10, CommandKind.TRIGGER)],
-                  events.events)
+        find_step([Command(0, CommandKind.LO_ON), Command(10, CommandKind.TRIGGER)], events)
 
 
 def test_sample_trace_validation(clocks, profile):
@@ -290,7 +303,7 @@ def test_sample_trace_rejects_windows_beyond_exact_float_times(clocks, profile):
 ])
 def test_find_step_takes_the_first_lo_command_at_or_after_the_trigger(
         clocks, profile, schedule, expected):
-    assert find_step(_commands(schedule), _expand(schedule, clocks, profile).events) == expected
+    assert find_step(_commands(schedule), _expand(schedule, clocks, profile)) == expected
 
 
 def test_step_that_misses_its_window_is_not_measured(clocks, profile):
@@ -301,7 +314,7 @@ def test_step_that_misses_its_window_is_not_measured(clocks, profile):
     timeline = _expand(schedule, clocks, profile)
     trace = sample_trace(timeline, (-2000, 3000), interval_ns=1000)
     with pytest.raises(MeasurementError, match="crossing"):
-        measure_turnaround(trace, find_step(_commands(schedule), timeline.events))
+        measure_turnaround(trace, find_step(_commands(schedule), timeline))
 
 
 def test_settling_relaxes_exponentially(clocks, profile):

@@ -1,10 +1,12 @@
 """Hypothesis properties of the trace simulator.
 
-The array sampling and the columnar text rendering must equal, bit for
-bit and byte for byte, the per-row loops they replace. Those loops are
-kept below as the oracle: the sampling loop (with the initial level
-handed in, where it used to infer it from the first event), the csv
-writer and the CLI's table and json formatting of a trace.
+The columnar schedule expansion, the array sampling and the columnar
+text rendering must equal, exactly, bit for bit and byte for byte, the
+per-event and per-row loops they replace. Those loops are kept below as
+the oracle: the expansion loop with its validation, the sampling loop
+(with the initial level handed in, where it used to infer it from the
+first event), the csv writer and the CLI's table and json formatting of
+a trace.
 """
 
 import io
@@ -13,7 +15,7 @@ import math
 import struct
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zifsim import (
@@ -23,8 +25,11 @@ from zifsim import (
     CommandKind,
     Direction,
     EnsmMode,
+    OverlappingSpiError,
     PowerTrace,
     RfModelParams,
+    ScheduleError,
+    SimEvent,
     TimingProfile,
     expand_schedule,
     find_step,
@@ -35,12 +40,104 @@ from zifsim import (
     trace_to_csv,
     turnaround_budget,
 )
+from zifsim.sim import Effect
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
 
-# --- oracle: the per-row code the array version replaces -------------------
+# --- oracle: the per-event and per-row code the array version replaces -----
+
+def oracle_level(lo_on, packet_on, band, rf):
+    if not lo_on:
+        return 0.0
+    level = rf.lo_on_delta_db[band]
+    if packet_on:
+        level += rf.packet_delta_db
+    return level
+
+
+def oracle_validate(commands):
+    last_time = None
+    packet_open = False
+    for cmd in commands:
+        if last_time is not None and cmd.time_ns < last_time:
+            raise ScheduleError(
+                f"schedule not sorted: {cmd.kind.value} at {cmd.time_ns} ns "
+                f"after {last_time} ns"
+            )
+        last_time = cmd.time_ns
+        if cmd.kind is CommandKind.TX_PACKET_START:
+            if packet_open:
+                raise ScheduleError(f"packet start at {cmd.time_ns} ns inside an open packet")
+            packet_open = True
+        elif cmd.kind is CommandKind.TX_PACKET_END:
+            if not packet_open:
+                raise ScheduleError(
+                    f"packet end at {cmd.time_ns} ns without a matching start"
+                )
+            packet_open = False
+    if packet_open:
+        raise ScheduleError("schedule leaves a packet open (missing end)")
+
+
+def oracle_initial_lo_on(commands):
+    for cmd in commands:
+        if cmd.kind is CommandKind.LO_ON:
+            return False
+        if cmd.kind is CommandKind.LO_OFF:
+            return True
+    return False
+
+
+def oracle_expand(commands, clocks, profile, band, rf, initial_lo_on):
+    """(events, initial level) of a schedule, one SimEvent per event."""
+    oracle_validate(commands)
+    if initial_lo_on is None:
+        initial_lo_on = oracle_initial_lo_on(commands)
+    frame_ns = frame_duration_ns(clocks)
+    pending = []  # (time, effect)
+    spi_busy_until = None
+    for cmd in commands:
+        if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF):
+            if spi_busy_until is not None and cmd.time_ns < spi_busy_until:
+                raise OverlappingSpiError(
+                    f"register write at {cmd.time_ns} ns overlaps the frame "
+                    f"that ends at {spi_busy_until} ns"
+                )
+            end = cmd.time_ns + frame_ns
+            spi_busy_until = end
+            pending.append((cmd.time_ns, Effect.SPI_START))
+            pending.append((end, Effect.SPI_END))
+            if cmd.kind is CommandKind.LO_ON:
+                pending.append((end + profile.lo_div_powerup_ns, Effect.LO_POWERED_UP))
+            else:
+                pending.append((end + profile.lo_div_powerdown_ns, Effect.LO_POWERED_DOWN))
+        elif cmd.kind is CommandKind.TX_PACKET_START:
+            pending.append((cmd.time_ns, Effect.PACKET_ON))
+        elif cmd.kind is CommandKind.TX_PACKET_END:
+            pending.append((cmd.time_ns, Effect.PACKET_OFF))
+    pending.sort(key=lambda item: item[0])  # stable for simultaneous events
+
+    events = []
+    lo_on = initial_lo_on
+    packet_on = False
+    for time_ns, effect in pending:
+        warning = None
+        if effect is Effect.LO_POWERED_UP:
+            lo_on = True
+        elif effect is Effect.LO_POWERED_DOWN:
+            lo_on = False
+        elif effect is Effect.PACKET_ON:
+            packet_on = True
+            if not lo_on:
+                warning = "packet transmitted while the LO divider is down"
+        elif effect is Effect.PACKET_OFF:
+            packet_on = False
+        events.append(SimEvent(time_ns, effect, oracle_level(lo_on, packet_on, band, rf),
+                               warning))
+    return events, oracle_level(initial_lo_on, False, band, rf)
+
 
 def oracle_samples(events, window, interval_ns, baseline, settling_tau_ns):
     start_ns, end_ns = window
@@ -161,6 +258,86 @@ def schedules(draw):
 
 
 @st.composite
+def crowded_schedules(draw):
+    """Valid schedules with many coincidences: commands at the same time,
+    LO writes back to back, and commands at the floor and ceiling of the
+    previous LO write's frame end and divider event."""
+    clocks = ClockConfig(spi_clock_hz=draw(st.sampled_from(SPI_CLOCKS)))
+    profile = TimingProfile(lo_div_powerup_ns=draw(st.sampled_from((160, 0, 3))),
+                            lo_div_powerdown_ns=draw(st.sampled_from((20, 0, 160))))
+    frame = frame_duration_ns(clocks)
+    commands = []
+    t = draw(st.integers(0, 50))
+    marks = []  # event times of the last LO write
+    spi_free = 0
+    packet_open = False
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(list(CommandKind)))
+        near = [f(m) for m in marks for f in (math.floor, math.ceil)]
+        t = max(t, draw(st.sampled_from(near) | st.sampled_from((t, t + 1)) | st.integers(t, t + 900))
+                if near else draw(st.sampled_from((t, t + 1)) | st.integers(t, t + 900)))
+        if kind in (CommandKind.TX_PACKET_START, CommandKind.TX_PACKET_END):
+            kind = CommandKind.TX_PACKET_END if packet_open else CommandKind.TX_PACKET_START
+            packet_open = not packet_open
+        elif kind is not CommandKind.TRIGGER:
+            t = max(t, math.ceil(spi_free))
+            spi_free = t + frame
+            delay = (profile.lo_div_powerup_ns if kind is CommandKind.LO_ON
+                     else profile.lo_div_powerdown_ns)
+            marks = [spi_free, spi_free + delay]
+        commands.append(Command(t, kind))
+    if packet_open:
+        commands.append(Command(t + draw(st.integers(0, 500)), CommandKind.TX_PACKET_END))
+    return commands, clocks, profile
+
+
+@st.composite
+def any_schedules(draw):
+    """Schedules that may be unsorted, mis-nested or overlapping: an LO
+    write follows the previous one by the frame time rounded down or up,
+    or by any gap, a packet command may break the nesting, and two
+    commands may swap."""
+    clocks = ClockConfig(spi_clock_hz=draw(st.sampled_from(SPI_CLOCKS)))
+    frame = frame_duration_ns(clocks)
+    commands = []
+    t, last_lo, packet_open = 0, None, False
+    for kind in draw(st.lists(st.sampled_from(list(CommandKind)), max_size=10)):
+        t += draw(st.sampled_from((0, 1)) | st.integers(0, 4000))
+        if kind in (CommandKind.LO_ON, CommandKind.LO_OFF):
+            if last_lo is not None:  # 0: any gap
+                t = max(t, last_lo + draw(st.sampled_from((math.floor(frame), math.ceil(frame), 0))))
+            last_lo = t
+        elif kind is not CommandKind.TRIGGER and draw(st.sampled_from((True, True, False))):
+            kind = CommandKind.TX_PACKET_END if packet_open else CommandKind.TX_PACKET_START
+        if kind in (CommandKind.TX_PACKET_START, CommandKind.TX_PACKET_END):
+            packet_open = kind is CommandKind.TX_PACKET_START
+        commands.append(Command(t, kind))
+    if commands and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(commands) - 1)), draw(st.integers(0, len(commands) - 1))
+        commands[i], commands[j] = commands[j], commands[i]
+    return commands, clocks
+
+
+def expansion_or_error(expand, commands, clocks, profile, initial_lo_on=None):
+    rf = RfModelParams()
+    try:
+        return expand(commands, clocks, profile, Band.B2G4, rf, initial_lo_on)
+    except (ScheduleError, OverlappingSpiError) as exc:
+        return type(exc), str(exc)
+
+
+def columns_expand(commands, clocks, profile, band, rf, initial_lo_on):
+    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf,
+                               initial_lo_on=initial_lo_on)
+    return timeline.events, timeline.initial_dbr
+
+
+def exact(events):
+    """Events with the type of each time and the bits of each level."""
+    return [(e, type(e.time_ns), bits([e.power_after_dbr])) for e in events]
+
+
+@st.composite
 def traced_schedules(draw):
     commands, clocks = draw(schedules())
     band = draw(st.sampled_from(list(Band)))
@@ -190,6 +367,36 @@ def traces(draw):
 
 
 # --- properties ---------------------------------------------------------------
+
+@PROFILE
+@given(crowded_schedules(), st.sampled_from((None, True, False)), st.sampled_from(list(Band)),
+       st.sampled_from(LO_LEVELS), st.sampled_from(PACKET_STEPS))
+def test_expansion_equals_the_loop(case, initial_lo_on, band, lo_level, packet_step):
+    commands, clocks, profile = case
+    rf = RfModelParams(lo_on_delta_db={b: lo_level for b in Band}, packet_delta_db=packet_step)
+    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf,
+                               initial_lo_on=initial_lo_on)
+    events, initial_dbr = oracle_expand(commands, clocks, profile, band, rf, initial_lo_on)
+    assert exact(timeline.events) == exact(events)
+    assert bits([timeline.initial_dbr]) == bits([initial_dbr])
+    assert len(timeline) == len(events)
+
+
+@PROFILE
+@given(any_schedules(), st.sampled_from((None, True, False)))
+# the third command is both out of order and a second packet start
+@example(([Command(0, CommandKind.TX_PACKET_START), Command(5, CommandKind.LO_ON),
+           Command(3, CommandKind.TX_PACKET_START)], ClockConfig()), None)
+def test_expansion_fails_like_the_loop(case, initial_lo_on):
+    commands, clocks = case
+    profile = TimingProfile()
+    expected = expansion_or_error(oracle_expand, commands, clocks, profile, initial_lo_on)
+    got = expansion_or_error(columns_expand, commands, clocks, profile, initial_lo_on)
+    if isinstance(expected[0], list):
+        assert exact(got[0]) == exact(expected[0]) and got[1] == expected[1]
+    else:
+        assert got == expected
+
 
 @PROFILE
 @given(traced_schedules())
@@ -265,6 +472,6 @@ def test_single_step_measures_its_budget_on_the_grid(spi_hz, kind, command_ns, l
     trace = sample_trace(timeline, (start, end), interval_ns=interval)
 
     k = math.ceil(Fraction(command_ns + budget - start) / interval)
-    step = find_step(commands, timeline.events)
+    step = find_step(commands, timeline)
     assert step.direction is direction
     assert measure_turnaround(trace, step) == start + k * interval - trigger_ns
