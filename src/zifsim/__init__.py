@@ -6,6 +6,8 @@ direct LO divider control, discrete-event simulation of Tx power traces,
 receiver noise-floor analysis, and MAC deadline compliance checks.
 """
 
+import importlib
+
 from .config import (
     NoiseSettings,
     RunConfig,
@@ -44,37 +46,15 @@ from .mac import (
     matrix_to_csv,
     worst_case_tt_ns,
 )
-from .params import ClockConfig, TimingProfile, cycles_to_ns, ns_value
-from .rf import (
+from .params import (
     Band,
-    IqCapture,
-    NoiseFloorReport,
-    PacketFilterResult,
-    RfModelParams,
-    average_power_db,
-    filter_packets,
-    load_capture,
-    noise_floor_delta,
-    noise_floor_report,
-    rx_noise_floor,
-    sample_power_db,
-    save_capture,
-    synthesize_capture,
-)
-from .sim import (
+    ClockConfig,
     Command,
     CommandKind,
-    LoStep,
-    PowerTrace,
-    SimEvent,
-    Timeline,
-    expand_schedule,
-    find_step,
-    find_trigger_ns,
-    measure_turnaround,
-    render_trace,
-    sample_trace,
-    trace_to_csv,
+    RfModelParams,
+    TimingProfile,
+    cycles_to_ns,
+    ns_value,
 )
 from .spi import (
     BitSequence,
@@ -90,6 +70,28 @@ from .spi import (
 )
 
 __version__ = "0.1.0"
+
+# The array layers load numpy, which costs more start-up CPU than the rest
+# of the package. Their public names resolve on first use (PEP 562), so
+# budget, compliance and config work never imports them.
+_ARRAY_MODULES = ("rf", "sim")
+
+
+def __getattr__(name):
+    if name in _ARRAY_MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in __all__:
+        for module_name in _ARRAY_MODULES:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "BUILTIN_DEADLINES",

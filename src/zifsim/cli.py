@@ -5,7 +5,10 @@ time), noise (receiver floor analysis, synthetic or from a capture file),
 comply (deadline matrix), config (dump settings).
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage or configuration
-error, 3 compliance requirement not met.
+error, 3 compliance requirement not met. Error lines always go to stderr.
+
+Only `trace` and `noise` import the array layers (`sim`, `rf`) and with
+them numpy; the other subcommands start without it.
 """
 
 import argparse
@@ -24,22 +27,7 @@ from .config import (
 from .ensm import Direction, EnsmMode, sweep_budgets, turnaround_budget
 from .errors import ConfigError, DataError, MeasurementError
 from .mac import compliance_matrix, worst_case_tt_ns, check
-from .params import ns_value
-from .rf import (
-    Band,
-    load_capture,
-    noise_floor_report,
-    synthesize_capture,
-)
-from .sim import (
-    PACKET_WARNING,
-    expand_schedule,
-    find_step,
-    measure_turnaround,
-    render_trace,
-    sample_trace,
-    trace_to_csv,
-)
+from .params import Band, ns_value
 
 MODE_NAMES = [m.value for m in EnsmMode]
 BAND_NAMES = [b.value for b in Band]
@@ -151,6 +139,12 @@ class _Emitter:
         stream.write(line + "\n")
 
 
+def _usage_error(message: str) -> int:
+    """Report a usage error on stderr, whatever --out says; exit code 2."""
+    sys.stderr.write(f"error: {message}\n")
+    return 2
+
+
 def _budget_rows(budgets):
     rows = []
     for budget in budgets:
@@ -203,6 +197,16 @@ def cmd_turnaround(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
 
 
 def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
+    from .sim import (
+        PACKET_WARNING,
+        expand_schedule,
+        find_step,
+        measure_turnaround,
+        render_trace,
+        sample_trace,
+        trace_to_csv,
+    )
+
     band = Band(args.band) if args.band else config.trace.band
     timeline = expand_schedule(
         config.schedule, config.clocks, config.profile, band=band, rf=config.rf
@@ -231,17 +235,17 @@ def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
 
 def cmd_noise(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     if args.n is not None and args.n < 1:
-        emitter.status("error: --n must be at least 1")
-        return 2
+        return _usage_error("--n must be at least 1")
     if args.seed is not None and args.seed < 0:
-        emitter.status("error: --seed must be non-negative")
-        return 2
+        return _usage_error("--seed must be non-negative")
+    if not args.capture and not (args.mode and args.band):
+        return _usage_error("noise needs either --capture or --mode and --band")
+
+    from .rf import load_capture, noise_floor_report, synthesize_capture
+
     if args.capture:
         capture = load_capture(args.capture)
     else:
-        if not args.mode or not args.band:
-            emitter.status("error: noise needs either --capture or --mode and --band")
-            return 2
         capture = synthesize_capture(
             EnsmMode(args.mode),
             Band(args.band),
@@ -276,13 +280,11 @@ def cmd_comply(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
         for name in args.deadline:
             if name not in by_name:
                 known = ", ".join(by_name) or "(none)"
-                emitter.status(f"error: unknown deadline {name!r} (known: {known})")
-                return 2
+                return _usage_error(f"unknown deadline {name!r} (known: {known})")
             selected.append(by_name[name])
         deadlines = selected
     if not deadlines:
-        emitter.status("error: no deadlines configured")
-        return 2
+        return _usage_error("no deadlines configured")
 
     results = compliance_matrix(config.clocks, config.profile, deadlines)
     rows = [
@@ -311,8 +313,7 @@ def cmd_comply(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
 
 def cmd_config(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     if not args.dump:
-        emitter.status("error: nothing to do (use --dump)")
-        return 2
+        return _usage_error("nothing to do (use --dump)")
     sys.stdout.write(dump_config(config))
     return 0
 
@@ -345,7 +346,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, MemoryError) as exc:
+        # MemoryError: a sample count or trace window too large to allocate
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

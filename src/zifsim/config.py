@@ -24,9 +24,16 @@ from enum import Enum
 
 from .errors import ConfigError
 from .mac import BUILTIN_DEADLINES, ProtocolDeadline
-from .params import ClockConfig, TimingProfile, field_types
-from .rf import Band, RfModelParams
-from .sim import Command, CommandKind, check_sampling
+from .params import (
+    Band,
+    ClockConfig,
+    Command,
+    CommandKind,
+    RfModelParams,
+    TimingProfile,
+    check_sampling,
+    field_types,
+)
 
 OUTPUT_FORMATS = ("csv", "json", "table")
 

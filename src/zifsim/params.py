@@ -1,13 +1,18 @@
-"""Clock and timing parameters shared by the timing model and the SPI codec.
+"""Parameters and value types shared by the model layers and the config.
 
 All frequencies are integer hertz and all durations integer nanoseconds, so
 every derived duration is an exact rational number. Durations that come out
 integral are normalized to plain ints; everything else stays a Fraction.
+
+The module imports no numpy: the budget, compliance and config paths build
+every setting from here without loading the array layers (`rf`, `sim`).
 """
 
 import functools
+import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from fractions import Fraction
 
 NS_PER_S = 1_000_000_000
@@ -95,3 +100,90 @@ class TimingProfile:
         for name in ("lo_div_powerup_ns", "lo_div_powerdown_ns"):
             if getattr(self, name) >= TIME_LIMIT_NS:
                 raise ValueError(f"{name} must be below 2**53 ns, got {getattr(self, name)}")
+
+
+class Band(Enum):
+    B2G4 = "2g4"  # Wi-Fi channel 1
+    B5G = "5g"  # Wi-Fi channel 44
+
+
+_PerBand = dict[Band, float]
+
+
+def _per_band(b2g4: float, b5g: float) -> _PerBand:
+    return {Band.B2G4: b2g4, Band.B5G: b5g}
+
+
+@dataclass(frozen=True)
+class RfModelParams:
+    """Calibrated power levels, per band where leakage is band-dependent."""
+
+    # Tx power step when the LO divider comes up, relative to LO-off.
+    lo_on_delta_db: _PerBand = field(default_factory=lambda: _per_band(30.0, 22.0))
+    # Rx noise floor per switching strategy.
+    base_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(53.3, 53.7))
+    fdd_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(66.4, 58.0))
+    locontrol_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(53.0, 53.4))
+    # Extra step at packet start; trace cosmetics only.
+    packet_delta_db: float = 15.0
+    # Manual AGC setting the floors were calibrated at; metadata only.
+    agc_gain_db: float = 62.0
+
+    def __post_init__(self):
+        for name, kind in field_types(type(self)):
+            value = getattr(self, name)
+            if kind is float:
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+                continue
+            for band in Band:
+                if not math.isfinite(value[band]):
+                    raise ValueError(
+                        f"{name} must be finite for band {band.value}, got {value[band]}"
+                    )
+        for band in Band:
+            if self.fdd_rx_floor_db[band] < self.locontrol_rx_floor_db[band]:
+                raise ValueError(
+                    f"fdd_rx_floor_db below locontrol_rx_floor_db for band {band.value}"
+                )
+
+
+class CommandKind(Enum):
+    LO_ON = "lo-on"
+    LO_OFF = "lo-off"
+    TX_PACKET_START = "tx-packet-start"
+    TX_PACKET_END = "tx-packet-end"
+    TRIGGER = "trigger"
+
+
+@dataclass(frozen=True)
+class Command:
+    time_ns: int
+    kind: CommandKind
+
+    def __post_init__(self):
+        time_ns = self.time_ns
+        if time_ns < 0:
+            raise ValueError(f"command time must be non-negative, got {time_ns}")
+        if time_ns >= TIME_LIMIT_NS:
+            raise ValueError(f"command time must be below 2**53 ns, got {time_ns}")
+        if type(time_ns) is not int:  # int() of a NaN raises ValueError too
+            if time_ns != int(time_ns):
+                raise ValueError(f"command time must be an integer, got {time_ns!r}")
+            object.__setattr__(self, "time_ns", int(time_ns))
+
+
+def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:
+    """Raise ValueError unless the window, interval and tau can be sampled."""
+    if not 0 < interval_ns < TIME_LIMIT_NS:
+        raise ValueError(f"interval_ns must be positive and below 2**53, got {interval_ns}")
+    if end_ns < start_ns:
+        raise ValueError(f"end_ns must not precede start_ns, got {start_ns}..{end_ns}")
+    if not (-TIME_LIMIT_NS < start_ns and end_ns < TIME_LIMIT_NS):
+        raise ValueError(
+            f"start_ns and end_ns must lie within +/-2**53 ns, got {start_ns}..{end_ns}"
+        )
+    if not (settling_tau_ns >= 0 and math.isfinite(settling_tau_ns)):
+        raise ValueError(
+            f"settling_tau_ns must be non-negative and finite, got {settling_tau_ns}"
+        )

@@ -19,34 +19,16 @@ import numpy as np
 
 from .ensm import Direction
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
-from .params import TIME_LIMIT_NS, ClockConfig, TimingProfile
-from .rf import Band, RfModelParams
+from .params import (
+    Band,
+    ClockConfig,
+    Command,
+    CommandKind,
+    RfModelParams,
+    TimingProfile,
+    check_sampling,
+)
 from .spi import frame_duration_ns
-
-
-class CommandKind(Enum):
-    LO_ON = "lo-on"
-    LO_OFF = "lo-off"
-    TX_PACKET_START = "tx-packet-start"
-    TX_PACKET_END = "tx-packet-end"
-    TRIGGER = "trigger"
-
-
-@dataclass(frozen=True)
-class Command:
-    time_ns: int
-    kind: CommandKind
-
-    def __post_init__(self):
-        time_ns = self.time_ns
-        if time_ns < 0:
-            raise ValueError(f"command time must be non-negative, got {time_ns}")
-        if time_ns >= TIME_LIMIT_NS:
-            raise ValueError(f"command time must be below 2**53 ns, got {time_ns}")
-        if type(time_ns) is not int:  # int() of a NaN raises ValueError too
-            if time_ns != int(time_ns):
-                raise ValueError(f"command time must be an integer, got {time_ns!r}")
-            object.__setattr__(self, "time_ns", int(time_ns))
 
 
 class Effect(Enum):
@@ -324,22 +306,6 @@ class PowerTrace:
     def times_ns(self) -> np.ndarray:
         """Sample times in ns, as int64."""
         return self.start_ns + self.interval_ns * np.arange(self.samples.size, dtype=np.int64)
-
-
-def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:
-    """Raise ValueError unless the window, interval and tau can be sampled."""
-    if not 0 < interval_ns < TIME_LIMIT_NS:
-        raise ValueError(f"interval_ns must be positive and below 2**53, got {interval_ns}")
-    if end_ns < start_ns:
-        raise ValueError(f"end_ns must not precede start_ns, got {start_ns}..{end_ns}")
-    if not (-TIME_LIMIT_NS < start_ns and end_ns < TIME_LIMIT_NS):
-        raise ValueError(
-            f"start_ns and end_ns must lie within +/-2**53 ns, got {start_ns}..{end_ns}"
-        )
-    if not (settling_tau_ns >= 0 and math.isfinite(settling_tau_ns)):
-        raise ValueError(
-            f"settling_tau_ns must be non-negative and finite, got {settling_tau_ns}"
-        )
 
 
 def sample_trace(

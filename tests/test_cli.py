@@ -434,6 +434,33 @@ def test_out_writes_file_and_status_to_stdout(capsys, tmp_path):
     assert len(rows) == 4  # both directions, two components each
 
 
+KNOWN_DEADLINES = ", ".join(d.name for d in BUILTIN_DEADLINES)
+
+
+@pytest.mark.parametrize("config_lines, argv, message", [
+    ((), ("noise", "--mode", "fdd", "--band", "2g4", "--n", "0"),
+     "--n must be at least 1"),
+    ((), ("noise", "--mode", "fdd", "--band", "2g4", "--seed", "-1"),
+     "--seed must be non-negative"),
+    ((), ("noise", "--mode", "fdd"), "noise needs either --capture or --mode and --band"),
+    ((), ("comply", "--deadline", "nope"),
+     f"unknown deadline 'nope' (known: {KNOWN_DEADLINES})"),
+    (("deadlines.builtin = false",), ("comply",), "no deadlines configured"),
+    ((), ("config",), "nothing to do (use --dump)"),
+])
+def test_usage_errors_go_to_stderr_when_data_goes_to_a_file(
+    capsys, tmp_path, config_lines, argv, message
+):
+    # output.path is the config key behind --out; `config` has no --out flag
+    out_path = tmp_path / "out.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([f"output.path = {out_path}", *config_lines]) + "\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), *argv)
+    assert code == 2
+    assert (out, err) == ("", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def test_config_dump_matches_library(capsys):
     code, out, err = run_cli(capsys, "config", "--dump")
     assert code == 0

@@ -1,0 +1,135 @@
+"""Import paths and the public API.
+
+Budgets, compliance and the config dump are exact rational arithmetic and
+start without numpy: only `trace` and `noise` load the array layers
+(`zifsim.rf`, `zifsim.sim`). Each case runs in a fresh interpreter, since
+a module once imported stays in `sys.modules`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zifsim
+import zifsim.params
+import zifsim.rf
+import zifsim.sim
+
+SRC = Path(zifsim.__file__).resolve().parent.parent
+ARRAY_MODULES = ["numpy", "zifsim.rf", "zifsim.sim"]
+
+# Runs `python -m zifsim.cli ARGV` (argv given as JSON, null for a bare
+# `import zifsim`) with its output captured, then prints the exit code and
+# which of ARRAY_MODULES are loaded.
+PROBE = """
+import contextlib, io, json, runpy, sys
+argv, watched = map(json.loads, sys.argv[1:])
+code = None
+if argv is None:
+    import zifsim
+else:
+    sys.argv = ["zifsim", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("zifsim.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, [m for m in watched if m in sys.modules]]))
+"""
+
+
+def run_python(*args) -> str:
+    """Stdout of `python -c ARGS` in a fresh interpreter that finds zifsim."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
+    )
+    return result.stdout
+
+
+def probe(argv):
+    code, loaded = json.loads(run_python(PROBE, json.dumps(argv), json.dumps(ARRAY_MODULES)))
+    return code, loaded
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["turnaround", "--all"],
+    ["turnaround", "--mode", "lo-control"],
+    ["comply"],
+    ["comply", "--require", "lo-control"],
+    ["config", "--dump"],
+])
+def test_exact_subcommands_start_without_numpy(argv):
+    code, loaded = probe(argv)
+    assert code == (None if argv is None else 0)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["trace"], ["numpy", "zifsim.sim"]),
+    (["noise", "--mode", "fdd", "--band", "2g4"], ARRAY_MODULES),
+])
+def test_array_subcommands_load_the_array_layers(argv, loaded):
+    assert probe(argv) == (0, loaded)
+
+
+def test_importing_rf_loads_sim():
+    # the benchmark's traced mode looks `zifsim.sim` up in sys.modules
+    # after importing `rf`
+    code = "import sys, zifsim.rf; print('zifsim.sim' in sys.modules)"
+    assert run_python(code).strip() == "True"
+
+
+def test_array_modules_resolve_as_package_attributes():
+    code = "import zifsim; print(zifsim.rf.__name__, zifsim.sim.__name__)"
+    assert run_python(code).split() == ["zifsim.rf", "zifsim.sim"]
+
+
+def test_every_public_name_resolves():
+    for name in zifsim.__all__:
+        assert getattr(zifsim, name) is not None, name
+    assert len(set(zifsim.__all__)) == len(zifsim.__all__)
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from zifsim import *", namespace)
+    assert set(zifsim.__all__) <= set(namespace)
+
+
+def test_dir_lists_all():
+    assert set(zifsim.__all__) <= set(dir(zifsim))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zifsim.no_such_name
+    assert not hasattr(zifsim, "no_such_name")
+
+
+@pytest.mark.parametrize("module, name", [
+    (zifsim.rf, "Band"),
+    (zifsim.rf, "RfModelParams"),
+    (zifsim.sim, "Band"),
+    (zifsim.sim, "RfModelParams"),
+    (zifsim.sim, "Command"),
+    (zifsim.sim, "CommandKind"),
+    (zifsim.sim, "check_sampling"),
+    (zifsim, "Band"),
+    (zifsim, "RfModelParams"),
+    (zifsim, "Command"),
+    (zifsim, "CommandKind"),
+])
+def test_reexports_are_the_same_objects(module, name):
+    assert getattr(module, name) is getattr(zifsim.params, name)
+
+
+def test_lazy_names_are_the_array_layer_objects():
+    assert zifsim.expand_schedule is zifsim.sim.expand_schedule
+    assert zifsim.IqCapture is zifsim.rf.IqCapture
