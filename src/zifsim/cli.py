@@ -26,7 +26,7 @@ from .config import (
 )
 from .ensm import Direction, EnsmMode, sweep_budgets, turnaround_budget
 from .errors import ConfigError, DataError, MeasurementError
-from .mac import compliance_matrix, worst_case_tt_ns, check
+from .mac import compliance_matrix
 from .params import Band, ns_value
 
 MODE_NAMES = [m.value for m in EnsmMode]
@@ -44,9 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_turn = sub.add_parser("turnaround", help="itemized switching budgets")
-    p_turn.add_argument("--mode", choices=MODE_NAMES, help="single mode, itemized")
-    p_turn.add_argument("--dir", dest="direction", choices=DIR_NAMES)
-    p_turn.add_argument("--all", action="store_true", help="sweep all modes")
+    which = p_turn.add_mutually_exclusive_group()
+    which.add_argument("--mode", choices=MODE_NAMES, help="single mode, itemized")
+    which.add_argument("--all", action="store_true", help="sweep all modes")
+    p_turn.add_argument("--dir", dest="direction", choices=DIR_NAMES,
+                        help="one direction of --mode")
     _output_flags(p_turn)
 
     p_trace = sub.add_parser("trace", help="simulate a Tx power trace")
@@ -163,6 +165,8 @@ def _budget_rows(budgets):
 
 
 def cmd_turnaround(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
+    if args.direction and not args.mode:
+        return _usage_error("--dir needs --mode")
     if args.mode:
         mode = EnsmMode(args.mode)
         directions = (
@@ -234,6 +238,12 @@ def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
 
 
 def cmd_noise(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
+    if args.capture:
+        given = [flag for flag in ("mode", "band", "n", "seed")
+                 if getattr(args, flag) is not None]
+        if given:
+            flags = ", ".join(f"--{flag}" for flag in given)
+            return _usage_error(f"--capture cannot be combined with {flags}")
     if args.n is not None and args.n < 1:
         return _usage_error("--n must be at least 1")
     if args.seed is not None and args.seed < 0:

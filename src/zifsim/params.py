@@ -22,6 +22,10 @@ NS_PER_S = 1_000_000_000
 # sums of a few of them stay exact in int64.
 TIME_LIMIT_NS = 2**53
 
+# Device ceiling for the serial clock; ClockConfig rejects a faster one
+# unless allow_spi_overclock is set.
+SPI_MAX_HZ = 50_000_000
+
 
 def exact_ns(duration) -> int | Fraction:
     """An exact duration as a plain int when integral, else a Fraction."""
@@ -71,6 +75,11 @@ class ClockConfig:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, int(value))
+        if self.spi_clock_hz > SPI_MAX_HZ and not self.allow_spi_overclock:
+            raise ValueError(
+                f"spi_clock_hz {self.spi_clock_hz} exceeds the device maximum "
+                f"{SPI_MAX_HZ}; set allow_spi_overclock to force"
+            )
 
 
 @dataclass(frozen=True)

@@ -147,10 +147,11 @@ def _dilate(hot: np.ndarray, guard: int) -> np.ndarray:
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     starts = np.maximum(edges[::2] - guard, 0)
     ends = np.minimum(edges[1::2] + guard, n)
-    # merge widened runs that now overlap
-    apart = starts[1:] >= ends[:-1]
-    starts = starts[np.concatenate(([True], apart))]
-    ends = ends[np.concatenate((apart, [True]))]
+    # merge widened runs that now overlap: a merged run begins at each
+    # start that clears the end before it; with no runs all stay empty
+    fresh = np.flatnonzero(starts[1:] >= ends[:-1]) + 1
+    starts = np.concatenate((starts[:1], starts[fresh]))
+    ends = np.concatenate((ends[fresh - 1], ends[-1:]))
     # stretches alternate kept, removed: [0, s0) [s0, e0) [e0, s1) ... [e, n)
     bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(), [n]))
     removed = np.zeros(bounds.size - 1, dtype=bool)
@@ -180,11 +181,8 @@ def filter_packets(
         raise ValueError("guard_samples must be non-negative")
 
     hot = series > _median(series) + threshold_db_above_median
-    if guard_samples and hot.any():
-        # a guard of n already reaches both ends; a wider one overflows int64
-        removed = _dilate(hot, min(guard_samples, series.size))
-    else:
-        removed = hot
+    # a guard of n already reaches both ends; a wider one overflows int64
+    removed = _dilate(hot, min(guard_samples, series.size))
 
     n_removed = int(np.count_nonzero(removed))
     if n_removed > 0.9 * series.size:
@@ -253,7 +251,12 @@ def read_sidecar(meta_path) -> dict:
             if "=" not in line:
                 raise DataError(f"sidecar {meta_path}: malformed line {line!r}")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _SIDECAR_KEYS:
+                raise DataError(f"sidecar {meta_path}: unknown key {key!r}")
+            if key in entries:
+                raise DataError(f"sidecar {meta_path}: repeated key {key!r}")
+            entries[key] = value.strip()
     return entries
 
 
@@ -266,6 +269,8 @@ def _positive_int(text: str) -> int:
 
 # sidecar key -> parser; each key is also an IqCapture field
 _SIDECAR_FIELDS = {"sample_rate_hz": _positive_int, "band": Band, "mode": EnsmMode}
+# keys a sidecar may hold: the fields, and save_capture's metadata-only agc_db
+_SIDECAR_KEYS = {*_SIDECAR_FIELDS, "agc_db"}
 
 
 def load_capture(path) -> IqCapture:

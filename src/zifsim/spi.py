@@ -21,10 +21,6 @@ DATA_BITS = 8
 EXTRA_COUNT_BITS = 3
 RESERVED_BITS = 2
 
-# Device ceiling for the serial clock. Writes are rejected above this
-# unless ClockConfig.allow_spi_overclock is set.
-SPI_MAX_HZ = 50_000_000
-
 
 @dataclass(frozen=True)
 class SpiFrame:
@@ -121,11 +117,6 @@ def decode_frame(bits: BitSequence) -> SpiFrame:
 
 def frame_duration_ns(clocks: ClockConfig):
     """Wire time of one 24-bit frame at the configured SPI clock, exact ns."""
-    if clocks.spi_clock_hz > SPI_MAX_HZ and not clocks.allow_spi_overclock:
-        raise ConfigError(
-            f"spi_clock_hz {clocks.spi_clock_hz} exceeds the device maximum "
-            f"{SPI_MAX_HZ}; set allow_spi_overclock to force"
-        )
     return cycles_to_ns(FRAME_BITS, clocks.spi_clock_hz)
 
 

@@ -287,6 +287,8 @@ def test_noise_missing_capture_exits_1(capsys, tmp_path):
     ("sample_rate_hz = abc", "sample_rate_hz"),
     ("band = 7g", "band"),
     ("mode = warp", "mode"),
+    ("sampel_rate = 7", "sampel_rate"),
+    ("band = 2g4\nband = 5g", "band"),
 ])
 def test_noise_bad_sidecar_exits_1(capsys, tmp_path, line, key):
     path = tmp_path / "cap.iq"
@@ -447,6 +449,17 @@ KNOWN_DEADLINES = ", ".join(d.name for d in BUILTIN_DEADLINES)
      f"unknown deadline 'nope' (known: {KNOWN_DEADLINES})"),
     (("deadlines.builtin = false",), ("comply",), "no deadlines configured"),
     ((), ("config",), "nothing to do (use --dump)"),
+    ((), ("noise", "--capture", "cap.iq", "--mode", "fdd"),
+     "--capture cannot be combined with --mode"),
+    ((), ("noise", "--capture", "cap.iq", "--band", "5g"),
+     "--capture cannot be combined with --band"),
+    ((), ("noise", "--capture", "cap.iq", "--n", "10"),
+     "--capture cannot be combined with --n"),
+    ((), ("noise", "--capture", "cap.iq", "--seed", "3"),
+     "--capture cannot be combined with --seed"),
+    ((), ("noise", "--capture", "cap.iq", "--mode", "fdd", "--band", "2g4", "--n", "1"),
+     "--capture cannot be combined with --mode, --band, --n"),
+    ((), ("turnaround", "--dir", "rx-tx"), "--dir needs --mode"),
 ])
 def test_usage_errors_go_to_stderr_when_data_goes_to_a_file(
     capsys, tmp_path, config_lines, argv, message
@@ -491,6 +504,37 @@ def test_bad_config_file_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "-c", str(tmp_path / "missing.cfg"),
                              "turnaround")
     assert code == 2
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00clocks")
+    code, out, err = run_cli(capsys, "-c", str(binary), "comply")
+    assert code == 2
+    assert err.startswith(f"error: cannot read config file {binary}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("turnaround", "--all"),
+    ("trace",),
+    ("noise", "--mode", "fdd", "--band", "2g4", "--n", "10"),
+    ("comply",),
+    ("config", "--dump"),
+])
+def test_overclocked_spi_exits_2_on_every_subcommand(capsys, tmp_path, argv):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("clocks.spi_clock_hz = 60000000\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: clocks.spi_clock_hz 60000000 exceeds the device "
+                   "maximum 50000000; set allow_spi_overclock to force\n")
+    cfg.write_text("clocks.spi_clock_hz = 60000000\nclocks.allow_spi_overclock = true\n")
+    assert run_cli(capsys, "-c", str(cfg), *argv)[0] == 0
+
+
+def test_turnaround_all_and_mode_are_exclusive(capsys):
+    code, out, err = run_cli(capsys, "turnaround", "--all", "--mode", "fdd")
+    assert code == 2
+    assert out == ""
+    assert "--mode: not allowed with argument --all" in err
 
 
 def test_table_format_is_default_and_aligned(capsys):

@@ -6,6 +6,7 @@ start without numpy: only `trace` and `noise` load the array layers
 a module once imported stays in `sys.modules`.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -84,6 +85,23 @@ def test_importing_rf_loads_sim():
     # after importing `rf`
     code = "import sys, zifsim.rf; print('zifsim.sim' in sys.modules)"
     assert run_python(code).strip() == "True"
+
+
+def test_bare_import_loads_no_submodule():
+    code = ("import json, sys, zifsim; "
+            "print(json.dumps([m for m in sys.modules if m.startswith(('zifsim.', 'numpy'))]))")
+    assert json.loads(run_python(code)) == []
+
+
+def test_public_names_resolve_to_their_home_modules():
+    for name in zifsim.__all__:
+        home = importlib.import_module(f"zifsim.{zifsim._HOME[name]}")
+        value = getattr(home, name)
+        assert getattr(zifsim, name) is value, name
+        # the table lists each class and function under the module defining it
+        if callable(value):
+            assert value.__module__ == home.__name__, name
+    assert sum(map(len, zifsim._PUBLIC.values())) == len(zifsim.__all__)
 
 
 def test_array_modules_resolve_as_package_attributes():

@@ -139,8 +139,8 @@ def test_frame_duration_inverse_proportionality():
 def test_frame_duration_overclock_guard():
     fast = ClockConfig(spi_clock_hz=100_000_000, allow_spi_overclock=True)
     assert frame_duration_ns(fast) == 240
-    with pytest.raises(ConfigError):
-        frame_duration_ns(ClockConfig(spi_clock_hz=100_000_000))
+    with pytest.raises(ValueError, match="spi_clock_hz 100000000 exceeds"):
+        ClockConfig(spi_clock_hz=100_000_000)
 
 
 def test_lo_divider_command_frames():
