@@ -84,7 +84,6 @@ _PUBLIC = {
         "Timeline",
         "expand_schedule",
         "find_step",
-        "find_trigger_ns",
         "measure_turnaround",
         "render_trace",
         "sample_trace",

@@ -226,7 +226,7 @@ def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     emitter.data(trace_to_csv(trace) if fmt == "csv" else render_trace(trace, fmt))
 
     try:
-        step = find_step(config.schedule, timeline)
+        step = find_step(timeline)
         measured = measure_turnaround(trace, step)
     except MeasurementError as exc:
         emitter.status(f"measured turnaround: n/a ({exc})")

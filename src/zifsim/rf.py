@@ -49,6 +49,8 @@ class IqCapture:
     mode: EnsmMode | None = None
 
     def __post_init__(self):
+        if self.sample_rate_hz < 1:  # load_capture maps this to the sidecar key
+            raise ValueError(f"sample_rate_hz {self.sample_rate_hz} is not positive")
         samples = np.asarray(self.samples)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must have shape (n, 2), got {samples.shape}")
@@ -123,15 +125,15 @@ def _median(series: np.ndarray) -> float:
 
     np.median partitions at two or three positions (one for the NaN
     check) and is about 3x slower on 1e7 samples. Like np.median, this
-    averages the two middle values of an even-length series with np.mean
-    and returns NaN when the series holds any NaN. The result equals
-    np.median's; only the sign of a zero median may differ, which no
-    threshold test can see.
+    averages the two middle values of an even-length series with np.mean.
+    A series that holds NaN has no median to filter by, and raises
+    ValueError. Otherwise the result equals np.median's; only the sign of
+    a zero median may differ, which no threshold test can see.
     """
     k = series.size // 2
     part = np.partition(series, k)
     if np.isnan(part[k:].max()):  # NaN sorts last
-        return math.nan
+        raise ValueError("power series holds NaN")
     if series.size % 2:
         return part[k]
     return np.mean(np.array([part[:k].max(), part[k]]))
@@ -237,38 +239,36 @@ def save_capture(capture: IqCapture, path, agc_db: float | None = None) -> None:
         lines.append(f"mode = {capture.mode.value}")
     if agc_db is not None:
         lines.append(f"agc_db = {agc_db}")
-    with open(f"{path}.meta", "w") as fh:
+    with open(f"{path}.meta", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_sidecar(meta_path) -> dict:
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"sidecar {meta_path}: {exc}") from None
     entries = {}
-    with open(meta_path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"sidecar {meta_path}: malformed line {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _SIDECAR_KEYS:
-                raise DataError(f"sidecar {meta_path}: unknown key {key!r}")
-            if key in entries:
-                raise DataError(f"sidecar {meta_path}: repeated key {key!r}")
-            entries[key] = value.strip()
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"sidecar {meta_path}: malformed line {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _SIDECAR_KEYS:
+            raise DataError(f"sidecar {meta_path}: unknown key {key!r}")
+        if key in entries:
+            raise DataError(f"sidecar {meta_path}: repeated key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is not positive")
-    return value
-
-
-# sidecar key -> parser; each key is also an IqCapture field
-_SIDECAR_FIELDS = {"sample_rate_hz": _positive_int, "band": Band, "mode": EnsmMode}
+# sidecar key -> parser; each key is also an IqCapture field, which checks
+# the parsed value
+_SIDECAR_FIELDS = {"sample_rate_hz": int, "band": Band, "mode": EnsmMode}
 # keys a sidecar may hold: the fields, and save_capture's metadata-only agc_db
 _SIDECAR_KEYS = {*_SIDECAR_FIELDS, "agc_db"}
 
@@ -286,19 +286,26 @@ def load_capture(path) -> IqCapture:
         )
     samples = np.frombuffer(blob, dtype="<i2").reshape(-1, 2)
 
-    fields = {}
     meta_path = f"{path}.meta"
-    if os.path.exists(meta_path):
-        meta = read_sidecar(meta_path)
-        for key, parse in _SIDECAR_FIELDS.items():
-            if key in meta:
-                try:
-                    fields[key] = parse(meta[key])
-                except ValueError:
-                    raise DataError(
-                        f"sidecar {meta_path}: invalid {key} {meta[key]!r}"
-                    ) from None
-    return IqCapture(samples, **fields)
+    meta = read_sidecar(meta_path) if os.path.exists(meta_path) else {}
+
+    def invalid(key):
+        return DataError(f"sidecar {meta_path}: invalid {key} {meta[key]!r}")
+
+    fields = {}
+    for key, parse in _SIDECAR_FIELDS.items():
+        if key in meta:
+            try:
+                fields[key] = parse(meta[key])
+            except ValueError:
+                raise invalid(key) from None
+    try:
+        return IqCapture(samples, **fields)
+    except ValueError as exc:  # the message names the field first
+        key = str(exc).partition(" ")[0]
+        if key not in meta:
+            raise
+        raise invalid(key) from None
 
 
 def synthesize_capture(

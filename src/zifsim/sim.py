@@ -64,13 +64,17 @@ class SimEvent:
 @dataclass(frozen=True, eq=False)
 class Timeline:
     """An expanded schedule as columns, one row per event in time order,
-    and the power level in force before the first event.
+    the power level in force before the first event, and the step a
+    measurement times.
 
     Event i happens at floor_ns[i], plus frac_ns when plus_frac[i] is set.
     An event happens at a command time or one SPI frame and a divider
     delay after it, so the frame's fractional part is the only one an
     event time can have. `effect` holds codes into EFFECTS, and `warned`
-    marks the events that carry PACKET_WARNING.
+    marks the events that carry PACKET_WARNING. `trigger_ns` is the first
+    trigger command's time, else the first LO command's (None: neither),
+    and `step_index` the divider event of the first LO command at or
+    after it (-1: none).
     """
 
     floor_ns: np.ndarray  # int64
@@ -80,6 +84,8 @@ class Timeline:
     warned: np.ndarray  # bool
     frac_ns: int | Fraction = 0
     initial_dbr: float = 0.0
+    trigger_ns: int | None = None
+    step_index: int = -1
 
     def __len__(self):
         """The number of events."""
@@ -157,7 +163,6 @@ def expand_schedule(
     profile: TimingProfile,
     band: Band = Band.B2G4,
     rf: RfModelParams | None = None,
-    initial_lo_on: bool | None = None,
 ) -> Timeline:
     """Expand commands into timed events with latencies applied.
 
@@ -165,8 +170,7 @@ def expand_schedule(
     followed by the divider state change after its power-up or power-down
     delay. A second LO command before the previous frame has left the wire
     is rejected. Trigger commands mark a measurement reference and produce
-    no event. The LO state before the first command is `initial_lo_on`;
-    when None, the LO starts on exactly when the first LO command switches
+    no event. The LO starts on exactly when the first LO command switches
     it off. Simultaneous events keep schedule order.
     """
     if rf is None:
@@ -176,9 +180,12 @@ def expand_schedule(
     times = np.fromiter(map(_time, commands), np.int64, n)
     kinds = np.fromiter(map(_KIND_CODE.__getitem__, map(_kind, commands)), np.int8, n)
     _validate_schedule(times, kinds)
-    if initial_lo_on is None:
-        lo_commands = np.flatnonzero(kinds <= _LO_OFF)
-        initial_lo_on = bool(lo_commands.size and kinds[lo_commands[0]] == _LO_OFF)
+    lo_commands = np.flatnonzero(kinds <= _LO_OFF)
+    lo_on_at_start = bool(lo_commands.size and kinds[lo_commands[0]] == _LO_OFF)
+    references = np.flatnonzero(kinds == _TRIGGER)
+    if not references.size:
+        references = lo_commands
+    trigger_ns = int(times[references[0]]) if references.size else None
 
     frame_ns = frame_duration_ns(clocks)
     _check_spi_overlap(times, kinds, frame_ns)
@@ -197,7 +204,8 @@ def expand_schedule(
 
     counts = per_kind[kinds]
     command = np.repeat(np.arange(n), counts)
-    sub = np.arange(command.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ends = np.cumsum(counts)  # one past each command's last row
+    sub = np.arange(command.size) - np.repeat(ends - counts, counts)
     kind = kinds[command]
     floor_ns = times[command] + offsets[kind, sub]
     plus_frac = (sub > 0) & (frac_ns != 0)
@@ -205,9 +213,14 @@ def expand_schedule(
     # schedule order; floor_ns stays below 2**55, so the key fits int64
     order = np.argsort(2 * floor_ns + plus_frac, kind="stable")
     floor_ns, plus_frac, effect = floor_ns[order], plus_frac[order], effects[kind, sub][order]
+    step_index = -1
+    if references.size:  # the first LO command at or after the trigger
+        stepping = lo_commands[times[lo_commands] >= trigger_ns]
+        if stepping.size:  # its divider event is its last row
+            step_index = int(np.flatnonzero(order == ends[stepping[0]] - 1)[0])
 
     lo_on = _forward_fill((effect == _LO_UP) | (effect == _LO_DOWN), effect == _LO_UP,
-                          initial_lo_on)
+                          lo_on_at_start)
     packet_on = _forward_fill((effect == _PACKET_ON) | (effect == _PACKET_OFF),
                               effect == _PACKET_ON, False)
     lo_level = rf.lo_on_delta_db[band]
@@ -220,19 +233,10 @@ def expand_schedule(
         power_after_dbr=levels[2 * lo_on + packet_on],
         warned=(effect == _PACKET_ON) & ~lo_on,
         frac_ns=frac_ns,
-        initial_dbr=float(levels[2 * initial_lo_on]),
+        initial_dbr=float(levels[2 * lo_on_at_start]),
+        trigger_ns=trigger_ns,
+        step_index=step_index,
     )
-
-
-def find_trigger_ns(commands):
-    """Measurement reference: the trigger command, else the first LO write."""
-    for cmd in commands:
-        if cmd.kind is CommandKind.TRIGGER:
-            return cmd.time_ns
-    for cmd in commands:
-        if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF):
-            return cmd.time_ns
-    return None
 
 
 @dataclass(frozen=True)
@@ -250,34 +254,21 @@ class LoStep:
     end_ns: int | Fraction | None = None
 
 
-def find_step(commands, timeline: Timeline) -> LoStep:
-    """The first LO step at or after the trigger (see `find_trigger_ns`).
+def find_step(timeline: Timeline) -> LoStep:
+    """The first LO step at or after the timeline's trigger.
 
-    The first LO command at or after the trigger gives the direction, and
-    the divider event it causes gives the level. `timeline` is the
-    expansion of `commands`. Raises MeasurementError when there is no such
-    command.
+    The divider event of the first LO command at or after the trigger
+    gives the direction and the level. Raises MeasurementError when there
+    is no such command.
     """
-    trigger_ns = find_trigger_ns(commands)
+    trigger_ns, index = timeline.trigger_ns, timeline.step_index
     if trigger_ns is None:
         raise MeasurementError("no trigger and no LO command in the schedule")
-    command = next(
-        (cmd for cmd in commands
-         if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF) and cmd.time_ns >= trigger_ns),
-        None,
-    )
-    if command is None:
+    if index < 0:
         raise MeasurementError(f"no LO command at or after the trigger at {trigger_ns} ns")
-    rising = command.kind is CommandKind.LO_ON
-    # an event is at or after the integral command time when its floor is
-    first = int(np.searchsorted(timeline.floor_ns, command.time_ns))
-    effect = timeline.effect[first:]
-    caused = np.flatnonzero(effect == (_LO_UP if rising else _LO_DOWN))
-    if not caused.size:
-        raise MeasurementError(f"no divider event for the LO command at {command.time_ns} ns")
-    after = effect[caused[0] + 1:]
+    rising = timeline.effect[index] == _LO_UP
+    after = timeline.effect[index + 1:]
     changes = np.flatnonzero((after == _LO_UP) | (after == _LO_DOWN))
-    index = first + int(caused[0])
     end_ns = timeline.time_ns(index + 1 + int(changes[0])) if changes.size else None
     direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
     return LoStep(trigger_ns, direction, float(timeline.power_after_dbr[index]), end_ns)

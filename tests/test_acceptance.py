@@ -118,7 +118,7 @@ def test_criterion_3_trace_pipeline():
         for band in Band:
             on_events = expand_schedule(on, clocks, profile, band=band, rf=rf)
             on_trace = sample_trace(on_events, window, interval_ns=interval)
-            step = find_step(on, on_events)
+            step = find_step(on_events)
             assert step.direction is Direction.RX_TO_TX
             tt_on = measure_turnaround(on_trace, step)
             assert abs(tt_on - 650) <= interval
@@ -129,7 +129,7 @@ def test_criterion_3_trace_pipeline():
         off = [Command(0, CommandKind.LO_OFF)]
         off_events = expand_schedule(off, clocks, profile, rf=rf)
         off_trace = sample_trace(off_events, window, interval_ns=interval)
-        step = find_step(off, off_events)
+        step = find_step(off_events)
         assert step.direction is Direction.TX_TO_RX
         tt_off = measure_turnaround(off_trace, step)
         assert abs(tt_off - 500) <= interval

@@ -289,11 +289,13 @@ def test_noise_missing_capture_exits_1(capsys, tmp_path):
     ("mode = warp", "mode"),
     ("sampel_rate = 7", "sampel_rate"),
     ("band = 2g4\nband = 5g", "band"),
+    (b"band = 2g4\xff", "utf-8"),
 ])
 def test_noise_bad_sidecar_exits_1(capsys, tmp_path, line, key):
     path = tmp_path / "cap.iq"
     save_capture(IqCapture(make_burst_capture()), path)
-    (tmp_path / "cap.iq.meta").write_text(line + "\n")
+    text = line if isinstance(line, bytes) else line.encode()
+    (tmp_path / "cap.iq.meta").write_bytes(text + b"\n")
     code, out, err = run_cli(capsys, "noise", "--capture", str(path))
     assert code == 1
     assert f"{path}.meta" in err and key in err

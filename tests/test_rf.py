@@ -85,6 +85,9 @@ def test_capture_validation():
     with pytest.raises(ValueError):
         # -32768 fits in int16 but exceeds the +/-32767 magnitude limit
         IqCapture(np.array([[-32768, 0]], dtype=np.int16))
+    for rate in (0, -20_000_000):  # a sidecar could not hold it
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            IqCapture(np.zeros((1, 2), dtype=np.int16), sample_rate_hz=rate)
     capture = IqCapture(np.array([[1, -1], [2, -2]], dtype=np.int16))
     assert len(capture) == 2
 
@@ -210,10 +213,15 @@ def test_filter_idempotent_on_burst_fixtures():
         assert second.samples_filtered == 0
 
 
-def test_filter_nan_median_removes_nothing():
-    # np.median of a series holding NaN is NaN, so no sample is above it
-    for series in ([0.0, 0.0, 50.0, math.nan], [0.0, 50.0, math.nan]):
-        assert filter_packets(series).samples_filtered == 0
+def test_filter_rejects_a_nan_sample():
+    # a series holding NaN has no median, so no burst could be found
+    burst = [1.0] * 8 + [50.0] + [1.0] * 9
+    assert filter_packets(burst, guard_samples=0).samples_filtered == 1
+    for series in ([math.nan] + burst, [0.0, 0.0, 50.0, math.nan], [0.0, 50.0, math.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            filter_packets(series, guard_samples=0)
+    # zero power, -inf dB, is a valid sample
+    assert filter_packets([-math.inf] + burst, guard_samples=0).samples_filtered == 1
 
 
 def test_filter_infinite_median():

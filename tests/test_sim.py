@@ -20,7 +20,6 @@ from zifsim import (
     TimingProfile,
     expand_schedule,
     find_step,
-    find_trigger_ns,
     measure_turnaround,
     sample_trace,
     trace_to_csv,
@@ -42,7 +41,7 @@ def _expand(schedule, clocks, profile, **kwargs):
 def _measure(schedule, clocks, profile, window=WINDOW, interval_ns=50):
     timeline = _expand(schedule, clocks, profile)
     trace = sample_trace(timeline, window, interval_ns=interval_ns)
-    return measure_turnaround(trace, find_step(_commands(schedule), timeline))
+    return measure_turnaround(trace, find_step(timeline))
 
 
 def test_lo_on_expansion(clocks, profile):
@@ -160,11 +159,11 @@ def test_packet_while_lo_down_warns_but_stays_at_floor(clocks, profile):
     assert on.power_after_dbr == 0.0
 
 
-def test_find_trigger_prefers_explicit_trigger():
-    schedule = [Command(50, CommandKind.TRIGGER), Command(100, CommandKind.LO_ON)]
-    assert find_trigger_ns(schedule) == 50
-    assert find_trigger_ns([Command(100, CommandKind.LO_ON)]) == 100
-    assert find_trigger_ns([]) is None
+def test_find_trigger_prefers_explicit_trigger(clocks, profile):
+    schedule = [(50, CommandKind.TRIGGER), (100, CommandKind.LO_ON)]
+    assert _expand(schedule, clocks, profile).trigger_ns == 50
+    assert _expand([(100, CommandKind.LO_ON)], clocks, profile).trigger_ns == 100
+    assert _expand([], clocks, profile).trigger_ns is None
 
 
 def test_sample_trace_grid_and_right_continuity(clocks, profile):
@@ -260,11 +259,11 @@ def test_measurement_errors(clocks, profile):
     with pytest.raises(MeasurementError):
         # looking for a falling edge in a rising trace
         measure_turnaround(trace, LoStep(0, Direction.TX_TO_RX, 0.0))
-    with pytest.raises(MeasurementError):
-        packets = [Command(0, CommandKind.TX_PACKET_START), Command(10, CommandKind.TX_PACKET_END)]
-        find_step(packets, expand_schedule(packets, clocks, profile))
-    with pytest.raises(MeasurementError):  # no LO command at or after the trigger
-        find_step([Command(0, CommandKind.LO_ON), Command(10, CommandKind.TRIGGER)], events)
+    with pytest.raises(MeasurementError, match="no trigger and no LO command"):
+        packets = [(0, CommandKind.TX_PACKET_START), (10, CommandKind.TX_PACKET_END)]
+        find_step(_expand(packets, clocks, profile))
+    with pytest.raises(MeasurementError, match="no LO command at or after the trigger at 10 ns"):
+        find_step(_expand([(0, CommandKind.LO_ON), (10, CommandKind.TRIGGER)], clocks, profile))
 
 
 def test_sample_trace_validation(clocks, profile):
@@ -303,7 +302,22 @@ def test_sample_trace_rejects_windows_beyond_exact_float_times(clocks, profile):
 ])
 def test_find_step_takes_the_first_lo_command_at_or_after_the_trigger(
         clocks, profile, schedule, expected):
-    assert find_step(_commands(schedule), _expand(schedule, clocks, profile)) == expected
+    assert find_step(_expand(schedule, clocks, profile)) == expected
+
+
+def test_find_step_takes_the_level_of_the_commands_own_divider_event(clocks):
+    # with a 2000 ns power-up, the first lo-on's divider event lands at
+    # 2480 ns, after the trigger; the step is the second lo-on's, at 3440
+    # ns, and no LO state change follows it
+    profile = TimingProfile(lo_div_powerup_ns=2000)
+    schedule = [(0, CommandKind.LO_ON), (480, CommandKind.LO_OFF),
+                (960, CommandKind.LO_ON), (960, CommandKind.TRIGGER)]
+    timeline = _expand(schedule, clocks, profile)
+    assert timeline.time_ns(timeline.step_index) == 3440
+    step = find_step(timeline)
+    assert step == LoStep(960, Direction.RX_TO_TX, 30.0, None)
+    trace = sample_trace(timeline, (0, 5000), interval_ns=50)
+    assert measure_turnaround(trace, step) == 1540
 
 
 def test_step_that_misses_its_window_is_not_measured(clocks, profile):
@@ -314,7 +328,7 @@ def test_step_that_misses_its_window_is_not_measured(clocks, profile):
     timeline = _expand(schedule, clocks, profile)
     trace = sample_trace(timeline, (-2000, 3000), interval_ns=1000)
     with pytest.raises(MeasurementError, match="crossing"):
-        measure_turnaround(trace, find_step(_commands(schedule), timeline))
+        measure_turnaround(trace, find_step(timeline))
 
 
 def test_settling_relaxes_exponentially(clocks, profile):

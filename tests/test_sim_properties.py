@@ -9,6 +9,7 @@ first event), the csv writer and the CLI's table and json formatting of
 a trace.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -25,6 +26,8 @@ from zifsim import (
     CommandKind,
     Direction,
     EnsmMode,
+    LoStep,
+    MeasurementError,
     OverlappingSpiError,
     PowerTrace,
     RfModelParams,
@@ -90,11 +93,10 @@ def oracle_initial_lo_on(commands):
     return False
 
 
-def oracle_expand(commands, clocks, profile, band, rf, initial_lo_on):
+def oracle_expand(commands, clocks, profile, band, rf):
     """(events, initial level) of a schedule, one SimEvent per event."""
     oracle_validate(commands)
-    if initial_lo_on is None:
-        initial_lo_on = oracle_initial_lo_on(commands)
+    initial_lo_on = oracle_initial_lo_on(commands)
     frame_ns = frame_duration_ns(clocks)
     pending = []  # (time, effect)
     spi_busy_until = None
@@ -137,6 +139,37 @@ def oracle_expand(commands, clocks, profile, band, rf, initial_lo_on):
         events.append(SimEvent(time_ns, effect, oracle_level(lo_on, packet_on, band, rf),
                                warning))
     return events, oracle_level(initial_lo_on, False, band, rf)
+
+
+LO_KINDS = (CommandKind.LO_ON, CommandKind.LO_OFF)
+
+
+def oracle_step(commands, clocks, profile, events):
+    """The LoStep of a schedule whose expansion is `events`, or the message
+    of the MeasurementError: the first LO command at or after the trigger,
+    and the level its own divider event sets."""
+    trigger_ns = next((c.time_ns for c in commands if c.kind is CommandKind.TRIGGER), None)
+    if trigger_ns is None:
+        trigger_ns = next((c.time_ns for c in commands if c.kind in LO_KINDS), None)
+    if trigger_ns is None:
+        return "no trigger and no LO command in the schedule"
+    command = next((c for c in commands if c.kind in LO_KINDS and c.time_ns >= trigger_ns),
+                   None)
+    if command is None:
+        return f"no LO command at or after the trigger at {trigger_ns} ns"
+    if command.kind is CommandKind.LO_ON:
+        direction, effect = Direction.RX_TO_TX, Effect.LO_POWERED_UP
+        delay = profile.lo_div_powerup_ns
+    else:
+        direction, effect = Direction.TX_TO_RX, Effect.LO_POWERED_DOWN
+        delay = profile.lo_div_powerdown_ns
+    # two LO writes of one kind lie at least a frame apart, so the time
+    # and effect name the command's divider event
+    at = command.time_ns + frame_duration_ns(clocks) + delay
+    index = next(k for k, e in enumerate(events) if (e.time_ns, e.effect) == (at, effect))
+    end_ns = next((e.time_ns for e in events[index + 1:]
+                   if e.effect in (Effect.LO_POWERED_UP, Effect.LO_POWERED_DOWN)), None)
+    return LoStep(trigger_ns, direction, events[index].power_after_dbr, end_ns)
 
 
 def oracle_samples(events, window, interval_ns, baseline, settling_tau_ns):
@@ -318,17 +351,16 @@ def any_schedules(draw):
     return commands, clocks
 
 
-def expansion_or_error(expand, commands, clocks, profile, initial_lo_on=None):
+def expansion_or_error(expand, commands, clocks, profile):
     rf = RfModelParams()
     try:
-        return expand(commands, clocks, profile, Band.B2G4, rf, initial_lo_on)
+        return expand(commands, clocks, profile, Band.B2G4, rf)
     except (ScheduleError, OverlappingSpiError) as exc:
         return type(exc), str(exc)
 
 
-def columns_expand(commands, clocks, profile, band, rf, initial_lo_on):
-    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf,
-                               initial_lo_on=initial_lo_on)
+def columns_expand(commands, clocks, profile, band, rf):
+    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf)
     return timeline.events, timeline.initial_dbr
 
 
@@ -345,9 +377,12 @@ def traced_schedules(draw):
         lo_on_delta_db={b: draw(st.sampled_from(LO_LEVELS)) for b in Band},
         packet_delta_db=draw(st.sampled_from(PACKET_STEPS)),
     )
-    initial_lo_on = draw(st.sampled_from((None, True, False)))
-    timeline = expand_schedule(commands, clocks, TimingProfile(), band=band, rf=rf,
-                               initial_lo_on=initial_lo_on)
+    # the level before the first event: the expansion's, or the LO held
+    # on or off
+    initial_dbr = draw(st.sampled_from((None, rf.lo_on_delta_db[band], 0.0)))
+    timeline = expand_schedule(commands, clocks, TimingProfile(), band=band, rf=rf)
+    if initial_dbr is not None:
+        timeline = dataclasses.replace(timeline, initial_dbr=initial_dbr)
     interval = draw(st.sampled_from((1, 5, 7, 10, 15, 25, 50, 250)) | st.integers(1, 400))
     start = draw(st.integers(-3000, 3000))
     end = start + draw(st.integers(0, 300)) * interval + draw(st.integers(0, interval - 1))
@@ -369,33 +404,57 @@ def traces(draw):
 # --- properties ---------------------------------------------------------------
 
 @PROFILE
-@given(crowded_schedules(), st.sampled_from((None, True, False)), st.sampled_from(list(Band)),
+@given(crowded_schedules(), st.sampled_from(list(Band)),
        st.sampled_from(LO_LEVELS), st.sampled_from(PACKET_STEPS))
-def test_expansion_equals_the_loop(case, initial_lo_on, band, lo_level, packet_step):
+def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
     commands, clocks, profile = case
     rf = RfModelParams(lo_on_delta_db={b: lo_level for b in Band}, packet_delta_db=packet_step)
-    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf,
-                               initial_lo_on=initial_lo_on)
-    events, initial_dbr = oracle_expand(commands, clocks, profile, band, rf, initial_lo_on)
+    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf)
+    events, initial_dbr = oracle_expand(commands, clocks, profile, band, rf)
     assert exact(timeline.events) == exact(events)
     assert bits([timeline.initial_dbr]) == bits([initial_dbr])
     assert len(timeline) == len(events)
 
 
 @PROFILE
-@given(any_schedules(), st.sampled_from((None, True, False)))
+@given(any_schedules())
 # the third command is both out of order and a second packet start
 @example(([Command(0, CommandKind.TX_PACKET_START), Command(5, CommandKind.LO_ON),
-           Command(3, CommandKind.TX_PACKET_START)], ClockConfig()), None)
-def test_expansion_fails_like_the_loop(case, initial_lo_on):
+           Command(3, CommandKind.TX_PACKET_START)], ClockConfig()))
+def test_expansion_fails_like_the_loop(case):
     commands, clocks = case
     profile = TimingProfile()
-    expected = expansion_or_error(oracle_expand, commands, clocks, profile, initial_lo_on)
-    got = expansion_or_error(columns_expand, commands, clocks, profile, initial_lo_on)
+    expected = expansion_or_error(oracle_expand, commands, clocks, profile)
+    got = expansion_or_error(columns_expand, commands, clocks, profile)
     if isinstance(expected[0], list):
         assert exact(got[0]) == exact(expected[0]) and got[1] == expected[1]
     else:
         assert got == expected
+
+
+@PROFILE
+@given(crowded_schedules(), st.sampled_from((0, 700, 2000)), st.sampled_from((0, 700, 2000)))
+# a divider delay longer than the command spacing: the first lo-on's
+# divider event comes after the trigger, the second lo-on's is the step
+@example(([Command(0, CommandKind.LO_ON), Command(480, CommandKind.LO_OFF),
+           Command(960, CommandKind.LO_ON), Command(960, CommandKind.TRIGGER)],
+          ClockConfig(), TimingProfile()), 1840, 0)
+@example(([Command(0, CommandKind.TX_PACKET_START), Command(9, CommandKind.TX_PACKET_END)],
+          ClockConfig(), TimingProfile()), 0, 0)
+@example(([Command(0, CommandKind.LO_ON), Command(9, CommandKind.TRIGGER)],
+          ClockConfig(), TimingProfile()), 0, 0)
+def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_down):
+    commands, clocks, profile = case
+    # longer delays keep the schedule valid: only the frame spaces LO writes
+    profile = TimingProfile(lo_div_powerup_ns=profile.lo_div_powerup_ns + more_up,
+                            lo_div_powerdown_ns=profile.lo_div_powerdown_ns + more_down)
+    events, _ = oracle_expand(commands, clocks, profile, Band.B2G4, RfModelParams())
+    expected = oracle_step(commands, clocks, profile, events)
+    try:
+        got = find_step(expand_schedule(commands, clocks, profile))
+    except MeasurementError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 @PROFILE
@@ -472,6 +531,6 @@ def test_single_step_measures_its_budget_on_the_grid(spi_hz, kind, command_ns, l
     trace = sample_trace(timeline, (start, end), interval_ns=interval)
 
     k = math.ceil(Fraction(command_ns + budget - start) / interval)
-    step = find_step(commands, timeline)
+    step = find_step(timeline)
     assert step.direction is direction
     assert measure_turnaround(trace, step) == start + k * interval - trigger_ns
