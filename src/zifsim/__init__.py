@@ -50,7 +50,6 @@ _PUBLIC = {
         "ProtocolDeadline",
         "check",
         "compliance_matrix",
-        "matrix_to_csv",
         "worst_case_tt_ns",
     ),
     "params": (
@@ -61,6 +60,7 @@ _PUBLIC = {
         "RfModelParams",
         "TimingProfile",
         "cycles_to_ns",
+        "frame_duration_ns",
         "ns_value",
     ),
     "rf": (
@@ -91,14 +91,11 @@ _PUBLIC = {
     ),
     "spi": (
         "BitSequence",
-        "Chain",
-        "LoDividerCommand",
         "LoDividerConfig",
         "SpiFrame",
         "command_from_frame",
         "decode_frame",
         "encode_frame",
-        "frame_duration_ns",
         "lo_divider_command",
     ),
 }

@@ -11,8 +11,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .params import ClockConfig, TimingProfile, cycles_to_ns, exact_ns, ns_value
-from .spi import frame_duration_ns
+from .params import (
+    ClockConfig,
+    TimingProfile,
+    cycles_to_ns,
+    exact_ns,
+    frame_duration_ns,
+    ns_value,
+)
 
 
 class EnsmMode(Enum):

@@ -7,13 +7,11 @@ here, ignoring PHY/MAC processing time that would eat into it on a real
 stack.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ensm import Direction, EnsmMode, turnaround_budget
-from .params import ClockConfig, TimingProfile, ns_value
+from .params import ClockConfig, TimingProfile
 
 
 @dataclass(frozen=True)
@@ -76,19 +74,3 @@ def compliance_matrix(clocks: ClockConfig, profile: TimingProfile, deadlines):
             results.append(check(tt, deadline, mode=mode))
     return results
 
-
-def matrix_to_csv(results) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mode", "deadline", "tt_ns", "pass", "margin_ns"])
-    for res in results:
-        writer.writerow(
-            [
-                res.mode.value if res.mode else "",
-                res.deadline.name,
-                ns_value(res.tt_ns),
-                "true" if res.passed else "false",
-                ns_value(res.margin_ns),
-            ]
-        )
-    return buf.getvalue()

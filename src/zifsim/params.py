@@ -26,6 +26,9 @@ TIME_LIMIT_NS = 2**53
 # unless allow_spi_overclock is set.
 SPI_MAX_HZ = 50_000_000
 
+# Bits on the wire of one single-register write (see `spi` for the layout).
+FRAME_BITS = 24
+
 
 def exact_ns(duration) -> int | Fraction:
     """An exact duration as a plain int when integral, else a Fraction."""
@@ -38,6 +41,11 @@ def cycles_to_ns(cycles: int, clock_hz: int) -> int | Fraction:
     if clock_hz <= 0:
         raise ValueError(f"clock_hz must be positive, got {clock_hz}")
     return exact_ns(Fraction(cycles * NS_PER_S, clock_hz))
+
+
+def frame_duration_ns(clocks: "ClockConfig") -> int | Fraction:
+    """Wire time of one 24-bit frame at the configured SPI clock, exact ns."""
+    return cycles_to_ns(FRAME_BITS, clocks.spi_clock_hz)
 
 
 def ns_value(duration) -> int | float:

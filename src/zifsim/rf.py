@@ -303,9 +303,9 @@ def load_capture(path) -> IqCapture:
         return IqCapture(samples, **fields)
     except ValueError as exc:  # the message names the field first
         key = str(exc).partition(" ")[0]
-        if key not in meta:
-            raise
-        raise invalid(key) from None
+        if key in meta:
+            raise invalid(key) from None
+        raise DataError(f"capture file {path}: {exc}") from None
 
 
 def synthesize_capture(

@@ -27,8 +27,8 @@ from .params import (
     RfModelParams,
     TimingProfile,
     check_sampling,
+    frame_duration_ns,
 )
-from .spi import frame_duration_ns
 
 
 class Effect(Enum):
@@ -70,11 +70,13 @@ class Timeline:
     Event i happens at floor_ns[i], plus frac_ns when plus_frac[i] is set.
     An event happens at a command time or one SPI frame and a divider
     delay after it, so the frame's fractional part is the only one an
-    event time can have. `effect` holds codes into EFFECTS, and `warned`
-    marks the events that carry PACKET_WARNING. `trigger_ns` is the first
-    trigger command's time, else the first LO command's (None: neither),
-    and `step_index` the divider event of the first LO command at or
-    after it (-1: none).
+    event time can have. `effect` holds codes into EFFECTS, `warned`
+    marks the events that carry PACKET_WARNING, and `lo_change` the
+    divider events that change the LO state (a write that finds the LO
+    already in the commanded state changes nothing). `trigger_ns` is the
+    first trigger command's time, else the first LO command's (None:
+    neither), and `step_index` the divider event of the first LO command
+    at or after it (-1: none).
     """
 
     floor_ns: np.ndarray  # int64
@@ -82,6 +84,7 @@ class Timeline:
     effect: np.ndarray  # int8
     power_after_dbr: np.ndarray  # float64
     warned: np.ndarray  # bool
+    lo_change: np.ndarray  # bool
     frac_ns: int | Fraction = 0
     initial_dbr: float = 0.0
     trigger_ns: int | None = None
@@ -221,6 +224,7 @@ def expand_schedule(
 
     lo_on = _forward_fill((effect == _LO_UP) | (effect == _LO_DOWN), effect == _LO_UP,
                           lo_on_at_start)
+    lo_change = lo_on != np.concatenate(([lo_on_at_start], lo_on[:-1]))
     packet_on = _forward_fill((effect == _PACKET_ON) | (effect == _PACKET_OFF),
                               effect == _PACKET_ON, False)
     lo_level = rf.lo_on_delta_db[band]
@@ -232,6 +236,7 @@ def expand_schedule(
         effect=effect,
         power_after_dbr=levels[2 * lo_on + packet_on],
         warned=(effect == _PACKET_ON) & ~lo_on,
+        lo_change=lo_change,
         frac_ns=frac_ns,
         initial_dbr=float(levels[2 * lo_on_at_start]),
         trigger_ns=trigger_ns,
@@ -259,7 +264,8 @@ def find_step(timeline: Timeline) -> LoStep:
 
     The divider event of the first LO command at or after the trigger
     gives the direction and the level. Raises MeasurementError when there
-    is no such command.
+    is no such command, or when its divider event does not change the LO
+    state.
     """
     trigger_ns, index = timeline.trigger_ns, timeline.step_index
     if trigger_ns is None:
@@ -267,8 +273,12 @@ def find_step(timeline: Timeline) -> LoStep:
     if index < 0:
         raise MeasurementError(f"no LO command at or after the trigger at {trigger_ns} ns")
     rising = timeline.effect[index] == _LO_UP
-    after = timeline.effect[index + 1:]
-    changes = np.flatnonzero((after == _LO_UP) | (after == _LO_DOWN))
+    if not timeline.lo_change[index]:
+        raise MeasurementError(
+            f"the first LO command at or after the trigger at {trigger_ns} ns finds "
+            f"the LO already {'on' if rising else 'off'}"
+        )
+    changes = np.flatnonzero(timeline.lo_change[index + 1:])
     end_ns = timeline.time_ns(index + 1 + int(changes[0])) if changes.size else None
     direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
     return LoStep(trigger_ns, direction, float(timeline.power_after_dbr[index]), end_ns)

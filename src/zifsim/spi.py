@@ -1,21 +1,21 @@
-"""Bit-exact codec and timing for the 24-bit register-write transaction.
+"""Bit-exact codec for the 24-bit register-write transaction, and the Tx
+LO-divider write built on it.
 
 A single-register write is serialized MSB-first as
 
     [write:1][extra_bytes:3][reserved:2 = 00][address:10][data:8]
 
-which is 24 bits on the wire. The layout is a module constant; only the
+which is FRAME_BITS = 24 bits on the wire; `params.frame_duration_ns`
+gives its wire time. The layout is a module constant; only the
 total width is fixed by the device's instruction format, so the field
 split is documented here and pinned by the tests rather than configurable.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ConfigError, MalformedFrameError
-from .params import ClockConfig, cycles_to_ns
+from .params import FRAME_BITS
 
-FRAME_BITS = 24
 ADDRESS_BITS = 10
 DATA_BITS = 8
 EXTRA_COUNT_BITS = 3
@@ -115,95 +115,47 @@ def decode_frame(bits: BitSequence) -> SpiFrame:
     )
 
 
-def frame_duration_ns(clocks: ClockConfig):
-    """Wire time of one 24-bit frame at the configured SPI clock, exact ns."""
-    return cycles_to_ns(FRAME_BITS, clocks.spi_clock_hz)
-
-
-class Chain(Enum):
-    """Which mixer chain a divider command targets."""
-
-    TX = "tx"
-    RX = "rx"
-
-
 @dataclass(frozen=True)
 class LoDividerConfig:
-    """Register addresses and data bytes for LO-divider power control.
+    """Register address and data bytes for Tx LO-divider power control.
 
     The real register map is device documentation that this model does not
     reproduce; these defaults are placeholders so the plumbing is testable.
     Override them with values from the actual register map before driving
-    hardware. The Rx chain has no placeholder because only the Tx divider
-    is exercised by the turnaround scheme modeled here.
+    hardware.
     """
 
-    tx_register: int | None = 0x005  # placeholder, not authoritative
-    rx_register: int | None = None
+    tx_register: int = 0x005  # placeholder, not authoritative
     on_value: int = 0x00  # placeholder
     off_value: int = 0x01  # placeholder
 
-
-@dataclass(frozen=True)
-class LoDividerCommand:
-    """A resolved divider power command bound to its configured encoding."""
-
-    chain: Chain
-    power_on: bool
-    target_register: int
-    on_value: int
-    off_value: int
-
-    @classmethod
-    def from_config(cls, chain: Chain, power_on: bool, config: LoDividerConfig):
-        register = config.tx_register if chain is Chain.TX else config.rx_register
-        if register is None:
-            raise ConfigError(
-                f"no LO divider register configured for the {chain.value} chain"
-            )
-        return cls(
-            chain=chain,
-            power_on=bool(power_on),
-            target_register=register,
-            on_value=config.on_value,
-            off_value=config.off_value,
-        )
-
-    def to_frame(self) -> SpiFrame:
-        return SpiFrame(
-            write_flag=True,
-            extra_byte_count=0,
-            register_address=self.target_register,
-            data=self.on_value if self.power_on else self.off_value,
-        )
+    def __post_init__(self):
+        for name, bits in (("tx_register", ADDRESS_BITS), ("on_value", DATA_BITS),
+                           ("off_value", DATA_BITS)):
+            value = getattr(self, name)
+            if value != int(value) or not 0 <= value < (1 << bits):
+                raise ValueError(
+                    f"{name} must be an integer that fits {bits} bits, got {value!r}"
+                )
+        if self.on_value == self.off_value:
+            raise ValueError(f"on_value and off_value must differ, both are {self.on_value}")
 
 
-def lo_divider_command(
-    chain: Chain, power_on: bool, config: LoDividerConfig
-) -> SpiFrame:
-    """Build the single-byte write frame that powers a divider on or off."""
-    return LoDividerCommand.from_config(chain, power_on, config).to_frame()
+def lo_divider_command(power_on: bool, config: LoDividerConfig) -> SpiFrame:
+    """The single-byte write frame that powers the Tx divider on or off."""
+    data = config.on_value if power_on else config.off_value
+    return SpiFrame(write_flag=True, register_address=config.tx_register, data=data)
 
 
-def command_from_frame(frame: SpiFrame, config: LoDividerConfig) -> LoDividerCommand:
-    """Recover the divider command a frame encodes, given the same config.
+def command_from_frame(frame: SpiFrame, config: LoDividerConfig) -> bool:
+    """The power state a divider frame commands (True: on), given the same
+    config: the exact inverse of lo_divider_command.
 
-    Raises ConfigError when the frame does not address a configured divider
-    register or carries a data byte that is neither the on nor off pattern.
+    Raises ConfigError for any frame lo_divider_command cannot produce: a
+    read, a multi-byte transfer, another register, or a data byte that is
+    neither the on nor the off value.
     """
-    if frame.register_address == config.tx_register:
-        chain = Chain.TX
-    elif frame.register_address == config.rx_register:
-        chain = Chain.RX
-    else:
-        raise ConfigError(
-            f"register {frame.register_address:#05x} is not a configured "
-            "LO divider register"
-        )
-    if frame.data == config.on_value:
-        power_on = True
-    elif frame.data == config.off_value:
-        power_on = False
-    else:
-        raise ConfigError(f"data byte {frame.data:#04x} is neither on nor off value")
-    return LoDividerCommand.from_config(chain, power_on, config)
+    for power_on in (False, True):
+        if frame == lo_divider_command(power_on, config):
+            return power_on
+    raise ConfigError(f"{frame} is not an LO divider write under {config}")

@@ -2,7 +2,8 @@
 
 Budgets, compliance and the config dump are exact rational arithmetic and
 start without numpy: only `trace` and `noise` load the array layers
-(`zifsim.rf`, `zifsim.sim`). Each case runs in a fresh interpreter, since
+(`zifsim.rf`, `zifsim.sim`), and no subcommand loads the SPI codec
+(`zifsim.spi`). Each case runs in a fresh interpreter, since
 a module once imported stays in `sys.modules`.
 """
 
@@ -21,11 +22,11 @@ import zifsim.rf
 import zifsim.sim
 
 SRC = Path(zifsim.__file__).resolve().parent.parent
-ARRAY_MODULES = ["numpy", "zifsim.rf", "zifsim.sim"]
+WATCHED = ["numpy", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
 
 # Runs `python -m zifsim.cli ARGV` (argv given as JSON, null for a bare
 # `import zifsim`) with its output captured, then prints the exit code and
-# which of ARRAY_MODULES are loaded.
+# which of WATCHED are loaded.
 PROBE = """
 import contextlib, io, json, runpy, sys
 argv, watched = map(json.loads, sys.argv[1:])
@@ -54,7 +55,7 @@ def run_python(*args) -> str:
 
 
 def probe(argv):
-    code, loaded = json.loads(run_python(PROBE, json.dumps(argv), json.dumps(ARRAY_MODULES)))
+    code, loaded = json.loads(run_python(PROBE, json.dumps(argv), json.dumps(WATCHED)))
     return code, loaded
 
 
@@ -74,7 +75,7 @@ def test_exact_subcommands_start_without_numpy(argv):
 
 @pytest.mark.parametrize("argv, loaded", [
     (["trace"], ["numpy", "zifsim.sim"]),
-    (["noise", "--mode", "fdd", "--band", "2g4"], ARRAY_MODULES),
+    (["noise", "--mode", "fdd", "--band", "2g4"], ["numpy", "zifsim.rf", "zifsim.sim"]),
 ])
 def test_array_subcommands_load_the_array_layers(argv, loaded):
     assert probe(argv) == (0, loaded)
@@ -85,6 +86,12 @@ def test_importing_rf_loads_sim():
     # after importing `rf`
     code = "import sys, zifsim.rf; print('zifsim.sim' in sys.modules)"
     assert run_python(code).strip() == "True"
+
+
+def test_no_module_imports_the_spi_codec():
+    code = ("import sys, zifsim.cli, zifsim.config, zifsim.ensm, zifsim.mac, zifsim.rf, "
+            "zifsim.sim; print('zifsim.spi' in sys.modules)")
+    assert run_python(code).strip() == "False"
 
 
 def test_bare_import_loads_no_submodule():
@@ -143,6 +150,7 @@ def test_unknown_attribute_raises():
     (zifsim, "RfModelParams"),
     (zifsim, "Command"),
     (zifsim, "CommandKind"),
+    (zifsim, "frame_duration_ns"),
 ])
 def test_reexports_are_the_same_objects(module, name):
     assert getattr(module, name) is getattr(zifsim.params, name)

@@ -10,7 +10,6 @@ from zifsim import (
     ProtocolDeadline,
     check,
     compliance_matrix,
-    matrix_to_csv,
     worst_case_tt_ns,
 )
 
@@ -107,12 +106,3 @@ def test_fdd_passes_every_positive_deadline(clocks, profile):
 def test_matrix_rejects_empty_deadlines(clocks, profile):
     with pytest.raises(ValueError):
         compliance_matrix(clocks, profile, [])
-
-
-def test_matrix_csv_format(clocks, profile):
-    text = matrix_to_csv(compliance_matrix(clocks, profile, [SIFS_2G4]))
-    lines = text.splitlines()
-    assert lines[0] == "mode,deadline,tt_ns,pass,margin_ns"
-    assert lines[1] == "standard-ensm-tdd,sifs-2g4,55000,false,-45000"
-    assert lines[-1] == "lo-control,sifs-2g4,640,true,9360"
-    assert len(lines) == 7

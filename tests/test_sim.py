@@ -299,6 +299,12 @@ def test_sample_trace_rejects_windows_beyond_exact_float_times(clocks, profile):
       (700, CommandKind.TX_PACKET_START), (900, CommandKind.TX_PACKET_END),
       (1000, CommandKind.LO_OFF)],
      LoStep(0, Direction.RX_TO_TX, 30.0, 1500)),
+
+    # a no-op write (the LO already on) does not end the step
+    ([(0, CommandKind.LO_ON), (480, CommandKind.LO_ON)],
+     LoStep(0, Direction.RX_TO_TX, 30.0, None)),
+    ([(0, CommandKind.LO_ON), (480, CommandKind.LO_ON), (960, CommandKind.LO_OFF)],
+     LoStep(0, Direction.RX_TO_TX, 30.0, 1460)),
 ])
 def test_find_step_takes_the_first_lo_command_at_or_after_the_trigger(
         clocks, profile, schedule, expected):
@@ -306,18 +312,36 @@ def test_find_step_takes_the_first_lo_command_at_or_after_the_trigger(
 
 
 def test_find_step_takes_the_level_of_the_commands_own_divider_event(clocks):
-    # with a 2000 ns power-up, the first lo-on's divider event lands at
-    # 2480 ns, after the trigger; the step is the second lo-on's, at 3440
-    # ns, and no LO state change follows it
+    # with a 2000 ns power-up the lo-on at 1000 ns lands at 3480 ns, after
+    # the divider event (3000 ns) of the lo-off at the trigger: the step is
+    # the lo-off's own event, and the late power-up ends its window
     profile = TimingProfile(lo_div_powerup_ns=2000)
-    schedule = [(0, CommandKind.LO_ON), (480, CommandKind.LO_OFF),
-                (960, CommandKind.LO_ON), (960, CommandKind.TRIGGER)]
+    schedule = [(0, CommandKind.LO_ON), (1000, CommandKind.LO_ON),
+                (2500, CommandKind.TRIGGER), (2500, CommandKind.LO_OFF)]
     timeline = _expand(schedule, clocks, profile)
-    assert timeline.time_ns(timeline.step_index) == 3440
+    assert timeline.time_ns(timeline.step_index) == 3000
     step = find_step(timeline)
-    assert step == LoStep(960, Direction.RX_TO_TX, 30.0, None)
+    assert step == LoStep(2500, Direction.TX_TO_RX, 0.0, 3480)
     trace = sample_trace(timeline, (0, 5000), interval_ns=50)
-    assert measure_turnaround(trace, step) == 1540
+    assert measure_turnaround(trace, step) == 500
+
+
+@pytest.mark.parametrize("schedule, powerup_ns, trigger_ns", [
+    # the LO is on from 640 ns; the packet edge at 2100 ns is no LO step
+    ([(0, CommandKind.LO_ON), (2000, CommandKind.TRIGGER), (2000, CommandKind.LO_ON),
+      (2100, CommandKind.TX_PACKET_START), (5000, CommandKind.TX_PACKET_END)], 160, 2000),
+    # with a 2000 ns power-up, the first lo-on's divider event lands at
+    # 2480 ns, after the trigger, and the second lo-on's, at 3440 ns, finds
+    # the LO already on
+    ([(0, CommandKind.LO_ON), (480, CommandKind.LO_OFF),
+      (960, CommandKind.LO_ON), (960, CommandKind.TRIGGER)], 2000, 960),
+])
+def test_find_step_refuses_a_write_that_finds_the_lo_in_its_state(
+        clocks, schedule, powerup_ns, trigger_ns):
+    timeline = _expand(schedule, clocks, TimingProfile(lo_div_powerup_ns=powerup_ns))
+    assert not timeline.lo_change[timeline.step_index]
+    with pytest.raises(MeasurementError, match=f"at {trigger_ns} ns finds the LO already on"):
+        find_step(timeline)
 
 
 def test_step_that_misses_its_window_is_not_measured(clocks, profile):

@@ -144,10 +144,25 @@ def oracle_expand(commands, clocks, profile, band, rf):
 LO_KINDS = (CommandKind.LO_ON, CommandKind.LO_OFF)
 
 
+def oracle_lo_changes(commands, events):
+    """Indices of the divider events that change the LO state, in time
+    order from the initial state."""
+    lo_on = oracle_initial_lo_on(commands)
+    changes = []
+    for k, event in enumerate(events):
+        if event.effect in (Effect.LO_POWERED_UP, Effect.LO_POWERED_DOWN):
+            if (event.effect is Effect.LO_POWERED_UP) != lo_on:
+                changes.append(k)
+            lo_on = event.effect is Effect.LO_POWERED_UP
+    return changes
+
+
 def oracle_step(commands, clocks, profile, events):
     """The LoStep of a schedule whose expansion is `events`, or the message
     of the MeasurementError: the first LO command at or after the trigger,
-    and the level its own divider event sets."""
+    the level its own divider event sets, and the time of the next divider
+    event that changes the LO state. A command whose divider event finds
+    the LO already in its state has no step."""
     trigger_ns = next((c.time_ns for c in commands if c.kind is CommandKind.TRIGGER), None)
     if trigger_ns is None:
         trigger_ns = next((c.time_ns for c in commands if c.kind in LO_KINDS), None)
@@ -158,17 +173,20 @@ def oracle_step(commands, clocks, profile, events):
     if command is None:
         return f"no LO command at or after the trigger at {trigger_ns} ns"
     if command.kind is CommandKind.LO_ON:
-        direction, effect = Direction.RX_TO_TX, Effect.LO_POWERED_UP
+        direction, effect, state = Direction.RX_TO_TX, Effect.LO_POWERED_UP, "on"
         delay = profile.lo_div_powerup_ns
     else:
-        direction, effect = Direction.TX_TO_RX, Effect.LO_POWERED_DOWN
+        direction, effect, state = Direction.TX_TO_RX, Effect.LO_POWERED_DOWN, "off"
         delay = profile.lo_div_powerdown_ns
     # two LO writes of one kind lie at least a frame apart, so the time
     # and effect name the command's divider event
     at = command.time_ns + frame_duration_ns(clocks) + delay
     index = next(k for k, e in enumerate(events) if (e.time_ns, e.effect) == (at, effect))
-    end_ns = next((e.time_ns for e in events[index + 1:]
-                   if e.effect in (Effect.LO_POWERED_UP, Effect.LO_POWERED_DOWN)), None)
+    changes = oracle_lo_changes(commands, events)
+    if index not in changes:
+        return (f"the first LO command at or after the trigger at {trigger_ns} ns finds "
+                f"the LO already {state}")
+    end_ns = next((events[k].time_ns for k in changes if k > index), None)
     return LoStep(trigger_ns, direction, events[index].power_after_dbr, end_ns)
 
 
@@ -435,7 +453,8 @@ def test_expansion_fails_like_the_loop(case):
 @PROFILE
 @given(crowded_schedules(), st.sampled_from((0, 700, 2000)), st.sampled_from((0, 700, 2000)))
 # a divider delay longer than the command spacing: the first lo-on's
-# divider event comes after the trigger, the second lo-on's is the step
+# divider event comes after the trigger, and the second lo-on's finds the
+# LO already on
 @example(([Command(0, CommandKind.LO_ON), Command(480, CommandKind.LO_OFF),
            Command(960, CommandKind.LO_ON), Command(960, CommandKind.TRIGGER)],
           ClockConfig(), TimingProfile()), 1840, 0)
@@ -443,6 +462,11 @@ def test_expansion_fails_like_the_loop(case):
           ClockConfig(), TimingProfile()), 0, 0)
 @example(([Command(0, CommandKind.LO_ON), Command(9, CommandKind.TRIGGER)],
           ClockConfig(), TimingProfile()), 0, 0)
+# a no-op write after the trigger, and one that would end the step early
+@example(([Command(0, CommandKind.LO_ON), Command(2000, CommandKind.TRIGGER),
+           Command(2000, CommandKind.LO_ON)], ClockConfig(), TimingProfile()), 0, 0)
+@example(([Command(0, CommandKind.LO_ON), Command(480, CommandKind.LO_ON),
+           Command(960, CommandKind.LO_OFF)], ClockConfig(), TimingProfile()), 0, 0)
 def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_down):
     commands, clocks, profile = case
     # longer delays keep the schedule valid: only the frame spaces LO writes

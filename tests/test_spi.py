@@ -1,16 +1,16 @@
-"""Frame codec, wire timing, and LO divider command mapping."""
+"""Frame codec, wire timing, and the Tx LO divider write."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zifsim import (
     BitSequence,
-    Chain,
     ClockConfig,
     ConfigError,
-    LoDividerCommand,
     LoDividerConfig,
     MalformedFrameError,
     SpiFrame,
@@ -145,8 +145,8 @@ def test_frame_duration_overclock_guard():
 
 def test_lo_divider_command_frames():
     config = LoDividerConfig()
-    on = lo_divider_command(Chain.TX, True, config)
-    off = lo_divider_command(Chain.TX, False, config)
+    on = lo_divider_command(True, config)
+    off = lo_divider_command(False, config)
     assert on.write_flag and off.write_flag
     assert on.register_address == off.register_address == config.tx_register
     assert on.extra_byte_count == off.extra_byte_count == 0
@@ -155,26 +155,82 @@ def test_lo_divider_command_frames():
     assert on == SpiFrame(True, 0, off.register_address, config.on_value)
 
 
-def test_lo_divider_rx_chain_unconfigured():
-    with pytest.raises(ConfigError):
-        lo_divider_command(Chain.RX, True, LoDividerConfig())
-
-
 def test_lo_divider_command_roundtrip():
-    config = LoDividerConfig(tx_register=0x3A0, rx_register=0x1B2,
-                             on_value=0x12, off_value=0x34)
-    for chain in Chain:
-        for power_on in (False, True):
-            command = LoDividerCommand.from_config(chain, power_on, config)
-            frame = decode_frame(encode_frame(command.to_frame()))
-            assert command_from_frame(frame, config) == command
+    config = LoDividerConfig(tx_register=0x3A0, on_value=0x12, off_value=0x34)
+    for power_on in (False, True):
+        frame = decode_frame(encode_frame(lo_divider_command(power_on, config)))
+        assert command_from_frame(frame, config) is power_on
 
 
 def test_command_from_frame_rejects_foreign_frames():
     config = LoDividerConfig()
-    with pytest.raises(ConfigError):
-        command_from_frame(SpiFrame(register_address=0x123, data=0x00), config)
-    with pytest.raises(ConfigError):
-        command_from_frame(
-            SpiFrame(register_address=config.tx_register, data=0x55), config
-        )
+    register = config.tx_register
+    for frame in (
+        SpiFrame(register_address=0x123, data=0x00),  # another register
+        SpiFrame(register_address=register, data=0x55),  # neither on nor off
+        SpiFrame(write_flag=False, register_address=register),  # a read
+        SpiFrame(extra_byte_count=3, register_address=register),  # 4-byte transfer
+    ):
+        with pytest.raises(ConfigError, match="is not an LO divider write"):
+            command_from_frame(frame, config)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tx_register": 1024}, "tx_register must be an integer that fits 10 bits"),
+    ({"tx_register": 5000}, "tx_register must be an integer that fits 10 bits"),
+    ({"tx_register": -1}, "tx_register must be an integer that fits 10 bits"),
+    ({"tx_register": 5.5}, "tx_register must be an integer that fits 10 bits"),
+    ({"on_value": 256}, "on_value must be an integer that fits 8 bits"),
+    ({"off_value": -1}, "off_value must be an integer that fits 8 bits"),
+    ({"on_value": 0, "off_value": 0}, "must differ"),
+    ({"on_value": 0x7F, "off_value": 0x7F}, "must differ"),
+])
+def test_lo_divider_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        LoDividerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tx_register": 0, "on_value": 0, "off_value": 255},
+    {"tx_register": 1023, "on_value": 255, "off_value": 0},
+])
+def test_lo_divider_config_accepts_field_extremes(kwargs):
+    config = LoDividerConfig(**kwargs)
+    assert command_from_frame(lo_divider_command(False, config), config) is False
+
+
+divider_configs = st.tuples(
+    st.integers(0, 1023), st.integers(0, 255), st.integers(0, 255)
+).filter(lambda t: t[1] != t[2]).map(lambda t: LoDividerConfig(*t))
+
+
+@st.composite
+def config_and_frame(draw):
+    """A valid config and a frame whose fields are often the config's, so
+    that many drawn frames are divider writes and the rest differ from one
+    in a single field."""
+    config = draw(divider_configs)
+    frame = SpiFrame(
+        write_flag=draw(st.booleans()),
+        extra_byte_count=draw(st.sampled_from([0, 0, 3]) | st.integers(0, 7)),
+        register_address=draw(st.just(config.tx_register) | st.integers(0, 1023)),
+        data=draw(st.sampled_from([config.on_value, config.off_value]) | st.integers(0, 255)),
+    )
+    return config, frame
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(config_and_frame())
+@example((LoDividerConfig(), SpiFrame(write_flag=False, register_address=0x005, data=0x01)))
+@example((LoDividerConfig(), SpiFrame(extra_byte_count=3, register_address=0x005, data=0x00)))
+def test_command_from_frame_inverts_lo_divider_command(drawn):
+    # every frame either decodes to the power state that encodes to it
+    # exactly, or is refused
+    config, frame = drawn
+    try:
+        power_on = command_from_frame(frame, config)
+    except ConfigError:
+        assert frame not in (lo_divider_command(p, config) for p in (False, True))
+    else:
+        assert type(power_on) is bool
+        assert lo_divider_command(power_on, config) == frame
