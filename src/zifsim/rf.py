@@ -21,6 +21,8 @@ from .errors import DataError, FilterRefusedError
 from .params import Band, RfModelParams
 
 IQ_LIMIT = 32767  # samples are signed 16-bit
+MAX_POWER = 2 * IQ_LIMIT**2  # the largest i*i + q*q, below 2**31 - 1
+SYNTH_CHUNK = 1 << 18  # (i, q) pairs per normal draw in synthesize_capture
 
 
 def rx_noise_floor(mode: EnsmMode, band: Band, params: RfModelParams) -> float:
@@ -69,13 +71,13 @@ class IqCapture:
         return self.samples.shape[0]
 
 
-def _linear_power(samples: np.ndarray) -> np.ndarray:
-    """Per-sample i*i + q*q as float64.
+def _power(samples: np.ndarray) -> np.ndarray:
+    """Per-sample i*i + q*q as a contiguous int32 array.
 
-    Exact: q*q fits int32 and every sum is an integer below 2**53.
+    Exact: every value is an integer of at most MAX_POWER.
     """
     i, q = samples[:, 0], samples[:, 1]
-    power = np.multiply(i, i, dtype=np.float64)
+    power = np.multiply(i, i, dtype=np.int32)
     power += np.multiply(q, q, dtype=np.int32)
     return power
 
@@ -88,23 +90,29 @@ def _to_db(power: np.ndarray, out=None) -> np.ndarray:
     return db
 
 
-def _mean_power_db(power: np.ndarray) -> float:
-    if power.size == 0:
+def _mean_power_db(total: int, count: int) -> float:
+    """10*log10 of the mean power, from the exact sum of `count` powers.
+
+    Python's int / int is correctly rounded, so while the sum is below
+    2**53 this equals np.mean of the float64 powers; above it, it is the
+    exact mean rounded once.
+    """
+    if count == 0:
         raise DataError("cannot average an empty capture")
-    mean_power = float(np.mean(power))
-    if mean_power == 0.0:
+    if total == 0:
         raise DataError("all-zero capture has no finite power")
-    return 10.0 * math.log10(mean_power)
+    return 10.0 * math.log10(total / count)
 
 
 def average_power_db(capture: IqCapture) -> float:
     """10*log10 of mean(i^2 + q^2), relative dB."""
-    return _mean_power_db(_linear_power(capture.samples))
+    power = _power(capture.samples)
+    return _mean_power_db(int(power.sum(dtype=np.int64)), power.size)
 
 
 def sample_power_db(capture: IqCapture) -> np.ndarray:
     """Per-sample power in dB; zero samples map to -inf."""
-    power = _linear_power(capture.samples)
+    power = _power(capture.samples).astype(np.float64)
     return _to_db(power, out=power)
 
 
@@ -139,26 +147,81 @@ def _median(series: np.ndarray) -> float:
     return np.mean(np.array([part[:k].max(), part[k]]))
 
 
-def _dilate(hot: np.ndarray, guard: int) -> np.ndarray:
-    """Widen every run of True by guard samples on each side, clamped.
+def _median_db(power: np.ndarray) -> float:
+    """_median of the dB series of a non-empty int32 power array.
 
+    dB is monotone in power, so the middle dB values are the dB of the
+    middle powers; only those one or two values are converted.
+    """
+    k = power.size // 2
+    part = np.partition(power, k)
+    middle = [part[k]] if power.size % 2 else [part[:k].max(), part[k]]
+    return np.mean(_to_db(np.array(middle, dtype=np.float64)))
+
+
+def _min_power_above(level_db: float) -> int:
+    """The smallest integer power whose _to_db exceeds level_db.
+
+    MAX_POWER + 1 when none does. Bisection is exact because 10*log10 in
+    float64 never decreases from one integer to the next in 0..2**31.
+    """
+    lo, hi = 0, MAX_POWER + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _to_db(np.array([mid], dtype=np.float64))[0] > level_db:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _check_filter_args(n: int, threshold_db_above_median: float, guard_samples: int):
+    if n == 0:
+        raise ValueError("power series is empty")
+    if not (threshold_db_above_median > 0 and math.isfinite(threshold_db_above_median)):
+        raise ValueError("threshold must be positive and finite")
+    if guard_samples < 0:
+        raise ValueError("guard_samples must be non-negative")
+
+
+def _removed_runs(hot: np.ndarray, guard_samples: int):
+    """Every run of True widened by guard_samples on each side, clamped.
+
+    Returns the starts and ends (exclusive) of the removed runs, with runs
+    that now touch or overlap merged, and the number of samples they hold.
     Works on run edges, so the cost is O(n) whatever the guard width.
+    Refuses when the runs cover more than 90% of the series, since the
+    remainder would not be a trustworthy floor estimate.
     """
     n = hot.size
+    # a guard of n already reaches both ends; a wider one overflows int64
+    guard = min(guard_samples, n)
     padded = np.concatenate(([False], hot, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     starts = np.maximum(edges[::2] - guard, 0)
     ends = np.minimum(edges[1::2] + guard, n)
-    # merge widened runs that now overlap: a merged run begins at each
-    # start that clears the end before it; with no runs all stay empty
-    fresh = np.flatnonzero(starts[1:] >= ends[:-1]) + 1
+    # a merged run begins at each start past the end before it; with no
+    # runs all stay empty
+    fresh = np.flatnonzero(starts[1:] > ends[:-1]) + 1
     starts = np.concatenate((starts[:1], starts[fresh]))
     ends = np.concatenate((ends[fresh - 1], ends[-1:]))
+
+    n_removed = int((ends - starts).sum())
+    if n_removed > 0.9 * n:
+        raise FilterRefusedError(
+            f"filter would remove {n_removed} of {n} samples; "
+            "series is too noisy to estimate a floor"
+        )
+    return starts, ends, n_removed
+
+
+def _keep_mask(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
+    """False inside the runs [start, end), True elsewhere."""
     # stretches alternate kept, removed: [0, s0) [s0, e0) [e0, s1) ... [e, n)
     bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(), [n]))
-    removed = np.zeros(bounds.size - 1, dtype=bool)
-    removed[1::2] = True
-    return np.repeat(removed, np.diff(bounds))
+    kept = np.zeros(bounds.size - 1, dtype=bool)
+    kept[::2] = True
+    return np.repeat(kept, np.diff(bounds))
 
 
 def filter_packets(
@@ -175,24 +238,14 @@ def filter_packets(
     whatever the guard width.
     """
     series = np.asarray(power_series, dtype=np.float64)
-    if series.size == 0:
-        raise ValueError("power series is empty")
-    if not (threshold_db_above_median > 0 and math.isfinite(threshold_db_above_median)):
-        raise ValueError("threshold must be positive and finite")
-    if guard_samples < 0:
-        raise ValueError("guard_samples must be non-negative")
-
+    _check_filter_args(series.size, threshold_db_above_median, guard_samples)
     hot = series > _median(series) + threshold_db_above_median
-    # a guard of n already reaches both ends; a wider one overflows int64
-    removed = _dilate(hot, min(guard_samples, series.size))
-
-    n_removed = int(np.count_nonzero(removed))
-    if n_removed > 0.9 * series.size:
-        raise FilterRefusedError(
-            f"filter would remove {n_removed} of {series.size} samples; "
-            "series is too noisy to estimate a floor"
-        )
-    return PacketFilterResult(series=series, keep_mask=~removed, samples_filtered=n_removed)
+    starts, ends, n_removed = _removed_runs(hot, guard_samples)
+    return PacketFilterResult(
+        series=series,
+        keep_mask=_keep_mask(starts, ends, series.size),
+        samples_filtered=n_removed,
+    )
 
 
 @dataclass
@@ -200,6 +253,8 @@ class NoiseFloorReport:
     average_power_db: float
     sample_count_used: int
     samples_filtered: int
+    threshold_db: float  # the burst limit: median sample power in dB + threshold
+    removed_runs: np.ndarray  # (k, 2) int64: start and length of each removed run
 
 
 def noise_floor_report(
@@ -209,18 +264,25 @@ def noise_floor_report(
 ) -> NoiseFloorReport:
     """Full analysis pipeline: per-sample power, burst filter, average.
 
-    Linear power is computed once; the filter sees its dB series and the
-    average is taken over the kept linear values.
+    Equals filter_packets on sample_power_db followed by average_power_db
+    of the kept samples, but works on the int32 power alone: a sample is
+    a burst when its power reaches the smallest integer power above the
+    dB limit, and the average comes from the exact int64 sum of the kept
+    power. No float64 array of the capture's length is made.
     """
-    power = _linear_power(capture.samples)
-    result = filter_packets(_to_db(power), threshold_db_above_median, guard_samples)
-    keep_mask, n_filtered = result.keep_mask, result.samples_filtered
-    del result  # frees the dB series before the kept power is copied out
-    kept = power[keep_mask]
+    power = _power(capture.samples)
+    _check_filter_args(power.size, threshold_db_above_median, guard_samples)
+    threshold_db = _median_db(power) + threshold_db_above_median
+    hot = power >= _min_power_above(threshold_db)
+    starts, ends, n_removed = _removed_runs(hot, guard_samples)
+    keep = _keep_mask(starts, ends, power.size)
+    used = power.size - n_removed
     return NoiseFloorReport(
-        average_power_db=_mean_power_db(kept),
-        sample_count_used=kept.size,
-        samples_filtered=n_filtered,
+        average_power_db=_mean_power_db(int(np.sum(power, dtype=np.int64, where=keep)), used),
+        sample_count_used=used,
+        samples_filtered=n_removed,
+        threshold_db=float(threshold_db),
+        removed_runs=np.column_stack((starts, ends - starts)),
     )
 
 
@@ -325,7 +387,12 @@ def synthesize_capture(
     target = 10.0 ** (rx_noise_floor(mode, band, params) / 10.0)
     sigma = math.sqrt(target / 2.0)
     rng = np.random.default_rng(seed)
-    iq = rng.normal(0.0, sigma, size=(n_samples, 2))
-    np.rint(iq, out=iq)
-    np.clip(iq, -IQ_LIMIT, IQ_LIMIT, out=iq)
-    return IqCapture(iq.astype(np.int16), band=band, mode=mode)
+    # consecutive draws continue one stream, so drawing in chunks gives the
+    # same samples as one (n, 2) draw without its float64 block
+    samples = np.empty((n_samples, 2), dtype=np.int16)
+    for start in range(0, n_samples, SYNTH_CHUNK):
+        iq = rng.normal(0.0, sigma, size=(min(SYNTH_CHUNK, n_samples - start), 2))
+        np.rint(iq, out=iq)
+        np.clip(iq, -IQ_LIMIT, IQ_LIMIT, out=iq)
+        samples[start:start + len(iq)] = iq
+    return IqCapture(samples, band=band, mode=mode)

@@ -11,6 +11,7 @@ total width is fixed by the device's instruction format, so the field
 split is documented here and pinned by the tests rather than configurable.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError, MalformedFrameError
@@ -32,17 +33,24 @@ class SpiFrame:
     data: int = 0  # 8-bit
 
     def __post_init__(self):
-        if not 0 <= self.extra_byte_count < (1 << EXTRA_COUNT_BITS):
-            raise ValueError(
-                f"extra_byte_count out of range: {self.extra_byte_count} (0..7)"
-            )
-        if not 0 <= self.register_address < (1 << ADDRESS_BITS):
-            raise ValueError(
-                f"register_address out of range: {self.register_address} (0..1023)"
-            )
-        if not 0 <= self.data < (1 << DATA_BITS):
-            raise ValueError(f"data out of range: {self.data} (0..255)")
+        for name, bits in (("extra_byte_count", EXTRA_COUNT_BITS),
+                           ("register_address", ADDRESS_BITS), ("data", DATA_BITS)):
+            _store_field_int(self, name, bits)
         object.__setattr__(self, "write_flag", bool(self.write_flag))
+
+
+def _store_field_int(obj, name: str, bits: int) -> None:
+    """Check that a frozen dataclass field is an integer that fits `bits`
+    unsigned bits, and store it as a plain int."""
+    value = getattr(obj, name)
+    try:
+        number = operator.index(value)  # refuses floats, even integral ones
+        fits = 0 <= number < (1 << bits)
+    except TypeError:
+        fits = False
+    if not fits:
+        raise ValueError(f"{name} must be an integer that fits {bits} bits, got {value!r}")
+    object.__setattr__(obj, name, number)
 
 
 @dataclass(frozen=True)
@@ -132,11 +140,7 @@ class LoDividerConfig:
     def __post_init__(self):
         for name, bits in (("tx_register", ADDRESS_BITS), ("on_value", DATA_BITS),
                            ("off_value", DATA_BITS)):
-            value = getattr(self, name)
-            if value != int(value) or not 0 <= value < (1 << bits):
-                raise ValueError(
-                    f"{name} must be an integer that fits {bits} bits, got {value!r}"
-                )
+            _store_field_int(self, name, bits)
         if self.on_value == self.off_value:
             raise ValueError(f"on_value and off_value must differ, both are {self.on_value}")
 

@@ -41,6 +41,14 @@ def brute_force_keep_mask(series, threshold_db, guard):
     return [not r for r in removed]
 
 
+def removed_mask(runs, n):
+    """Bool mask of the (start, length) runs of a NoiseFloorReport."""
+    removed = np.zeros(n, dtype=bool)
+    for start, length in runs:
+        removed[start:start + length] = True
+    return removed
+
+
 def brute_force_average_db(samples):
     """Double-pass mean power over (i, q) rows, plain Python arithmetic."""
     import math

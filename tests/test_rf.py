@@ -4,6 +4,7 @@ import math
 import os
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,14 @@ from zifsim import (
     synthesize_capture,
 )
 
+from zifsim.rf import SYNTH_CHUNK
+
 from conftest import (
     brute_force_average_db,
     brute_force_keep_mask,
     make_burst_capture,
     make_burst_series,
+    removed_mask,
 )
 
 TDD_MODES = (EnsmMode.STANDARD_ENSM_TDD, EnsmMode.STANDARD_TDD,
@@ -292,6 +296,87 @@ def test_report_counts_injected_bursts(rf):
     )
 
 
+def test_report_removes_every_injected_burst(rf):
+    # constant-envelope bursts 20 dB over a synthesized floor: every burst
+    # sample must lie in one of the report's removed runs, whatever the guard
+    rng = np.random.default_rng(2024)
+    for trial in range(40):
+        mode = (EnsmMode.FDD, EnsmMode.LO_CONTROL, EnsmMode.STANDARD_TDD)[trial % 3]
+        band = list(Band)[trial % 2]
+        n = int(rng.integers(1_000, 20_000))
+        samples = synthesize_capture(mode, band, rf, n, seed=trial).samples.copy()
+        amplitude = round(math.sqrt(10.0 ** ((rx_noise_floor(mode, band, rf) + 20.0) / 10.0) / 2.0))
+        injected = np.zeros(n, dtype=bool)
+        for _ in range(int(rng.integers(1, 6))):
+            length = int(rng.integers(1, n // 20))
+            start = int(rng.integers(0, n - length + 1))
+            samples[start:start + length] = rng.choice((-amplitude, amplitude), size=(length, 2))
+            injected[start:start + length] = True
+        report = noise_floor_report(IqCapture(samples), guard_samples=int(rng.choice((0, 1, 16, 40))))
+        removed = removed_mask(report.removed_runs, n)
+        assert removed[injected].all()
+        assert report.samples_filtered == np.count_nonzero(removed)
+
+
+def test_report_merges_touching_runs():
+    # hot samples at 10 and 13 with a guard of 1 widen to [9, 12) and
+    # [12, 15); the report shows them as the one run they remove
+    samples = np.full((40, 2), 10, dtype=np.int16)
+    samples[[10, 13]] = 3000
+    report = noise_floor_report(IqCapture(samples), guard_samples=1)
+    assert report.removed_runs.tolist() == [[9, 6]]
+    assert report.samples_filtered == 6
+
+
+# Three consecutive integer powers, each as an (i, q) sample, from 8 up to
+# where the int16 square still holds consecutive sums, and a floor sample
+# well below them. (A zero-power median removes every nonzero sample, so
+# the report refuses those captures as all-zero; the hypothesis properties
+# cover them.)
+BOUNDARY_CASES = [
+    (((2, 2), (3, 0), (3, 1)), (1, 0)),
+    (((1984, 252), (1985, 244), (1971, 339)), (200, 0)),
+    (((27132, 18372), (25280, 20847), (32503, 4151)), (3000, 0)),
+    (((30904, 23344), (27828, 26937), (31427, 22635)), (3000, 0)),
+]
+
+
+@pytest.mark.parametrize("triple, floor", BOUNDARY_CASES)
+def test_burst_limit_boundary_matches_db_path(triple, floor):
+    # the integer limit p_star, the smallest power above the dB limit, set
+    # exactly on the middle sample: p_star - 1 stays, p_star and p_star + 1
+    # go, as filter_packets decides on the dB series
+    powers = [i * i + q * q for i, q in triple]
+    assert powers == [powers[1] - 1, powers[1], powers[1] + 1]
+    rows = [floor] * 100
+    at = [25, 50, 75]
+    for k, sample in zip(at, triple):
+        rows[k] = sample
+    capture = IqCapture(np.array(rows, dtype=np.int16))
+    series = sample_power_db(capture)
+    median = np.median(series)
+    below, limit = series[at[0]], series[at[1]]
+    # thresholds near the one whose limit lands in [dB(p_star - 1), dB(p_star))
+    candidates = [below - median]
+    for direction in (-math.inf, math.inf):
+        threshold = candidates[0]
+        for _ in range(3):
+            threshold = np.nextafter(threshold, direction)
+            candidates.append(threshold)
+    checked = 0
+    for threshold in candidates:
+        cut = median + threshold
+        if not (threshold > 0 and below <= cut < limit):
+            continue
+        report = noise_floor_report(capture, threshold, guard_samples=0)
+        assert report.threshold_db == cut
+        keep = filter_packets(series, threshold, guard_samples=0).keep_mask
+        assert keep[at].tolist() == [True, False, False]
+        assert np.array_equal(removed_mask(report.removed_runs, len(capture)), ~keep)
+        checked += 1
+    assert checked
+
+
 def test_capture_roundtrip(tmp_path, rf):
     capture = synthesize_capture(EnsmMode.LO_CONTROL, Band.B5G, rf, 256, seed=9)
     path = tmp_path / "capture.iq"
@@ -370,3 +455,33 @@ def test_load_capture_bad_sidecar_names_file_and_key(tmp_path, line, key):
 def test_synthesize_validation(rf):
     with pytest.raises(ValueError):
         synthesize_capture(EnsmMode.FDD, Band.B2G4, rf, 0, seed=1)
+
+
+@pytest.mark.parametrize("n", [SYNTH_CHUNK - 1, SYNTH_CHUNK, SYNTH_CHUNK + 1, 2 * SYNTH_CHUNK + 3])
+def test_synthesize_draws_one_stream_in_chunks(rf, n):
+    # the chunked draws equal one (n, 2) draw, rounded, clipped and cast
+    capture = synthesize_capture(EnsmMode.FDD, Band.B5G, rf, n, seed=11)
+    sigma = math.sqrt(10.0 ** (rx_noise_floor(EnsmMode.FDD, Band.B5G, rf) / 10.0) / 2.0)
+    iq = np.random.default_rng(11).normal(0.0, sigma, (n, 2))
+    expected = np.clip(np.rint(iq), -32767, 32767).astype(np.int16)
+    assert np.array_equal(capture.samples, expected)
+
+
+def test_noise_path_memory_per_sample(rf):
+    # numpy reports its buffers to tracemalloc; a float64 copy of the
+    # capture's length would cost 8 bytes per sample on its own
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        capture = synthesize_capture(EnsmMode.FDD, Band.B2G4, rf, n, seed=5)
+        synthesis = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        noise_floor_report(capture)
+        report = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert synthesis < 16 * n
+    assert report < 12 * n

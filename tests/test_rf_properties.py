@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from zifsim import (
     DataError,
+    FilterRefusedError,
     IqCapture,
     average_power_db,
     filter_packets,
@@ -18,6 +19,8 @@ from zifsim import (
     noise_floor_report,
     sample_power_db,
 )
+
+from conftest import removed_mask
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -28,16 +31,24 @@ thresholds = st.floats(0.5, 30.0)
 @st.composite
 def burst_captures(draw):
     """int16 captures: a noise floor with zero runs and strong bursts,
-    edges included, plus a guard from 0 to beyond the length."""
+    edges included, plus a guard from 0 to beyond the length.
+
+    The floor amplitude spans the whole int16 range, so the integer burst
+    limit lands anywhere in 0..2**31. Zero-power samples, drawn last, can
+    fill half or more of the capture, so the median may be -inf dB at odd
+    and even lengths.
+    """
     n = draw(st.integers(1, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amplitude = draw(st.integers(0, 300))
+    amplitude = draw(st.integers(0, 300) | st.integers(0, 32_767))
     samples = rng.integers(-amplitude, amplitude + 1, size=(n, 2))
     for _ in range(draw(st.integers(0, 4))):
         width = draw(st.integers(1, n))
         start = draw(st.sampled_from((0, n - width)) | st.integers(0, n - width))
         level = draw(st.sampled_from((0, 2_000, 32_767)))
         samples[start:start + width] = rng.integers(-level, level + 1, size=(width, 2))
+    zeros = draw(st.integers(0, n // 3) | st.sampled_from((n // 2, (n + 1) // 2, n)))
+    samples[rng.permutation(n)[:zeros]] = 0
     guard = draw(st.integers(0, n + 20))
     return IqCapture(samples.astype(np.int16)), guard
 
@@ -67,6 +78,27 @@ def test_report_equals_layer_composition(case, threshold):
 
     expected = outcome(composed_report, capture, threshold, guard)
     assert outcome(report, capture, threshold, guard) == expected
+
+
+@PROFILE
+@given(burst_captures(), thresholds)
+def test_report_shows_the_db_path_limit_and_runs(case, threshold):
+    # the report's dB limit and removed runs are the dB path's median + the
+    # threshold and the complement of filter_packets' keep mask
+    capture, guard = case
+    series = sample_power_db(capture)
+    try:
+        keep = filter_packets(series, threshold, guard).keep_mask
+    except FilterRefusedError:
+        return
+    if np.isneginf(series[keep]).all():
+        return  # nothing to average: the composition property pins the error
+    report = noise_floor_report(capture, threshold, guard)
+    assert report.threshold_db == np.median(series) + threshold
+    assert np.array_equal(removed_mask(report.removed_runs, len(capture)), ~keep)
+    starts, lengths = report.removed_runs.T
+    assert (lengths > 0).all()
+    assert (starts[1:] > starts[:-1] + lengths[:-1]).all()  # maximal runs
 
 
 @pytest.fixture(scope="module")

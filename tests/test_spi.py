@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,19 @@ def test_frame_field_range_errors_name_the_field():
         SpiFrame(register_address=-1)
     with pytest.raises(ValueError, match="data"):
         SpiFrame(data=256)
+    # non-integers fail here, not later in encode_frame
+    for value in (5.5, 5.0, "5", None):
+        for name in ("extra_byte_count", "register_address", "data"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SpiFrame(**{name: value})
+
+
+def test_frame_fields_take_any_integer_type():
+    frame = SpiFrame(extra_byte_count=np.int8(1), register_address=np.int64(5), data=True)
+    assert (frame.extra_byte_count, frame.register_address, frame.data) == (1, 5, 1)
+    assert type(frame.register_address) is int
+    assert frame == SpiFrame(extra_byte_count=1, register_address=5, data=1)
+    assert encode_frame(frame).to_int() == (1 << 23) | (1 << 20) | (5 << 8) | 1
 
 
 def test_bitsequence_validation_and_exports():
@@ -184,6 +198,7 @@ def test_command_from_frame_rejects_foreign_frames():
     ({"off_value": -1}, "off_value must be an integer that fits 8 bits"),
     ({"on_value": 0, "off_value": 0}, "must differ"),
     ({"on_value": 0x7F, "off_value": 0x7F}, "must differ"),
+    ({"tx_register": 5.0}, "tx_register must be an integer that fits 10 bits"),
 ])
 def test_lo_divider_config_rejects_bad_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
