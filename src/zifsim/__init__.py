@@ -58,6 +58,7 @@ _PUBLIC = {
         "Command",
         "CommandKind",
         "RfModelParams",
+        "Schedule",
         "TimingProfile",
         "cycles_to_ns",
         "frame_duration_ns",

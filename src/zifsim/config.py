@@ -18,19 +18,24 @@ with no file at all; a file only overrides what it names.
 
 import functools
 import math
+import re
 import typing
+from array import array
 from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 
 from .errors import ConfigError
 from .mac import BUILTIN_DEADLINES, ProtocolDeadline
 from .params import (
+    COMMAND_KINDS,
     Band,
     ClockConfig,
     Command,
     CommandKind,
     RfModelParams,
+    Schedule,
     TimingProfile,
+    check_command_time,
     check_sampling,
     field_types,
 )
@@ -74,7 +79,9 @@ class RunConfig:
     clocks: ClockConfig = field(default_factory=ClockConfig)
     profile: TimingProfile = field(default_factory=TimingProfile)
     rf: RfModelParams = field(default_factory=RfModelParams)
-    schedule: list = field(default_factory=lambda: [Command(0, CommandKind.LO_ON)])
+    schedule: Schedule = field(
+        default_factory=lambda: Schedule.from_commands([Command(0, CommandKind.LO_ON)])
+    )
     trace: TraceSettings = field(default_factory=TraceSettings)
     noise: NoiseSettings = field(default_factory=NoiseSettings)
     deadlines_builtin: bool = True
@@ -121,22 +128,24 @@ def _parse_enum(kind, key, value):
         raise ConfigError(f"{key}: expected one of {names}, got {value!r}") from None
 
 
-_COMMAND_KINDS = {kind.value: kind for kind in CommandKind}
+_KIND_CODES = {kind.value: code for code, kind in enumerate(COMMAND_KINDS)}
 
 
 def _parse_command(key, value):
+    """(kind code, time in ns) of a schedule entry's value."""
     kind_text, sep, time_text = value.partition("@")
     if not sep:
         raise ConfigError(f"{key}: expected '<kind> @ <time_ns>', got {value!r}")
     kind_text = kind_text.strip()
-    kind = _COMMAND_KINDS.get(kind_text)
-    if kind is None:  # the enum lookup words the error
-        kind = _parse_enum(CommandKind, key, kind_text)
+    code = _KIND_CODES.get(kind_text)
+    if code is None:
+        _parse_enum(CommandKind, key, kind_text)  # raises; the enum lookup words it
     time_ns = _parse_int(key, time_text.strip())
     try:
-        return Command(time_ns, kind)
+        check_command_time(time_ns)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    return code, time_ns
 
 
 def _value_parser(kind):
@@ -166,14 +175,96 @@ def _settings_keys() -> dict:
 _SETTINGS = _settings_keys()
 
 
+# Schedule lines in the form dump_config writes them: single spaces, no
+# leading zeros, a known kind and a time of at most 16 digits. Compiled
+# on first use (re caches it), so a call that reads no config skips it.
+_REGULAR_LINE = r"(?m)^schedule\.(0|[1-9][0-9]{0,17}) = (%s) @ (0|[1-9][0-9]{0,15})$" % (
+    "|".join(map(re.escape, _KIND_CODES)))
+_BLOCK_CHARS = 1 << 16
+
+# Line boundaries of str.splitlines other than "\n".
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class _Irregular(Exception):
+    """A schedule line that the fast path left to the per-line parser."""
+
+
+def _fast_schedule(text):
+    """Take the regular schedule lines out of `text` with one regex split
+    per block of lines.
+
+    Returns the other non-empty lines with their line numbers and the
+    Schedule the regular lines make, or None when the text has no
+    schedule line, breaks lines other than at "\n", or the regular lines
+    repeat an index or hold a time of 2**53 or more: the per-line parser
+    then reads it, and reports those errors where they are.
+    """
+    if "schedule." not in text or any(mark in text for mark in _OTHER_BREAKS):
+        return None
+    split = re.compile(_REGULAR_LINE).split
+    indexes, kinds, times, rest = [], array("b"), array("q"), []
+    start = 0
+    while start < len(text):  # whole lines, a block at a time: few temporaries
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        parts = split(text[start:end])  # text, index, kind, time, text, ...
+        indexes += map(int, parts[1::4])
+        kinds.extend(map(_KIND_CODES.__getitem__, parts[2::4]))
+        times.extend(map(int, parts[3::4]))
+        rest.append("".join(parts[0::4]))
+        start = end
+    if indexes != list(range(len(indexes))):
+        if len(set(indexes)) < len(indexes):
+            return None
+        order = sorted(range(len(indexes)), key=indexes.__getitem__)
+        kinds = array("b", [kinds[i] for i in order])
+        times = array("q", [times[i] for i in order])
+    try:
+        schedule = Schedule(times, kinds)
+    except ValueError:
+        return None
+    # the regular lines leave empty lines behind, so the line numbers hold
+    rest = "".join(rest)
+    lines = []
+    lineno, offset = 1, 0
+    for match in re.finditer(r"[^\n]+", rest):
+        lineno += rest.count("\n", offset, match.start())
+        offset = match.start()
+        lines.append((lineno, match.group()))
+    return lines, schedule
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse config text into a RunConfig, on top of the defaults."""
+    """Parse config text into a RunConfig, on top of the defaults.
+
+    Schedule lines as dump_config writes them take a fast path; a text
+    with any other schedule line is parsed line by line throughout, so
+    both give the same config and the same first error.
+    """
+    fast = _fast_schedule(text)
+    if fast is not None:
+        try:
+            return _parse_lines(*fast)
+        except _Irregular:
+            pass
+    return _parse_per_line(text)
+
+
+def _parse_per_line(text: str) -> RunConfig:
+    """parse_config without the fast path."""
+    return _parse_lines(enumerate(text.splitlines(), start=1), None)
+
+
+def _parse_lines(lines, schedule) -> RunConfig:
+    """Parse numbered lines on top of the defaults. With `schedule` given,
+    the lines hold no schedule entry (else raise _Irregular) and it holds
+    them all."""
     config = default_config()
     settings = {}  # section -> field -> value, a dict by band if per-band
-    schedule_entries = {}
+    entries = {}  # schedule index -> (kind code, time in ns)
     schedule_empty = False
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -183,13 +274,14 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         value = value.strip()
         section, _, rest = key.partition(".")
-        # schedule lines dominate long files, so they take the first branch;
         # duplicates are found by index, so schedule.0 and schedule.00 collide
         if section == "schedule" and rest.isdecimal():
+            if schedule is not None:
+                raise _Irregular
             index = int(rest)
-            if index in schedule_entries:
+            if index in entries:
                 raise ConfigError(f"line {lineno}: duplicate schedule index {key!r}")
-            schedule_entries[index] = _parse_command(key, value)
+            entries[index] = _parse_command(key, value)
             continue
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -225,12 +317,15 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
-    if schedule_empty and schedule_entries:
+    if schedule is None:
+        ordered = [entries[i] for i in sorted(entries)]
+        schedule = Schedule([t for _, t in ordered], [code for code, _ in ordered])
+    if schedule_empty and schedule:
         raise ConfigError("schedule.empty = true conflicts with schedule entries")
     if schedule_empty:
-        config.schedule = []
-    elif schedule_entries:
-        config.schedule = [schedule_entries[i] for i in sorted(schedule_entries)]
+        config.schedule = Schedule()
+    elif schedule:
+        config.schedule = schedule
 
     for section, fields in settings.items():
         try:
@@ -264,9 +359,11 @@ def dump_config(config: RunConfig) -> str:
     for key, (section, name, band, _) in _SETTINGS.items():
         value = getattr(getattr(config, section), name)
         lines.append(f"{key} = {_value_text(value if band is None else value[band])}")
-    if config.schedule:
-        for index, cmd in enumerate(config.schedule):
-            lines.append(f"schedule.{index} = {cmd.kind.value} @ {cmd.time_ns}")
+    schedule = config.schedule
+    if schedule:
+        kind_text = [kind.value for kind in COMMAND_KINDS]
+        for index, (code, time_ns) in enumerate(zip(schedule.kinds, schedule.times_ns)):
+            lines.append(f"schedule.{index} = {kind_text[code]} @ {time_ns}")
     else:
         lines.append("schedule.empty = true")
     lines.append(f"deadlines.builtin = {_value_text(config.deadlines_builtin)}")

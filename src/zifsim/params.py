@@ -11,6 +11,7 @@ every setting from here without loading the array layers (`rf`, `sim`).
 import functools
 import math
 import typing
+from array import array
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -173,6 +174,20 @@ class CommandKind(Enum):
     TRIGGER = "trigger"
 
 
+# Column code of a command kind: its position in member order.
+COMMAND_KINDS = tuple(CommandKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(COMMAND_KINDS)}
+_CODE_BYTES = bytes(range(len(COMMAND_KINDS)))
+
+
+def check_command_time(time_ns: int) -> None:
+    """Raise ValueError unless `time_ns` is a valid command time."""
+    if time_ns < 0:
+        raise ValueError(f"command time must be non-negative, got {time_ns}")
+    if time_ns >= TIME_LIMIT_NS:
+        raise ValueError(f"command time must be below 2**53 ns, got {time_ns}")
+
+
 @dataclass(frozen=True)
 class Command:
     time_ns: int
@@ -180,14 +195,67 @@ class Command:
 
     def __post_init__(self):
         time_ns = self.time_ns
-        if time_ns < 0:
-            raise ValueError(f"command time must be non-negative, got {time_ns}")
-        if time_ns >= TIME_LIMIT_NS:
-            raise ValueError(f"command time must be below 2**53 ns, got {time_ns}")
+        check_command_time(time_ns)
         if type(time_ns) is not int:  # int() of a NaN raises ValueError too
             if time_ns != int(time_ns):
                 raise ValueError(f"command time must be an integer, got {time_ns!r}")
             object.__setattr__(self, "time_ns", int(time_ns))
+
+
+class Schedule:
+    """A command schedule as two columns, one entry per command in
+    schedule order: `times_ns`, an array('q') of command times in ns, and
+    `kinds`, an array('b') of COMMAND_KINDS codes. Other integer sequences
+    are copied into such arrays.
+
+    Config text parses straight into the columns, with no object per
+    command; `from_commands` builds a Schedule from Command objects and
+    `commands` builds them back, on each read, for tests and debugging.
+    Not a dataclass: the dataclass fields of a RunConfig are its settings
+    sections.
+    """
+
+    __slots__ = ("times_ns", "kinds")
+
+    def __init__(self, times_ns=(), kinds=()):
+        if not (isinstance(times_ns, array) and times_ns.typecode == "q"):
+            times_ns = array("q", times_ns)
+        if not (isinstance(kinds, array) and kinds.typecode == "b"):
+            kinds = array("b", kinds)
+        if len(times_ns) != len(kinds):
+            raise ValueError(
+                f"times_ns and kinds differ in length: {len(times_ns)} and {len(kinds)}"
+            )
+        if times_ns:
+            check_command_time(min(times_ns))
+            check_command_time(max(times_ns))
+        if kinds.tobytes().translate(None, _CODE_BYTES):  # a byte that is no code
+            raise ValueError(f"command kind codes must lie in 0..{len(COMMAND_KINDS) - 1}")
+        self.times_ns = times_ns
+        self.kinds = kinds
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.times_ns == other.times_ns and self.kinds == other.kinds
+
+    def __repr__(self):
+        return f"Schedule({self.times_ns!r}, {self.kinds!r})"
+
+    @classmethod
+    def from_commands(cls, commands) -> "Schedule":
+        """The schedule of Command objects, in their order."""
+        commands = list(commands)
+        return cls([cmd.time_ns for cmd in commands], [_KIND_CODES[cmd.kind] for cmd in commands])
+
+    def __len__(self):
+        """The number of commands."""
+        return len(self.times_ns)
+
+    @property
+    def commands(self) -> list[Command]:
+        """The commands as objects, built on each read."""
+        return [Command(t, COMMAND_KINDS[k]) for t, k in zip(self.times_ns, self.kinds)]
 
 
 def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:

@@ -257,6 +257,11 @@ class NoiseFloorReport:
     removed_runs: np.ndarray  # (k, 2) int64: start and length of each removed run
 
 
+ZERO_MEDIAN_MESSAGE = (
+    "median sample power is zero, so only zero-power samples are left after filtering"
+)
+
+
 def noise_floor_report(
     capture: IqCapture,
     threshold_db_above_median: float = 10.0,
@@ -268,15 +273,21 @@ def noise_floor_report(
     of the kept samples, but works on the int32 power alone: a sample is
     a burst when its power reaches the smallest integer power above the
     dB limit, and the average comes from the exact int64 sum of the kept
-    power. No float64 array of the capture's length is made.
+    power. No float64 array of the capture's length is made. A median
+    sample power of zero makes every nonzero sample a burst, which leaves
+    nothing but zero power to average: DataError, unless no sample is kept.
     """
     power = _power(capture.samples)
     _check_filter_args(power.size, threshold_db_above_median, guard_samples)
-    threshold_db = _median_db(power) + threshold_db_above_median
+    median_db = _median_db(power)
+    threshold_db = median_db + threshold_db_above_median
     hot = power >= _min_power_above(threshold_db)
     starts, ends, n_removed = _removed_runs(hot, guard_samples)
     keep = _keep_mask(starts, ends, power.size)
     used = power.size - n_removed
+    if used and median_db == -math.inf and power.any():
+        # every nonzero sample lies above a limit over a -inf dB median
+        raise DataError(ZERO_MEDIAN_MESSAGE)
     return NoiseFloorReport(
         average_power_db=_mean_power_db(int(np.sum(power, dtype=np.int64, where=keep)), used),
         sample_count_used=used,

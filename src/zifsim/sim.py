@@ -13,18 +13,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
 from .ensm import Direction
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
-from .params import (
+from .params import (  # noqa: F401 (Command and CommandKind are re-exported)
+    COMMAND_KINDS,
     Band,
     ClockConfig,
     Command,
     CommandKind,
     RfModelParams,
+    Schedule,
     TimingProfile,
     check_sampling,
     frame_duration_ns,
@@ -42,11 +43,9 @@ class Effect(Enum):
 
 # Column codes: a command kind or an effect is stored as its position in
 # member order.
-_KINDS = tuple(CommandKind)
 EFFECTS = tuple(Effect)
-_LO_ON, _LO_OFF, _PACKET_START, _PACKET_END, _TRIGGER = range(len(_KINDS))
+_LO_ON, _LO_OFF, _PACKET_START, _PACKET_END, _TRIGGER = range(len(COMMAND_KINDS))
 _SPI_START, _SPI_END, _LO_UP, _LO_DOWN, _PACKET_ON, _PACKET_OFF = range(len(EFFECTS))
-_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
 PACKET_WARNING = "packet transmitted while the LO divider is down"
 
@@ -112,10 +111,6 @@ class Timeline:
         ]
 
 
-_time = attrgetter("time_ns")
-_kind = attrgetter("kind")
-
-
 def _validate_schedule(times, kinds):
     """Raise ScheduleError for the first command, in schedule order, that
     comes before its predecessor or breaks the packet nesting."""
@@ -127,7 +122,7 @@ def _validate_schedule(times, kinds):
     if unsorted.size and not (misnested.size and misnested[0] < unsorted[0]):
         i = unsorted[0]
         raise ScheduleError(
-            f"schedule not sorted: {_KINDS[kinds[i]].value} at {times[i]} ns "
+            f"schedule not sorted: {COMMAND_KINDS[kinds[i]].value} at {times[i]} ns "
             f"after {times[i - 1]} ns"
         )
     if misnested.size:
@@ -161,13 +156,13 @@ def _forward_fill(is_set, values, initial):
 
 
 def expand_schedule(
-    commands,
+    schedule: Schedule,
     clocks: ClockConfig,
     profile: TimingProfile,
     band: Band = Band.B2G4,
     rf: RfModelParams | None = None,
 ) -> Timeline:
-    """Expand commands into timed events with latencies applied.
+    """Expand a schedule into timed events with latencies applied.
 
     An LO command turns into the SPI frame (start, end after the wire time)
     followed by the divider state change after its power-up or power-down
@@ -178,10 +173,10 @@ def expand_schedule(
     """
     if rf is None:
         rf = RfModelParams()
-    commands = list(commands)
-    n = len(commands)
-    times = np.fromiter(map(_time, commands), np.int64, n)
-    kinds = np.fromiter(map(_KIND_CODE.__getitem__, map(_kind, commands)), np.int8, n)
+    # views of the schedule's columns, not copies
+    times = np.frombuffer(schedule.times_ns, np.int64)
+    kinds = np.frombuffer(schedule.kinds, np.int8)
+    n = times.size
     _validate_schedule(times, kinds)
     lo_commands = np.flatnonzero(kinds <= _LO_OFF)
     lo_on_at_start = bool(lo_commands.size and kinds[lo_commands[0]] == _LO_OFF)
@@ -194,10 +189,10 @@ def expand_schedule(
     _check_spi_overlap(times, kinds, frame_ns)
     frame_floor = math.floor(frame_ns)
     frac_ns = frame_ns - frame_floor
-    # the events of each command kind, a row per kind in _KINDS order: how
-    # many, their effects and the offsets of their floors from the command
-    # time; only the frame end and the divider event (sub-index 1 and 2)
-    # add the frame's fraction
+    # the events of each command kind, a row per kind in COMMAND_KINDS
+    # order: how many, their effects and the offsets of their floors from
+    # the command time; only the frame end and the divider event
+    # (sub-index 1 and 2) add the frame's fraction
     per_kind = np.array([3, 3, 1, 1, 0])
     effects = np.array([[_SPI_START, _SPI_END, _LO_UP], [_SPI_START, _SPI_END, _LO_DOWN],
                         [_PACKET_ON, 0, 0], [_PACKET_OFF, 0, 0], [0, 0, 0]], np.int8)
@@ -532,8 +527,13 @@ def render_trace(trace: PowerTrace, fmt: str) -> str:
     times = trace.times_ns()
     # times increase, so the widest time cell is the first or the last
     width = max(len("time_us"), *(len(_table_text(int(t) / 1000.0)) for t in times[[0, -1]]))
-    # distinct bit patterns, so -0.0 and 0.0 keep their own texts
-    distinct, power_index = np.unique(trace.samples.view(np.int64), return_inverse=True)
+    # distinct bit patterns, so -0.0 and 0.0 keep their own texts; found
+    # over the run heads (the samples whose bits differ from the one
+    # before) and repeated over each run
+    bits = trace.samples.view(np.int64)
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    distinct, head_index = np.unique(bits[heads], return_inverse=True)
+    power_index = np.repeat(head_index, np.diff(heads, append=rows))
     power_texts = _texts([_POWER_TEXT[fmt](v) for v in distinct.view(np.float64).tolist()])
     pieces = [_HEADER.get(fmt, f"{'time_us'.ljust(width)}  power_db\n")]
     for lo in range(0, rows, _CHUNK_ROWS):

@@ -23,6 +23,7 @@ from zifsim import (
     EnsmMode,
     IqCapture,
     RfModelParams,
+    Schedule,
     SpiFrame,
     TimingProfile,
     average_power_db,
@@ -114,7 +115,7 @@ def test_criterion_3_trace_pipeline():
         clocks, profile, rf = ClockConfig(), TimingProfile(), RfModelParams()
         window, interval = (-2500, 2500), 50
 
-        on = [Command(0, CommandKind.LO_ON)]
+        on = Schedule.from_commands([Command(0, CommandKind.LO_ON)])
         for band in Band:
             on_events = expand_schedule(on, clocks, profile, band=band, rf=rf)
             on_trace = sample_trace(on_events, window, interval_ns=interval)
@@ -126,7 +127,7 @@ def test_criterion_3_trace_pipeline():
             delta = on_trace.samples[-1] - on_trace.samples[0]
             assert delta == rf.lo_on_delta_db[band]
 
-        off = [Command(0, CommandKind.LO_OFF)]
+        off = Schedule.from_commands([Command(0, CommandKind.LO_OFF)])
         off_events = expand_schedule(off, clocks, profile, rf=rf)
         off_trace = sample_trace(off_events, window, interval_ns=interval)
         step = find_step(off_events)

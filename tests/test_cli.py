@@ -292,6 +292,21 @@ def test_noise_zero_length_capture_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("nonzero, message", [
+    (3, "median sample power is zero, so only zero-power samples are left after filtering"),
+    (0, "all-zero capture has no finite power"),
+])
+def test_noise_zero_power_capture_exits_1(capsys, tmp_path, nonzero, message):
+    samples = np.zeros((103, 2), dtype=np.int16)
+    samples[:nonzero] = (3, 0)
+    path = tmp_path / "zeros.iq"
+    save_capture(IqCapture(samples), path)
+    code, out, err = run_cli(capsys, "noise", "--capture", str(path))
+    assert code == 1
+    assert message in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("blob, message", [
     (b"\x00\x00\x00", "not a whole number"),
     (b"\x00\x80\x00\x00", "sample magnitude exceeds 32767"),  # i = -32768

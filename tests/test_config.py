@@ -1,14 +1,17 @@
 """Config text parsing, validation, and dump/parse inversion."""
 
+import tracemalloc
 from dataclasses import fields, is_dataclass
 
 import pytest
 
 from zifsim import (
     Band,
+    Command,
     CommandKind,
     ConfigError,
     RunConfig,
+    Schedule,
     default_config,
     dump_config,
     load_config,
@@ -96,15 +99,25 @@ def test_schedule_entries_replace_default():
     config = parse_config(
         "schedule.1 = lo-off @ 5000\nschedule.0 = lo-on @ 0\n"
     )
-    assert [(c.time_ns, c.kind) for c in config.schedule] == [
-        (0, CommandKind.LO_ON), (5000, CommandKind.LO_OFF),
-    ]
+    assert config.schedule == Schedule.from_commands(
+        [Command(0, CommandKind.LO_ON), Command(5000, CommandKind.LO_OFF)]
+    )
 
 
 def test_schedule_empty():
-    assert parse_config("schedule.empty = true\n").schedule == []
+    assert parse_config("schedule.empty = true\n").schedule == Schedule()
     with pytest.raises(ConfigError):
         parse_config("schedule.empty = true\nschedule.0 = lo-on @ 0\n")
+
+
+@pytest.mark.parametrize("mark", ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+def test_every_line_break_counts_for_line_numbers(mark):
+    # str.splitlines breaks at each of these, the regular schedule lines'
+    # fast path only at "\n"; both must count the same lines
+    text = f"schedule.0 = lo-on @ 0\ntrace.band = 5g{mark}bogus = 1\nschedule.1 = lo-off @ 9\n"
+    with pytest.raises(ConfigError, match="^line 3: unknown key 'bogus'$"):
+        parse_config(text)
 
 
 def test_deadline_controls():
@@ -211,3 +224,20 @@ def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("noise.seed = 123\n")
     assert load_config(path).noise.seed == 123
+
+
+def test_parsed_schedule_memory_per_command():
+    # a schedule keeps two array columns, 9 bytes a command; a Command
+    # object per command and a list slot for it cost over 100
+    n = 5000
+    kinds = ["lo-on", "tx-packet-start", "tx-packet-end", "lo-off"]
+    text = "".join(f"schedule.{i} = {kinds[i % 4]} @ {i * 1000}\n" for i in range(n))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        config = parse_config(text)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(config.schedule) == n
+    assert kept < 24 * n

@@ -331,14 +331,27 @@ def test_report_merges_touching_runs():
 # Three consecutive integer powers, each as an (i, q) sample, from 8 up to
 # where the int16 square still holds consecutive sums, and a floor sample
 # well below them. (A zero-power median removes every nonzero sample, so
-# the report refuses those captures as all-zero; the hypothesis properties
-# cover them.)
+# the report refuses those captures; see
+# test_report_refuses_a_zero_power_median.)
 BOUNDARY_CASES = [
     (((2, 2), (3, 0), (3, 1)), (1, 0)),
     (((1984, 252), (1985, 244), (1971, 339)), (200, 0)),
     (((27132, 18372), (25280, 20847), (32503, 4151)), (3000, 0)),
     (((30904, 23344), (27828, 26937), (31427, 22635)), (3000, 0)),
 ]
+
+
+def test_report_refuses_a_zero_power_median():
+    # 100 zero samples and three of power 9: the median is zero, every
+    # nonzero sample is a burst, and only zero power is left to average
+    samples = np.zeros((103, 2), dtype=np.int16)
+    samples[[25, 50, 75]] = (3, 0)
+    with pytest.raises(DataError, match="^median sample power is zero, so only zero-power "
+                                        "samples are left after filtering$"):
+        noise_floor_report(IqCapture(samples))
+    # a capture that is all zero keeps its own message
+    with pytest.raises(DataError, match="^all-zero capture has no finite power$"):
+        noise_floor_report(IqCapture(np.zeros((103, 2), dtype=np.int16)))
 
 
 @pytest.mark.parametrize("triple, floor", BOUNDARY_CASES)

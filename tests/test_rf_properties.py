@@ -20,6 +20,8 @@ from zifsim import (
     sample_power_db,
 )
 
+from zifsim.rf import ZERO_MEDIAN_MESSAGE
+
 from conftest import removed_mask
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
@@ -54,9 +56,16 @@ def burst_captures(draw):
 
 
 def composed_report(capture, threshold, guard):
-    """The report as separate layer calls: dB series, filter, rebuilt capture."""
-    result = filter_packets(sample_power_db(capture), threshold, guard)
+    """The report as separate layer calls: dB series, filter, rebuilt capture.
+
+    A zero-power median makes every nonzero sample a burst; the report
+    then names that cause rather than an all-zero capture.
+    """
+    series = sample_power_db(capture)
+    result = filter_packets(series, threshold, guard)
     remaining = IqCapture(capture.samples[result.keep_mask])
+    if len(remaining) and np.median(series) == -np.inf and np.isfinite(series).any():
+        raise DataError(ZERO_MEDIAN_MESSAGE)
     return (average_power_db(remaining), len(remaining), result.samples_filtered)
 
 

@@ -16,6 +16,7 @@ from zifsim import (
     MeasurementError,
     OverlappingSpiError,
     PowerTrace,
+    Schedule,
     ScheduleError,
     TimingProfile,
     expand_schedule,
@@ -30,12 +31,12 @@ from zifsim.sim import Effect
 WINDOW = (-2500, 2500)
 
 
-def _commands(schedule):
-    return [Command(t, k) for t, k in schedule]
+def _schedule(commands):
+    return Schedule.from_commands(Command(t, k) for t, k in commands)
 
 
 def _expand(schedule, clocks, profile, **kwargs):
-    return expand_schedule(_commands(schedule), clocks, profile, **kwargs)
+    return expand_schedule(_schedule(schedule), clocks, profile, **kwargs)
 
 
 def _measure(schedule, clocks, profile, window=WINDOW, interval_ns=50):
@@ -135,6 +136,31 @@ def test_command_time_is_an_integer_below_2_53_ns():
     with pytest.raises(ValueError, match="2\\*\\*53"):
         Command(2**53, CommandKind.LO_ON)
     assert Command(2**53 - 1, CommandKind.LO_ON).time_ns == 2**53 - 1
+
+
+def test_schedule_columns_and_commands():
+    commands = [Command(0, CommandKind.LO_ON), Command(700, CommandKind.TRIGGER)]
+    schedule = Schedule.from_commands(commands)
+    assert (schedule.times_ns.typecode, schedule.kinds.typecode) == ("q", "b")
+    assert list(schedule.times_ns) == [0, 700]
+    assert list(schedule.kinds) == [0, 4]  # positions in CommandKind order
+    assert len(schedule) == 2
+    assert schedule.commands == commands
+    assert schedule == Schedule([0, 700], [0, 4])
+    assert schedule != Schedule([0, 700], [0, 3])
+    assert len(Schedule()) == 0 and not Schedule()
+
+
+@pytest.mark.parametrize("times, kinds, message", [
+    ([0, 1], [0], "differ in length"),
+    ([-1], [0], "non-negative"),
+    ([2**53], [0], "2\\*\\*53"),
+    ([0], [5], "kind codes"),
+    ([0], [-1], "kind codes"),
+])
+def test_schedule_rejects_bad_columns(times, kinds, message):
+    with pytest.raises(ValueError, match=message):
+        Schedule(times, kinds)
 
 
 def test_packet_power_stacks_on_lo(clocks, profile):

@@ -16,6 +16,7 @@ import math
 import struct
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from zifsim import (
     OverlappingSpiError,
     PowerTrace,
     RfModelParams,
+    Schedule,
     ScheduleError,
     SimEvent,
     TimingProfile,
@@ -378,7 +380,7 @@ def expansion_or_error(expand, commands, clocks, profile):
 
 
 def columns_expand(commands, clocks, profile, band, rf):
-    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf)
+    timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band, rf=rf)
     return timeline.events, timeline.initial_dbr
 
 
@@ -398,7 +400,8 @@ def traced_schedules(draw):
     # the level before the first event: the expansion's, or the LO held
     # on or off
     initial_dbr = draw(st.sampled_from((None, rf.lo_on_delta_db[band], 0.0)))
-    timeline = expand_schedule(commands, clocks, TimingProfile(), band=band, rf=rf)
+    timeline = expand_schedule(Schedule.from_commands(commands), clocks, TimingProfile(),
+                               band=band, rf=rf)
     if initial_dbr is not None:
         timeline = dataclasses.replace(timeline, initial_dbr=initial_dbr)
     interval = draw(st.sampled_from((1, 5, 7, 10, 15, 25, 50, 250)) | st.integers(1, 400))
@@ -419,6 +422,26 @@ def traces(draw):
     return PowerTrace(start, interval, draw(st.lists(power, min_size=count, max_size=count)))
 
 
+@st.composite
+def run_traces(draw):
+    """Traces made of runs of levels, flat or settling toward each level
+    from the one before (many distinct levels), repeated to an empty, a
+    short, or a one-block-or-so length: the renderer works in blocks of
+    2**16 rows."""
+    count = draw(st.sampled_from((0, 2**16 - 1, 2**16, 2**16 + 1)) | st.integers(0, 400))
+    levels = draw(st.lists(st.sampled_from((-0.0, 0.0, -0.004, 0.005, 2.675, 30.0))
+                           | st.floats(-200, 200), min_size=1, max_size=6))
+    runs = draw(st.lists(st.integers(1, 2000), min_size=len(levels), max_size=len(levels)))
+    tau = draw(st.sampled_from((0.0, 3.0, 40.0)))
+    period, before = [], levels[-1]
+    for level, run in zip(levels, runs):
+        settling = np.exp(-np.arange(run) / tau) if tau else np.zeros(run)
+        period.append(level + (before - level) * settling)
+        before = level
+    start = draw(st.integers(-4000, 4000))
+    return PowerTrace(start, draw(st.integers(1, 1000)), np.resize(np.concatenate(period), count))
+
+
 # --- properties ---------------------------------------------------------------
 
 @PROFILE
@@ -427,7 +450,7 @@ def traces(draw):
 def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
     commands, clocks, profile = case
     rf = RfModelParams(lo_on_delta_db={b: lo_level for b in Band}, packet_delta_db=packet_step)
-    timeline = expand_schedule(commands, clocks, profile, band=band, rf=rf)
+    timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band, rf=rf)
     events, initial_dbr = oracle_expand(commands, clocks, profile, band, rf)
     assert exact(timeline.events) == exact(events)
     assert bits([timeline.initial_dbr]) == bits([initial_dbr])
@@ -475,7 +498,7 @@ def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_dow
     events, _ = oracle_expand(commands, clocks, profile, Band.B2G4, RfModelParams())
     expected = oracle_step(commands, clocks, profile, events)
     try:
-        got = find_step(expand_schedule(commands, clocks, profile))
+        got = find_step(expand_schedule(Schedule.from_commands(commands), clocks, profile))
     except MeasurementError as exc:
         got = str(exc)
     assert got == expected
@@ -504,6 +527,13 @@ def test_renderings_of_sampled_traces_equal_the_loop(case):
 @PROFILE
 @given(traces())
 def test_renderings_equal_the_loop(trace):
+    for fmt, oracle in ORACLE.items():
+        assert render_trace(trace, fmt) == oracle(trace), fmt
+
+
+@settings(PROFILE, max_examples=20)
+@given(run_traces())
+def test_renderings_of_long_runs_equal_the_loop(trace):
     for fmt, oracle in ORACLE.items():
         assert render_trace(trace, fmt) == oracle(trace), fmt
 
@@ -547,7 +577,7 @@ def test_single_step_measures_its_budget_on_the_grid(spi_hz, kind, command_ns, l
     clocks, profile = ClockConfig(spi_clock_hz=spi_hz), TimingProfile()
     trigger_ns = max(0, command_ns - lead_ns)
     commands = [Command(trigger_ns, CommandKind.TRIGGER), Command(command_ns, kind)]
-    timeline = expand_schedule(commands, clocks, profile, band=band)
+    timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band)
     direction = Direction.RX_TO_TX if kind is CommandKind.LO_ON else Direction.TX_TO_RX
     budget = turnaround_budget(EnsmMode.LO_CONTROL, direction, clocks, profile).total_ns
     start = trigger_ns - start_back
