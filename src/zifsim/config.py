@@ -36,6 +36,7 @@ from .params import (
     Schedule,
     TimingProfile,
     check_command_time,
+    check_integer,
     check_sampling,
     field_types,
 )
@@ -67,6 +68,8 @@ class NoiseSettings:
             raise ValueError("n_samples must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        for name in ("n_samples", "seed", "filter_guard_samples"):
+            check_integer(name, getattr(self, name))
         threshold = self.filter_threshold_db
         if not (threshold > 0 and math.isfinite(threshold)):
             raise ValueError("filter_threshold_db must be positive and finite")
@@ -278,7 +281,10 @@ def _parse_lines(lines, schedule) -> RunConfig:
         if section == "schedule" and rest.isdecimal():
             if schedule is not None:
                 raise _Irregular
-            index = int(rest)
+            try:
+                index = int(rest)
+            except ValueError:  # more digits than int() converts
+                raise ConfigError(f"line {lineno}: schedule index too long in {key!r}") from None
             if index in entries:
                 raise ConfigError(f"line {lineno}: duplicate schedule index {key!r}")
             entries[index] = _parse_command(key, value)

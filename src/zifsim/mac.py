@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ensm import Direction, EnsmMode, turnaround_budget
-from .params import ClockConfig, TimingProfile
+from .params import ClockConfig, TimingProfile, check_integer
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class ProtocolDeadline:
     def __post_init__(self):
         if self.deadline_ns <= 0:
             raise ValueError(f"deadline_ns must be positive, got {self.deadline_ns}")
+        check_integer("deadline_ns", self.deadline_ns)
 
 
 BUILTIN_DEADLINES = (
@@ -43,7 +44,7 @@ class ComplianceResult:
 
 def check(tt_ns, deadline: ProtocolDeadline, mode: EnsmMode | None = None):
     """Single compliance check; meeting the deadline exactly passes."""
-    if tt_ns < 0:
+    if not tt_ns >= 0:  # NaN too
         raise ValueError(f"tt_ns must be non-negative, got {tt_ns}")
     return ComplianceResult(
         mode=mode,

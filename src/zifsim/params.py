@@ -180,6 +180,13 @@ _KIND_CODES = {kind: code for code, kind in enumerate(COMMAND_KINDS)}
 _CODE_BYTES = bytes(range(len(COMMAND_KINDS)))
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a whole number;
+    NaN and the infinities are not."""
+    if value % 1:  # NaN % 1 is NaN, which is true
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_command_time(time_ns: int) -> None:
     """Raise ValueError unless `time_ns` is a valid command time."""
     if time_ns < 0:
@@ -202,6 +209,16 @@ class Command:
             object.__setattr__(self, "time_ns", int(time_ns))
 
 
+def _column(values, typecode: str, name: str) -> array:
+    """`values` as an array of `typecode`, copied unless already one."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    try:
+        return array(typecode, values)
+    except (TypeError, OverflowError) as exc:  # a value that is no such integer
+        raise ValueError(f"{name} must hold integers of array type {typecode!r}: {exc}") from None
+
+
 class Schedule:
     """A command schedule as two columns, one entry per command in
     schedule order: `times_ns`, an array('q') of command times in ns, and
@@ -218,10 +235,8 @@ class Schedule:
     __slots__ = ("times_ns", "kinds")
 
     def __init__(self, times_ns=(), kinds=()):
-        if not (isinstance(times_ns, array) and times_ns.typecode == "q"):
-            times_ns = array("q", times_ns)
-        if not (isinstance(kinds, array) and kinds.typecode == "b"):
-            kinds = array("b", kinds)
+        times_ns = _column(times_ns, "q", "times_ns")
+        kinds = _column(kinds, "b", "kinds")
         if len(times_ns) != len(kinds):
             raise ValueError(
                 f"times_ns and kinds differ in length: {len(times_ns)} and {len(kinds)}"
@@ -268,6 +283,8 @@ def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:
         raise ValueError(
             f"start_ns and end_ns must lie within +/-2**53 ns, got {start_ns}..{end_ns}"
         )
+    for name, value in (("start_ns", start_ns), ("end_ns", end_ns), ("interval_ns", interval_ns)):
+        check_integer(name, value)
     if not (settling_tau_ns >= 0 and math.isfinite(settling_tau_ns)):
         raise ValueError(
             f"settling_tau_ns must be non-negative and finite, got {settling_tau_ns}"

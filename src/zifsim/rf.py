@@ -18,7 +18,7 @@ import numpy as np
 from . import sim  # noqa: F401
 from .ensm import EnsmMode
 from .errors import DataError, FilterRefusedError
-from .params import Band, RfModelParams
+from .params import Band, RfModelParams, check_integer
 
 IQ_LIMIT = 32767  # samples are signed 16-bit
 MAX_POWER = 2 * IQ_LIMIT**2  # the largest i*i + q*q, below 2**31 - 1
@@ -43,7 +43,11 @@ def noise_floor_delta(
 
 @dataclass
 class IqCapture:
-    """Raw receiver samples: (i, q) pairs as signed 16-bit integers."""
+    """Raw receiver samples: (i, q) pairs as signed 16-bit integers.
+
+    An int16 array that is not writeable, such as a view of a file's
+    bytes, is kept as given; any other input is copied.
+    """
 
     samples: np.ndarray  # shape (n, 2)
     sample_rate_hz: int = 20_000_000
@@ -53,6 +57,7 @@ class IqCapture:
     def __post_init__(self):
         if self.sample_rate_hz < 1:  # load_capture maps this to the sidecar key
             raise ValueError(f"sample_rate_hz {self.sample_rate_hz} is not positive")
+        check_integer("sample_rate_hz", self.sample_rate_hz)
         samples = np.asarray(self.samples)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must have shape (n, 2), got {samples.shape}")
@@ -65,7 +70,9 @@ class IqCapture:
                 out_of_range = int(np.abs(samples.astype(np.int64)).max()) > IQ_LIMIT
             if out_of_range:
                 raise ValueError(f"sample magnitude exceeds {IQ_LIMIT}")
-        self.samples = samples.astype(np.int16)
+        if samples.dtype != np.int16 or samples.flags.writeable:
+            samples = samples.astype(np.int16)
+        self.samples = samples
 
     def __len__(self):
         return self.samples.shape[0]
@@ -406,4 +413,5 @@ def synthesize_capture(
         np.rint(iq, out=iq)
         np.clip(iq, -IQ_LIMIT, IQ_LIMIT, out=iq)
         samples[start:start + len(iq)] = iq
+    samples.flags.writeable = False  # so the capture keeps it, not a copy
     return IqCapture(samples, band=band, mode=mode)

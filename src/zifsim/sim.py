@@ -18,12 +18,10 @@ import numpy as np
 
 from .ensm import Direction
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
-from .params import (  # noqa: F401 (Command and CommandKind are re-exported)
+from .params import (
     COMMAND_KINDS,
     Band,
     ClockConfig,
-    Command,
-    CommandKind,
     RfModelParams,
     Schedule,
     TimingProfile,
@@ -414,7 +412,9 @@ def measure_turnaround(trace: PowerTrace, step: LoStep):
 # per-row code it replaces did: csv writes f"{x:.2f}" with -0.00 shown as
 # 0.00, the table f"{round(x, 2):.2f}" and json the float round(x, 2).
 # Rows are assembled as byte matrices, one column block per field, a
-# block of rows at a time so the temporaries stay small.
+# block of rows at a time so the temporaries stay small. Each field pads
+# its cells with NUL, which no text holds, so one compaction drops every
+# pad of a block.
 
 _CHUNK_ROWS = 1 << 16
 
@@ -445,20 +445,13 @@ _POWER_TEXT = {
 
 
 def _texts(texts):
-    """Left-aligned byte matrix of ASCII texts, and their lengths."""
-    lengths = np.array([len(t) for t in texts])
-    matrix = np.array(texts, dtype=f"S{lengths.max()}")
-    return matrix.view(np.uint8).reshape(len(texts), -1), lengths
-
-
-def _left(matrix, lengths):
-    """A field of left-aligned bytes: the matrix and its keep mask."""
-    return matrix, np.arange(matrix.shape[1]) < lengths[:, None]
+    """Byte matrix of ASCII texts, a row each, NUL-padded on the right."""
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
 def _time_field(times_ns, fmt):
-    """The time column in microseconds: right-aligned bytes, keep mask and
-    text lengths.
+    """The time column in microseconds: bytes right-aligned behind NUL,
+    and the text lengths.
 
     t / 1000 rounds to the nearest hundredth (t + 5) // 10 unless
     t % 10 == 5; then the float quotient lies just above or below the tie
@@ -482,38 +475,28 @@ def _time_field(times_ns, fmt):
     matrix[:, -1] = 48 + magnitude % 10
     matrix[:, -2] = 48 + magnitude // 10 % 10
     matrix[:, -3] = ord(".")
-    for column in range(width - 4, -1, -1):
-        matrix[:, column] = 48 + whole % 10
+    matrix[:, -4] = 48 + whole % 10
+    for column in range(width - 5, -1, -1):
         whole //= 10
+        matrix[:, column] = np.where(whole > 0, 48 + whole % 10, 0)
     negative = np.flatnonzero(sign)
     matrix[negative, width - 4 - digits[negative]] = ord("-")
-    lengths = digits + 3 + sign
-    keep = np.arange(width) >= width - lengths[:, None]
     if fmt == "json":  # repr drops a trailing zero: 2.5, 0.0
-        keep[:, -1] &= magnitude % 10 != 0
-    return matrix, keep, lengths
-
-
-def _const(text):
-    return np.frombuffer(text.encode("ascii"), np.uint8)[None, :], None
+        matrix[magnitude % 10 == 0, -1] = 0
+    return matrix, digits + 3 + sign
 
 
 def _rows(times_ns, power_index, power_texts, fmt, width) -> str:
     """Text of a block of rows."""
     rows = times_ns.size
-    time_bytes, time_keep, time_len = _time_field(times_ns, fmt)
-    matrix, lengths = power_texts
-    fields = {"time": (time_bytes, time_keep), "power": _left(matrix[power_index],
-                                                             lengths[power_index])}
+    time_bytes, time_len = _time_field(times_ns, fmt)
+    fields = {"time": time_bytes, "power": power_texts[power_index]}
     if fmt == "table":  # the time column is padded to the widest cell
         pad = width - time_len
-        fields["pad"] = _left(np.full((1, int(pad.max())), ord(" "), np.uint8), pad)
-    parts = [fields[item] if item in fields else _const(item) for item in _ROW[fmt]]
-    text = np.concatenate([np.broadcast_to(m, (rows, m.shape[1])) for m, _ in parts], axis=1)
-    keep = np.concatenate(
-        [np.ones((rows, m.shape[1]), bool) if k is None else k for m, k in parts], axis=1
-    )
-    return text[keep].tobytes().decode("ascii")
+        fields["pad"] = _texts([" " * k for k in range(int(pad.max()) + 1)])[pad]
+    parts = [fields[item] if item in fields else _texts([item]) for item in _ROW[fmt]]
+    text = np.concatenate([np.broadcast_to(m, (rows, m.shape[1])) for m in parts], axis=1)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def render_trace(trace: PowerTrace, fmt: str) -> str:
@@ -526,7 +509,7 @@ def render_trace(trace: PowerTrace, fmt: str) -> str:
         return {"csv": _HEADER["csv"], "table": "time_us  power_db\n", "json": "[]\n"}[fmt]
     times = trace.times_ns()
     # times increase, so the widest time cell is the first or the last
-    width = max(len("time_us"), *(len(_table_text(int(t) / 1000.0)) for t in times[[0, -1]]))
+    width = max(len("time_us"), int(_time_field(times[[0, -1]], "table")[1].max()))
     # distinct bit patterns, so -0.0 and 0.0 keep their own texts; found
     # over the run heads (the samples whose bits differ from the one
     # before) and repeated over each run

@@ -546,6 +546,15 @@ def test_bad_config_file_exits_2(capsys, tmp_path):
     assert err.startswith(f"error: cannot read config file {binary}: ")
 
 
+def test_long_schedule_index_exits_2(capsys, tmp_path):
+    key = "schedule." + "7" * 5000
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"{key} = lo-on @ 0\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "config", "--dump")
+    assert code == 2
+    assert out == "" and err == f"error: line 1: schedule index too long in '{key}'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("turnaround", "--all"),
     ("trace",),

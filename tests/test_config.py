@@ -10,8 +10,10 @@ from zifsim import (
     Command,
     CommandKind,
     ConfigError,
+    NoiseSettings,
     RunConfig,
     Schedule,
+    TraceSettings,
     default_config,
     dump_config,
     load_config,
@@ -174,6 +176,12 @@ def test_schedule_value_errors():
         parse_config("schedule.-1 = lo-on @ 0\n")
 
 
+def test_schedule_index_beyond_the_int_digit_limit():
+    key = "schedule." + "1" * 5000
+    with pytest.raises(ConfigError, match=f"^line 2: schedule index too long in '{key}'$"):
+        parse_config(f"# long index\n{key} = lo-on @ 0\n")
+
+
 def test_semantic_validation():
     with pytest.raises(ConfigError):
         parse_config("trace.interval_ns = 0\n")
@@ -205,6 +213,18 @@ def test_semantic_validation():
                    "trace.interval_ns = 9007199254740992"):
         with pytest.raises(ConfigError):
             parse_config(window + "\n")
+
+
+@pytest.mark.parametrize("settings, field, value", [
+    (NoiseSettings, "n_samples", float("nan")),
+    (NoiseSettings, "seed", float("nan")),
+    (NoiseSettings, "filter_guard_samples", float("nan")),
+    (NoiseSettings, "n_samples", 2.5),
+    (TraceSettings, "interval_ns", 2.5),
+])
+def test_settings_refuse_nan_and_fractional_values(settings, field, value):
+    with pytest.raises(ValueError, match=field):
+        settings(**{field: value})
 
 
 def test_output_controls():

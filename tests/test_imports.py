@@ -143,8 +143,6 @@ def test_unknown_attribute_raises():
     (zifsim.rf, "RfModelParams"),
     (zifsim.sim, "Band"),
     (zifsim.sim, "RfModelParams"),
-    (zifsim.sim, "Command"),
-    (zifsim.sim, "CommandKind"),
     (zifsim.sim, "check_sampling"),
     (zifsim, "Band"),
     (zifsim, "RfModelParams"),

@@ -41,6 +41,16 @@ def test_deadline_must_be_positive():
         ProtocolDeadline("never", 0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: ProtocolDeadline("x", float("nan")), "deadline_ns"),
+    (lambda: ProtocolDeadline("x", 1.5), "deadline_ns"),
+    (lambda: check(float("nan"), SIFS_2G4), "tt_ns"),
+], ids=["nan-deadline", "fractional-deadline", "nan-tt"])
+def test_nan_and_fractional_values_are_refused(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_check_anti_monotone_in_tt():
     rng = random.Random(31415)
     for _ in range(500):

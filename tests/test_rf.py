@@ -96,11 +96,31 @@ def test_capture_validation():
     assert len(capture) == 2
 
 
+@pytest.mark.parametrize("rate", [math.nan, 2.5])
+def test_capture_refuses_a_nan_or_fractional_rate(rate):
+    with pytest.raises(ValueError, match="sample_rate_hz"):
+        IqCapture(np.zeros((1, 2), dtype=np.int16), sample_rate_hz=rate)
+
+
 def test_capture_owns_its_samples():
     source = np.array([[1, -1], [2, -2]], dtype=np.int16)
     capture = IqCapture(source)
     source[0, 0] = -32768
     assert capture.samples.tolist() == [[1, -1], [2, -2]]
+
+
+def test_capture_keeps_a_read_only_int16_array(tmp_path, rf):
+    source = np.array([[1, -1], [2, -2]], dtype=np.int16)
+    source.flags.writeable = False
+    assert IqCapture(source).samples is source
+    # synthesis and loading hand over read-only buffers, not copies
+    capture = synthesize_capture(EnsmMode.FDD, Band.B2G4, rf, 8, seed=3)
+    assert not capture.samples.flags.writeable
+    path = tmp_path / "capture.iq"
+    save_capture(capture, path)
+    loaded = load_capture(path)
+    assert not loaded.samples.flags.writeable
+    assert np.array_equal(loaded.samples, capture.samples)
 
 
 def test_average_power_known_values():

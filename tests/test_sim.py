@@ -26,6 +26,7 @@ from zifsim import (
     trace_to_csv,
     turnaround_budget,
 )
+from zifsim.params import check_sampling
 from zifsim.sim import Effect
 
 WINDOW = (-2500, 2500)
@@ -157,6 +158,9 @@ def test_schedule_columns_and_commands():
     ([2**53], [0], "2\\*\\*53"),
     ([0], [5], "kind codes"),
     ([0], [-1], "kind codes"),
+    ([0.5], [0], "times_ns must hold integers"),
+    ([2**63], [0], "times_ns must hold integers"),
+    ([0], [300], "kinds must hold integers"),
 ])
 def test_schedule_rejects_bad_columns(times, kinds, message):
     with pytest.raises(ValueError, match=message):
@@ -298,6 +302,17 @@ def test_sample_trace_validation(clocks, profile):
         sample_trace(events, WINDOW, interval_ns=0)
     with pytest.raises(ValueError):
         sample_trace(events, (100, 0), interval_ns=50)
+
+
+@pytest.mark.parametrize("sample, field", [
+    (lambda timeline: check_sampling(0, 100, 2.5, 0.0), "interval_ns"),
+    (lambda timeline: sample_trace(timeline, WINDOW, interval_ns=2.5), "interval_ns"),
+    (lambda timeline: sample_trace(timeline, (2.5, 100), interval_ns=50), "start_ns"),
+    (lambda timeline: sample_trace(timeline, (0, 100.5), interval_ns=50), "end_ns"),
+], ids=["check_sampling", "sample_trace", "start", "end"])
+def test_sampling_refuses_fractional_values(clocks, profile, sample, field):
+    with pytest.raises(ValueError, match=field):
+        sample(_expand([(0, CommandKind.LO_ON)], clocks, profile))
 
 
 @pytest.mark.parametrize("tau", [-5.0, math.nan, math.inf])
