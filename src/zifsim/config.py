@@ -17,7 +17,6 @@ with no file at all; a file only overrides what it names.
 """
 
 import functools
-import math
 import re
 import typing
 from array import array
@@ -36,7 +35,7 @@ from .params import (
     Schedule,
     TimingProfile,
     check_command_time,
-    check_integer,
+    check_fields,
     check_sampling,
     field_types,
 )
@@ -53,6 +52,7 @@ class TraceSettings:
     settling_tau_ns: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         check_sampling(self.start_ns, self.end_ns, self.interval_ns, self.settling_tau_ns)
 
 
@@ -64,14 +64,12 @@ class NoiseSettings:
     filter_guard_samples: int = 16
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("n_samples", "seed", "filter_guard_samples"):
-            check_integer(name, getattr(self, name))
-        threshold = self.filter_threshold_db
-        if not (threshold > 0 and math.isfinite(threshold)):
+        if self.filter_threshold_db <= 0:
             raise ValueError("filter_threshold_db must be positive and finite")
         if self.filter_guard_samples < 0:
             raise ValueError("filter_guard_samples must be non-negative")
@@ -322,6 +320,12 @@ def _parse_lines(lines, schedule) -> RunConfig:
             config.output_path = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+
+    # checked last, since deadlines.builtin may follow the extras
+    builtin = {d.name for d in BUILTIN_DEADLINES} if config.deadlines_builtin else set()
+    for name in (d.name for d in config.extra_deadlines if d.name in builtin):
+        raise ConfigError(f"deadlines.extra.{name}: {name} is a built-in deadline; "
+                          "set deadlines.builtin = false to redefine it")
 
     if schedule is None:
         ordered = [entries[i] for i in sorted(entries)]

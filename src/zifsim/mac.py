@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ensm import Direction, EnsmMode, turnaround_budget
-from .params import ClockConfig, TimingProfile, check_integer
+from .params import ClockConfig, TimingProfile, check_fields
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,9 @@ class ProtocolDeadline:
     source: str = ""
 
     def __post_init__(self):
+        check_fields(self)
         if self.deadline_ns <= 0:
             raise ValueError(f"deadline_ns must be positive, got {self.deadline_ns}")
-        check_integer("deadline_ns", self.deadline_ns)
 
 
 BUILTIN_DEADLINES = (

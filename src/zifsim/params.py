@@ -10,6 +10,7 @@ every setting from here without loading the array layers (`rf`, `sim`).
 
 import functools
 import math
+import operator
 import typing
 from array import array
 from dataclasses import dataclass, field, fields
@@ -66,6 +67,51 @@ def field_types(cls) -> tuple:
     return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
+class Band(Enum):
+    B2G4 = "2g4"  # Wi-Fi channel 1
+    B5G = "5g"  # Wi-Fi channel 44
+
+
+_PerBand = dict[Band, float]
+
+
+def _per_band(b2g4: float, b5g: float) -> _PerBand:
+    return {Band.B2G4: b2g4, Band.B5G: b5g}
+
+
+def integer(name: str, value, bits: int | None = None) -> int:
+    """`value`, an int or numpy integer (not a float, even 5.0), as a plain
+    int; with `bits`, unsigned within that width. ValueError names `name`."""
+    try:
+        number = operator.index(value)
+        if bits is None or 0 <= number < 1 << bits:
+            return number
+    except TypeError:
+        pass
+    fits = "" if bits is None else f" that fits {bits} bits"
+    raise ValueError(f"{name} must be an integer{fits}, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Check the fields of dataclass `obj` by declared type, each error
+    naming its field first: `int` fields pass `integer` (bits from the
+    metadata) and are stored as plain ints, `float` and per-band values
+    must be finite, and `bool` fields must hold a bool."""
+    for spec, (name, kind) in zip(fields(obj), field_types(type(obj))):
+        value = getattr(obj, name)
+        if kind is int:
+            object.__setattr__(obj, name, integer(name, value, spec.metadata.get("bits")))
+        elif kind is bool and not isinstance(value, bool):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+        elif kind is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        elif kind == _PerBand:
+            for band in Band:
+                if not math.isfinite(value[band]):
+                    raise ValueError(f"{name} must be finite for band {band.value}, "
+                                     f"got {value[band]!r}")
+
+
 @dataclass(frozen=True)
 class ClockConfig:
     """Clock tree settings that parameterize the timing formulas."""
@@ -77,13 +123,10 @@ class ClockConfig:
     allow_spi_overclock: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         for name in (n for n, kind in field_types(type(self)) if kind is int):
-            value = getattr(self, name)
-            if value != int(value):
-                raise ValueError(f"{name} must be an integer hertz value, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, int(value))
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.spi_clock_hz > SPI_MAX_HZ and not self.allow_spi_overclock:
             raise ValueError(
                 f"spi_clock_hz {self.spi_clock_hz} exceeds the device maximum "
@@ -108,28 +151,13 @@ class TimingProfile:
     lo_div_powerdown_ns: int = 20
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            if value != int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(self)
+        for name, value in vars(self).items():
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
-            object.__setattr__(self, name, int(value))
         for name in ("lo_div_powerup_ns", "lo_div_powerdown_ns"):
             if getattr(self, name) >= TIME_LIMIT_NS:
                 raise ValueError(f"{name} must be below 2**53 ns, got {getattr(self, name)}")
-
-
-class Band(Enum):
-    B2G4 = "2g4"  # Wi-Fi channel 1
-    B5G = "5g"  # Wi-Fi channel 44
-
-
-_PerBand = dict[Band, float]
-
-
-def _per_band(b2g4: float, b5g: float) -> _PerBand:
-    return {Band.B2G4: b2g4, Band.B5G: b5g}
 
 
 @dataclass(frozen=True)
@@ -148,22 +176,16 @@ class RfModelParams:
     agc_gain_db: float = 62.0
 
     def __post_init__(self):
-        for name, kind in field_types(type(self)):
-            value = getattr(self, name)
-            if kind is float:
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
-                continue
-            for band in Band:
-                if not math.isfinite(value[band]):
-                    raise ValueError(
-                        f"{name} must be finite for band {band.value}, got {value[band]}"
-                    )
+        check_fields(self)
         for band in Band:
             if self.fdd_rx_floor_db[band] < self.locontrol_rx_floor_db[band]:
                 raise ValueError(
                     f"fdd_rx_floor_db below locontrol_rx_floor_db for band {band.value}"
                 )
+            packet_db = self.lo_on_delta_db[band] + self.packet_delta_db  # the trace's level
+            if not math.isfinite(packet_db):
+                raise ValueError(f"lo_on_delta_db + packet_delta_db must be finite for band "
+                                 f"{band.value}, got {packet_db}")
 
 
 class CommandKind(Enum):
@@ -180,13 +202,6 @@ _KIND_CODES = {kind: code for code, kind in enumerate(COMMAND_KINDS)}
 _CODE_BYTES = bytes(range(len(COMMAND_KINDS)))
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is a whole number;
-    NaN and the infinities are not."""
-    if value % 1:  # NaN % 1 is NaN, which is true
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def check_command_time(time_ns: int) -> None:
     """Raise ValueError unless `time_ns` is a valid command time."""
     if time_ns < 0:
@@ -201,12 +216,8 @@ class Command:
     kind: CommandKind
 
     def __post_init__(self):
-        time_ns = self.time_ns
-        check_command_time(time_ns)
-        if type(time_ns) is not int:  # int() of a NaN raises ValueError too
-            if time_ns != int(time_ns):
-                raise ValueError(f"command time must be an integer, got {time_ns!r}")
-            object.__setattr__(self, "time_ns", int(time_ns))
+        check_fields(self)
+        check_command_time(self.time_ns)
 
 
 def _column(values, typecode: str, name: str) -> array:
@@ -275,6 +286,8 @@ class Schedule:
 
 def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:
     """Raise ValueError unless the window, interval and tau can be sampled."""
+    for name, value in (("start_ns", start_ns), ("end_ns", end_ns), ("interval_ns", interval_ns)):
+        integer(name, value)
     if not 0 < interval_ns < TIME_LIMIT_NS:
         raise ValueError(f"interval_ns must be positive and below 2**53, got {interval_ns}")
     if end_ns < start_ns:
@@ -283,8 +296,6 @@ def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:
         raise ValueError(
             f"start_ns and end_ns must lie within +/-2**53 ns, got {start_ns}..{end_ns}"
         )
-    for name, value in (("start_ns", start_ns), ("end_ns", end_ns), ("interval_ns", interval_ns)):
-        check_integer(name, value)
     if not (settling_tau_ns >= 0 and math.isfinite(settling_tau_ns)):
         raise ValueError(
             f"settling_tau_ns must be non-negative and finite, got {settling_tau_ns}"

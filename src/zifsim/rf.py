@@ -18,10 +18,11 @@ import numpy as np
 from . import sim  # noqa: F401
 from .ensm import EnsmMode
 from .errors import DataError, FilterRefusedError
-from .params import Band, RfModelParams, check_integer
+from .params import Band, RfModelParams, check_fields
 
 IQ_LIMIT = 32767  # samples are signed 16-bit
 MAX_POWER = 2 * IQ_LIMIT**2  # the largest i*i + q*q, below 2**31 - 1
+MAX_POWER_DB = 10.0 * math.log10(MAX_POWER)  # about 93.32
 SYNTH_CHUNK = 1 << 18  # (i, q) pairs per normal draw in synthesize_capture
 
 
@@ -55,9 +56,9 @@ class IqCapture:
     mode: EnsmMode | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.sample_rate_hz < 1:  # load_capture maps this to the sidecar key
             raise ValueError(f"sample_rate_hz {self.sample_rate_hz} is not positive")
-        check_integer("sample_rate_hz", self.sample_rate_hz)
         samples = np.asarray(self.samples)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must have shape (n, 2), got {samples.shape}")
@@ -402,8 +403,11 @@ def synthesize_capture(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    target = 10.0 ** (rx_noise_floor(mode, band, params) / 10.0)
-    sigma = math.sqrt(target / 2.0)
+    floor_db = rx_noise_floor(mode, band, params)
+    if floor_db > MAX_POWER_DB:  # compared in dB: 10 ** (floor / 10) can overflow
+        raise ValueError(f"{mode.value} floor for band {band.value} is {floor_db} dB, above "
+                         f"the int16 full scale of {MAX_POWER_DB:.2f} dB")
+    sigma = math.sqrt(10.0 ** (floor_db / 10.0) / 2.0)
     rng = np.random.default_rng(seed)
     # consecutive draws continue one stream, so drawing in chunks gives the
     # same samples as one (n, 2) draw without its float64 block

@@ -11,11 +11,10 @@ total width is fixed by the device's instruction format, so the field
 split is documented here and pinned by the tests rather than configurable.
 """
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, MalformedFrameError
-from .params import FRAME_BITS
+from .params import FRAME_BITS, check_fields
 
 ADDRESS_BITS = 10
 DATA_BITS = 8
@@ -25,32 +24,15 @@ RESERVED_BITS = 2
 
 @dataclass(frozen=True)
 class SpiFrame:
-    """One single-register write instruction."""
+    """One single-register write; an extra_byte_count of 0 moves one byte."""
 
     write_flag: bool = True
-    extra_byte_count: int = 0  # 0 = single-byte transfer
-    register_address: int = 0  # 10-bit
-    data: int = 0  # 8-bit
+    extra_byte_count: int = field(default=0, metadata={"bits": EXTRA_COUNT_BITS})
+    register_address: int = field(default=0, metadata={"bits": ADDRESS_BITS})
+    data: int = field(default=0, metadata={"bits": DATA_BITS})
 
     def __post_init__(self):
-        for name, bits in (("extra_byte_count", EXTRA_COUNT_BITS),
-                           ("register_address", ADDRESS_BITS), ("data", DATA_BITS)):
-            _store_field_int(self, name, bits)
-        object.__setattr__(self, "write_flag", bool(self.write_flag))
-
-
-def _store_field_int(obj, name: str, bits: int) -> None:
-    """Check that a frozen dataclass field is an integer that fits `bits`
-    unsigned bits, and store it as a plain int."""
-    value = getattr(obj, name)
-    try:
-        number = operator.index(value)  # refuses floats, even integral ones
-        fits = 0 <= number < (1 << bits)
-    except TypeError:
-        fits = False
-    if not fits:
-        raise ValueError(f"{name} must be an integer that fits {bits} bits, got {value!r}")
-    object.__setattr__(obj, name, number)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -133,14 +115,12 @@ class LoDividerConfig:
     hardware.
     """
 
-    tx_register: int = 0x005  # placeholder, not authoritative
-    on_value: int = 0x00  # placeholder
-    off_value: int = 0x01  # placeholder
+    tx_register: int = field(default=0x005, metadata={"bits": ADDRESS_BITS})
+    on_value: int = field(default=0x00, metadata={"bits": DATA_BITS})
+    off_value: int = field(default=0x01, metadata={"bits": DATA_BITS})
 
     def __post_init__(self):
-        for name, bits in (("tx_register", ADDRESS_BITS), ("on_value", DATA_BITS),
-                           ("off_value", DATA_BITS)):
-            _store_field_int(self, name, bits)
+        check_fields(self)
         if self.on_value == self.off_value:
             raise ValueError(f"on_value and off_value must differ, both are {self.on_value}")
 

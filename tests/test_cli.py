@@ -183,6 +183,17 @@ def test_trace_bad_config_values_exit_2(capsys, tmp_path, line):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_packet_level_overflow_exits_2(capsys, tmp_path, fmt):
+    # an inf packet level would print as Infinity, which is not JSON
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("rf.lo_on_delta_db.2g4 = 1e308\nrf.packet_delta_db = 1e308\n"
+                   "schedule.0 = lo-on @ 0\nschedule.1 = tx-packet-start @ 1000\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "trace", "--format", fmt)
+    assert code == 2
+    assert out == "" and err.startswith("error: rf.lo_on_delta_db + packet_delta_db ")
+
+
 def test_trace_overlapping_spi_exits_1(capsys, tmp_path):
     cfg = tmp_path / "overlap.cfg"
     cfg.write_text("schedule.0 = lo-on @ 0\nschedule.1 = lo-off @ 100\n")
@@ -418,6 +429,19 @@ def test_comply_deadline_selection(capsys):
     assert {r["deadline"] for r in rows} == {"sifs-2g4"}
     code, out, err = run_cli(capsys, "comply", "--deadline", "bogus")
     assert code == 2
+
+
+def test_comply_extra_deadline_with_a_builtin_name_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "reuse.cfg"
+    cfg.write_text("deadlines.extra.sifs-2g4 = 5\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "comply")
+    assert code == 2
+    assert out == "" and err.startswith("error: deadlines.extra.sifs-2g4: ")
+    cfg.write_text("deadlines.extra.sifs-2g4 = 5\ndeadlines.builtin = false\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "comply", "--deadline", "sifs-2g4",
+                             "--format", "csv")
+    assert code == 0
+    assert {r["margin_ns"] for r in parse_csv(out) if r["mode"] == "fdd"} == {"5"}
 
 
 def test_comply_empty_deadline_list_exits_2(capsys, tmp_path):

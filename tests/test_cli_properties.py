@@ -115,6 +115,8 @@ def write_inputs(config_text):
 # sizes no allocation can serve: a data error, exit 1
 @example(False, ["noise", "--mode", "fdd", "--band", "2g4", "--n", "9007199254740991"], "")
 @example(True, ["trace"], "trace.end_ns = 9007199254740991\n")
+# a floor beyond int16 full scale: a data error, not an OverflowError
+@example(True, ["noise", "--mode", "fdd", "--band", "2g4"], "rf.fdd_rx_floor_db.2g4 = 1e308\n")
 def test_main_returns_a_documented_exit_code(use_config, argv, config_text):
     argv = (["-c", "run.cfg"] if use_config else []) + argv
     cwd = os.getcwd()

@@ -131,6 +131,18 @@ def test_deadline_controls():
     assert config.deadlines[0].source == "config"
 
 
+@pytest.mark.parametrize("builtin_line", ["", "deadlines.builtin = true\n"])
+def test_extra_deadline_cannot_reuse_a_builtin_name(builtin_line):
+    with pytest.raises(ConfigError, match="^deadlines.extra.sifs-2g4: sifs-2g4 is a built-in"):
+        parse_config("deadlines.extra.sifs-2g4 = 5\n" + builtin_line)
+
+
+def test_extra_deadline_may_take_a_builtin_name_when_builtins_are_off():
+    # deadlines.builtin may follow the extra entry
+    config = parse_config("deadlines.extra.sifs-2g4 = 5\ndeadlines.builtin = false\n")
+    assert [(d.name, d.deadline_ns) for d in config.deadlines] == [("sifs-2g4", 5)]
+
+
 def test_unknown_key_reports_line_number():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("clocks.spi_clock_hz = 1000000\nbogus.key = 1\n")
@@ -213,6 +225,15 @@ def test_semantic_validation():
                    "trace.interval_ns = 9007199254740992"):
         with pytest.raises(ConfigError):
             parse_config(window + "\n")
+
+
+def test_packet_level_must_be_finite():
+    # the trace's packet level is lo_on_delta_db + packet_delta_db
+    with pytest.raises(ConfigError, match=r"^rf\.lo_on_delta_db \+ packet_delta_db must be "
+                                          "finite for band 5g, got inf$"):
+        parse_config("rf.lo_on_delta_db.5g = 1e308\nrf.packet_delta_db = 1e308\n")
+    config = parse_config("rf.lo_on_delta_db.5g = 1e308\nrf.packet_delta_db = -1e308\n")
+    assert config.rf.lo_on_delta_db[Band.B5G] == 1e308
 
 
 @pytest.mark.parametrize("settings, field, value", [

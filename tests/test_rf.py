@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import threading
 import tracemalloc
 
@@ -488,6 +489,16 @@ def test_load_capture_bad_sidecar_names_file_and_key(tmp_path, line, key):
 def test_synthesize_validation(rf):
     with pytest.raises(ValueError):
         synthesize_capture(EnsmMode.FDD, Band.B2G4, rf, 0, seed=1)
+
+
+@pytest.mark.parametrize("floor_db", [400.0, 1e308])
+def test_synthesize_refuses_a_floor_above_int16_full_scale(floor_db):
+    # 400 dB would clip to full scale (93.32 dB); 1e308 overflowed 10 ** (floor / 10)
+    rf = RfModelParams(fdd_rx_floor_db={Band.B2G4: floor_db, Band.B5G: 58.0})
+    message = f"fdd floor for band 2g4 is {floor_db} dB, above the int16 full scale of 93.32 dB"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthesize_capture(EnsmMode.FDD, Band.B2G4, rf, 8, seed=1)
+    synthesize_capture(EnsmMode.FDD, Band.B5G, rf, 8, seed=1)  # the other band is fine
 
 
 @pytest.mark.parametrize("n", [SYNTH_CHUNK - 1, SYNTH_CHUNK, SYNTH_CHUNK + 1, 2 * SYNTH_CHUNK + 3])
