@@ -11,6 +11,7 @@ every setting from here without loading the array layers (`rf`, `sim`).
 import functools
 import math
 import operator
+import types
 import typing
 from array import array
 from dataclasses import dataclass, field, fields
@@ -92,24 +93,45 @@ def integer(name: str, value, bits: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer{fits}, got {value!r}")
 
 
+def _finite(name: str, value, where: str = "") -> None:
+    """Raise ValueError, naming `name`, unless `value` is a finite real number."""
+    try:
+        if math.isfinite(value):
+            return
+    except TypeError:  # a string, None or other non-number
+        raise ValueError(f"{name} must be a real number{where}, got {value!r}") from None
+    raise ValueError(f"{name} must be finite{where}, got {value!r}")
+
+
+@functools.cache
+def _enum_names(kind) -> str | None:
+    """How a message names an Enum type or an Enum | None union ("Band",
+    "Band or None"); None for any other type."""
+    members = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+    names = ["None" if m is types.NoneType else m.__name__ for m in members
+             if m is types.NoneType or isinstance(m, type) and issubclass(m, Enum)]
+    return " or ".join(names) if len(names) == len(members) else None
+
+
 def check_fields(obj) -> None:
     """Check the fields of dataclass `obj` by declared type, each error
     naming its field first: `int` fields pass `integer` (bits from the
     metadata) and are stored as plain ints, `float` and per-band values
-    must be finite, and `bool` fields must hold a bool."""
+    must be finite real numbers, `bool` fields must hold a bool, and an
+    Enum field (or Enum | None) must hold a member (or None)."""
     for spec, (name, kind) in zip(fields(obj), field_types(type(obj))):
         value = getattr(obj, name)
         if kind is int:
             object.__setattr__(obj, name, integer(name, value, spec.metadata.get("bits")))
         elif kind is bool and not isinstance(value, bool):
             raise ValueError(f"{name} must be a bool, got {value!r}")
-        elif kind is float and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        elif kind is float:
+            _finite(name, value)
         elif kind == _PerBand:
             for band in Band:
-                if not math.isfinite(value[band]):
-                    raise ValueError(f"{name} must be finite for band {band.value}, "
-                                     f"got {value[band]!r}")
+                _finite(name, value[band], f" for band {band.value}")
+        elif (names := _enum_names(kind)) and not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {names}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ IQ_LIMIT = 32767  # samples are signed 16-bit
 MAX_POWER = 2 * IQ_LIMIT**2  # the largest i*i + q*q, below 2**31 - 1
 MAX_POWER_DB = 10.0 * math.log10(MAX_POWER)  # about 93.32
 SYNTH_CHUNK = 1 << 18  # (i, q) pairs per normal draw in synthesize_capture
+BLOCK = 1 << 16  # samples per pass of the noise report's power, edge and sum loops
 
 
 def rx_noise_floor(mode: EnsmMode, band: Band, params: RfModelParams) -> float:
@@ -46,8 +47,10 @@ def noise_floor_delta(
 class IqCapture:
     """Raw receiver samples: (i, q) pairs as signed 16-bit integers.
 
-    An int16 array that is not writeable, such as a view of a file's
-    bytes, is kept as given; any other input is copied.
+    Samples of any integer dtype are accepted when every value lies within
+    +/-IQ_LIMIT; floats and bools are refused. An int16 array that is not
+    writeable, such as a view of a file's bytes, is kept as given; any
+    other input is copied.
     """
 
     samples: np.ndarray  # shape (n, 2)
@@ -62,15 +65,10 @@ class IqCapture:
         samples = np.asarray(self.samples)
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise ValueError(f"samples must have shape (n, 2), got {samples.shape}")
-        if samples.size:
-            if samples.dtype == np.int16:
-                # -32768 is the only int16 value beyond the limit
-                out_of_range = int(samples.min()) < -IQ_LIMIT
-            else:
-                # check in int64 so abs() cannot wrap
-                out_of_range = int(np.abs(samples.astype(np.int64)).max()) > IQ_LIMIT
-            if out_of_range:
-                raise ValueError(f"sample magnitude exceeds {IQ_LIMIT}")
+        if not np.issubdtype(samples.dtype, np.integer):  # bool is no integer here
+            raise ValueError(f"samples must hold integers, got dtype {samples.dtype}")
+        if samples.size and not -IQ_LIMIT <= int(samples.min()) <= int(samples.max()) <= IQ_LIMIT:
+            raise ValueError(f"sample magnitude exceeds {IQ_LIMIT}")
         if samples.dtype != np.int16 or samples.flags.writeable:
             samples = samples.astype(np.int16)
         self.samples = samples
@@ -82,11 +80,17 @@ class IqCapture:
 def _power(samples: np.ndarray) -> np.ndarray:
     """Per-sample i*i + q*q as a contiguous int32 array.
 
-    Exact: every value is an integer of at most MAX_POWER.
+    Exact: every value is an integer of at most MAX_POWER. Works in
+    blocks of BLOCK samples through one int32 pair buffer, so the only
+    array of the capture's length it makes is the result.
     """
-    i, q = samples[:, 0], samples[:, 1]
-    power = np.multiply(i, i, dtype=np.int32)
-    power += np.multiply(q, q, dtype=np.int32)
+    power = np.empty(len(samples), dtype=np.int32)
+    pairs = np.empty((min(BLOCK, power.size), 2), dtype=np.int32)
+    for start in range(0, power.size, BLOCK):
+        block = pairs[:power.size - start]
+        block[...] = samples[start:start + BLOCK]
+        block *= block
+        np.add(block[:, 0], block[:, 1], out=power[start:start + BLOCK])
     return power
 
 
@@ -192,22 +196,44 @@ def _check_filter_args(n: int, threshold_db_above_median: float, guard_samples: 
         raise ValueError("guard_samples must be non-negative")
 
 
-def _removed_runs(hot: np.ndarray, guard_samples: int):
-    """Every run of True widened by guard_samples on each side, clamped.
+def _burst_edges(series: np.ndarray, above, limit):
+    """Starts and ends (exclusive) of the maximal runs of a non-empty
+    series where `above(sample, limit)`, a comparison ufunc, holds.
 
-    Returns the starts and ends (exclusive) of the removed runs, with runs
-    that now touch or overlap merged, and the number of samples they hold.
-    Works on run edges, so the cost is O(n) whatever the guard width.
-    Refuses when the runs cover more than 90% of the series, since the
-    remainder would not be a trustworthy floor estimate.
+    Works in blocks of BLOCK samples, carrying the last flag of each block
+    into the next, so no bool array of the series' length is made.
     """
-    n = hot.size
+    n = series.size
+    flags = np.zeros(min(BLOCK, n) + 1, dtype=bool)  # the flag before the block, then its own
+    changed = np.empty(flags.size - 1, dtype=bool)
+    edges = []
+    for start in range(0, n, BLOCK):
+        block = series[start:start + BLOCK]
+        hot = flags[1:block.size + 1]
+        above(block, limit, out=hot)
+        np.not_equal(hot, flags[:block.size], out=changed[:block.size])
+        edges.append(np.flatnonzero(changed[:block.size]) + start)
+        flags[0] = hot[-1]
+    if flags[0]:  # the last run reaches the end
+        edges.append([n])
+    edges = np.concatenate(edges)
+    return edges[::2], edges[1::2]
+
+
+def _removed_runs(starts: np.ndarray, ends: np.ndarray, n: int, guard_samples: int):
+    """The runs [start, end) of an n-sample series widened by guard_samples
+    on each side, clamped.
+
+    Returns the starts and ends of the removed runs, with runs that now
+    touch or overlap merged, and the number of samples they hold. Works on
+    run edges, so the cost is O(runs) whatever the guard width. Refuses
+    when the runs cover more than 90% of the series, since the remainder
+    would not be a trustworthy floor estimate.
+    """
     # a guard of n already reaches both ends; a wider one overflows int64
     guard = min(guard_samples, n)
-    padded = np.concatenate(([False], hot, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts = np.maximum(edges[::2] - guard, 0)
-    ends = np.minimum(edges[1::2] + guard, n)
+    starts = np.maximum(starts - guard, 0)
+    ends = np.minimum(ends + guard, n)
     # a merged run begins at each start past the end before it; with no
     # runs all stay empty
     fresh = np.flatnonzero(starts[1:] > ends[:-1]) + 1
@@ -232,6 +258,36 @@ def _keep_mask(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(kept, np.diff(bounds))
 
 
+def _kept_sum(power: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int:
+    """The exact sum of power outside the runs [start, end), which are
+    sorted, non-empty and apart, as _removed_runs returns them.
+
+    Works block by block: reduceat sums an int64 copy of its input, which
+    is then one block long.
+    """
+    total = 0
+    for start in range(0, power.size, BLOCK):
+        block = power[start:start + BLOCK]
+        first = np.searchsorted(ends, start, "right")
+        stop = np.searchsorted(starts, start + block.size)
+        if first == stop:  # no run overlaps the block
+            total += int(block.sum(dtype=np.int64))
+            continue
+        # the runs clipped to the block, after a 0 if a kept stretch comes
+        # first; reduceat sums from each bound to the next, the last to the
+        # end of the block, so kept and removed stretches alternate
+        bounds = np.column_stack((starts[first:stop], ends[first:stop])).ravel() - start
+        np.clip(bounds, 0, block.size, out=bounds)
+        kept_first = bounds[0] > 0
+        if kept_first:
+            bounds = np.concatenate(([0], bounds))
+        if bounds[-1] == block.size:
+            bounds = bounds[:-1]
+        sums = np.add.reduceat(block, bounds, dtype=np.int64)
+        total += int(sums[0 if kept_first else 1::2].sum())
+    return total
+
+
 def filter_packets(
     power_series,
     threshold_db_above_median: float = 10.0,
@@ -247,8 +303,8 @@ def filter_packets(
     """
     series = np.asarray(power_series, dtype=np.float64)
     _check_filter_args(series.size, threshold_db_above_median, guard_samples)
-    hot = series > _median(series) + threshold_db_above_median
-    starts, ends, n_removed = _removed_runs(hot, guard_samples)
+    starts, ends = _burst_edges(series, np.greater, _median(series) + threshold_db_above_median)
+    starts, ends, n_removed = _removed_runs(starts, ends, series.size, guard_samples)
     return PacketFilterResult(
         series=series,
         keep_mask=_keep_mask(starts, ends, series.size),
@@ -281,23 +337,23 @@ def noise_floor_report(
     of the kept samples, but works on the int32 power alone: a sample is
     a burst when its power reaches the smallest integer power above the
     dB limit, and the average comes from the exact int64 sum of the kept
-    power. No float64 array of the capture's length is made. A median
-    sample power of zero makes every nonzero sample a burst, which leaves
-    nothing but zero power to average: DataError, unless no sample is kept.
+    power. No float64 or bool array of the capture's length is made. A
+    median sample power of zero makes every nonzero sample a burst, which
+    leaves nothing but zero power to average: DataError, unless no sample
+    is kept.
     """
     power = _power(capture.samples)
     _check_filter_args(power.size, threshold_db_above_median, guard_samples)
     median_db = _median_db(power)
     threshold_db = median_db + threshold_db_above_median
-    hot = power >= _min_power_above(threshold_db)
-    starts, ends, n_removed = _removed_runs(hot, guard_samples)
-    keep = _keep_mask(starts, ends, power.size)
+    starts, ends = _burst_edges(power, np.greater_equal, _min_power_above(threshold_db))
+    starts, ends, n_removed = _removed_runs(starts, ends, power.size, guard_samples)
     used = power.size - n_removed
     if used and median_db == -math.inf and power.any():
         # every nonzero sample lies above a limit over a -inf dB median
         raise DataError(ZERO_MEDIAN_MESSAGE)
     return NoiseFloorReport(
-        average_power_db=_mean_power_db(int(np.sum(power, dtype=np.int64, where=keep)), used),
+        average_power_db=_mean_power_db(_kept_sum(power, starts, ends), used),
         sample_count_used=used,
         samples_filtered=n_removed,
         threshold_db=float(threshold_db),
@@ -410,10 +466,15 @@ def synthesize_capture(
     sigma = math.sqrt(10.0 ** (floor_db / 10.0) / 2.0)
     rng = np.random.default_rng(seed)
     # consecutive draws continue one stream, so drawing in chunks gives the
-    # same samples as one (n, 2) draw without its float64 block
+    # same samples as one (n, 2) draw without its float64 block. normal(0,
+    # sigma) is 0.0 + sigma * z, which differs from sigma * z only by the
+    # sign of a zero, and rint and the cast make both 0
     samples = np.empty((n_samples, 2), dtype=np.int16)
+    chunk = np.empty((min(SYNTH_CHUNK, n_samples), 2))
     for start in range(0, n_samples, SYNTH_CHUNK):
-        iq = rng.normal(0.0, sigma, size=(min(SYNTH_CHUNK, n_samples - start), 2))
+        iq = chunk[:n_samples - start]
+        rng.standard_normal(out=iq)
+        iq *= sigma
         np.rint(iq, out=iq)
         np.clip(iq, -IQ_LIMIT, IQ_LIMIT, out=iq)
         samples[start:start + len(iq)] = iq

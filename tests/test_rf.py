@@ -28,7 +28,7 @@ from zifsim import (
     synthesize_capture,
 )
 
-from zifsim.rf import SYNTH_CHUNK
+from zifsim.rf import BLOCK, SYNTH_CHUNK
 
 from conftest import (
     brute_force_average_db,
@@ -95,6 +95,30 @@ def test_capture_validation():
             IqCapture(np.zeros((1, 2), dtype=np.int16), sample_rate_hz=rate)
     capture = IqCapture(np.array([[1, -1], [2, -2]], dtype=np.int16))
     assert len(capture) == 2
+
+
+@pytest.mark.parametrize("samples, message", [
+    # floats were cast: NaN, inf and 1e30 became 0, 0.5 and 1.7 became 0 and 1
+    (np.array([[np.nan, 0.0]]), "samples must hold integers, got dtype float64"),
+    (np.array([[np.inf, 0.0]]), "samples must hold integers, got dtype float64"),
+    (np.array([[1e30, 0.0]]), "samples must hold integers, got dtype float64"),
+    (np.array([[0.5, 1.7]]), "samples must hold integers, got dtype float64"),
+    (np.array([[True, False]]), "samples must hold integers, got dtype bool"),
+    # abs(-2**63) wraps to itself in int64, and the cast to int16 made it 0
+    (np.array([[-2**63, 0]], dtype=np.int64), "sample magnitude exceeds 32767"),
+    (np.array([[2**64 - 1, 0]], dtype=np.uint64), "sample magnitude exceeds 32767"),
+    (np.array([[0, 32768]], dtype=np.uint16), "sample magnitude exceeds 32767"),
+])
+def test_capture_refuses_samples_that_are_no_int16_value(samples, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IqCapture(samples)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+def test_capture_takes_any_integer_dtype_within_range(dtype):
+    capture = IqCapture(np.array([[0, 1], [2, 127]], dtype=dtype))
+    assert capture.samples.dtype == np.int16
+    assert capture.samples.tolist() == [[0, 1], [2, 127]]
 
 
 @pytest.mark.parametrize("rate", [math.nan, 2.5])
@@ -349,6 +373,67 @@ def test_report_merges_touching_runs():
     assert report.samples_filtered == 6
 
 
+def report_outcome(capture, threshold_db, guard):
+    """The report's fields, or the error it raises, as one value."""
+    try:
+        report = noise_floor_report(capture, threshold_db, guard)
+    except (DataError, FilterRefusedError) as exc:
+        return type(exc), str(exc)
+    removed = removed_mask(report.removed_runs, len(capture))
+    return report.average_power_db, report.sample_count_used, removed.tolist()
+
+
+def oracle_outcome(capture, threshold_db, guard):
+    """report_outcome from the dB path: filter_packets on sample_power_db,
+    then average_power_db of the kept samples."""
+    try:
+        keep = filter_packets(sample_power_db(capture), threshold_db, guard).keep_mask
+        kept = IqCapture(capture.samples[keep])
+        return average_power_db(kept), len(kept), (~keep).tolist()
+    except (DataError, FilterRefusedError) as exc:
+        return type(exc), str(exc)
+
+
+# Bursts placed against the report's block edges, as [start, stop) ranges
+# of an n-sample capture, clipped to it.
+BLOCK_LAYOUTS = {
+    "starts at an edge": lambda n: [(BLOCK, BLOCK + 7)],
+    "ends at an edge": lambda n: [(BLOCK - 7, BLOCK)],
+    "spans an edge": lambda n: [(BLOCK - 3, BLOCK + 3)],
+    "is a whole block": lambda n: [(BLOCK, 2 * BLOCK)],  # under half of 2 * BLOCK + 3
+    "first and last hot": lambda n: [(0, 1), (n - 1, n)],
+    "guards meet at an edge": lambda n: [(BLOCK - 17, BLOCK - 16), (BLOCK + 16, BLOCK + 17)],
+}
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+@pytest.mark.parametrize("guard", [0, 16, "n", 10**9])
+def test_report_across_block_edges_matches_db_path(n, layout, guard):
+    rng = np.random.default_rng(n)
+    samples = rng.integers(-40, 41, size=(n, 2)).astype(np.int16)
+    for start, stop in BLOCK_LAYOUTS[layout](n):
+        samples[max(start, 0):max(min(stop, n), 0)] = (3000, -3000)
+    capture = IqCapture(samples)
+    guard = n if guard == "n" else guard
+    assert report_outcome(capture, 10.0, guard) == oracle_outcome(capture, 10.0, guard)
+
+
+def test_full_scale_power_across_a_block_edge():
+    # i*i + q*q of +/-32767 is 2**31 - 2**17 + 2, the largest int32 power
+    samples = np.full((2 * BLOCK + 3, 2), 5, dtype=np.int16)
+    samples[BLOCK - 2:BLOCK + 2] = [(32767, -32767), (-32767, 32767), (32767, 32767),
+                                    (-32767, -32767)]
+    samples[-1] = (-32767, 32767)
+    capture = IqCapture(samples)
+    power = (samples.astype(np.int64) ** 2).sum(axis=1)
+    assert power.max() == 2 * 32767**2
+    assert np.array_equal(sample_power_db(capture), 10.0 * np.log10(power.astype(np.float64)))
+    assert average_power_db(capture) == pytest.approx(brute_force_average_db(samples.tolist()),
+                                                      abs=1e-9)
+    assert report_outcome(capture, 10.0, 16) == oracle_outcome(capture, 10.0, 16)
+
+
 # Three consecutive integer powers, each as an (i, q) sample, from 8 up to
 # where the int16 square still holds consecutive sums, and a floor sample
 # well below them. (A zero-power median removes every nonzero sample, so
@@ -527,5 +612,5 @@ def test_noise_path_memory_per_sample(rf):
         report = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert synthesis < 16 * n
+    assert synthesis < 10 * n
     assert report < 12 * n
