@@ -8,13 +8,12 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage or configuration
 error, 3 compliance requirement not met. Error lines always go to stderr.
 
 Only `trace` and `noise` import the array layers (`sim`, `rf`) and with
-them numpy; the other subcommands start without it.
+them numpy; the other subcommands start without it. `json` and `csv` are
+imported by the output formats that use them.
 """
 
 import argparse
-import csv
 import io
-import json
 import sys
 
 from .config import (
@@ -91,9 +90,13 @@ def _cell_text(value) -> str:
 
 def _render_rows(fieldnames, rows, fmt) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(rows, indent=2) + "\n"
     texts = [[_cell_text(row[name]) for name in fieldnames] for row in rows]
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fieldnames)
@@ -135,6 +138,15 @@ class _Emitter:
         else:
             with open(self.out_path, "w", newline="") as fh:
                 fh.write(text)
+
+    def blocks(self, blocks):
+        """Write ASCII byte blocks as they are made."""
+        if self.out_path == "-":
+            for block in blocks:
+                sys.stdout.write(block.decode("ascii"))
+        else:
+            with open(self.out_path, "wb") as fh:
+                fh.writelines(blocks)
 
     def status(self, line: str):
         stream = sys.stderr if self.out_path == "-" else sys.stdout
@@ -206,9 +218,8 @@ def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
         expand_schedule,
         find_step,
         measure_turnaround,
-        render_trace,
+        render_blocks,
         sample_trace,
-        trace_to_csv,
     )
 
     band = Band(args.band) if args.band else config.trace.band
@@ -223,7 +234,7 @@ def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
         interval_ns=config.trace.interval_ns,
         settling_tau_ns=config.trace.settling_tau_ns,
     )
-    emitter.data(trace_to_csv(trace) if fmt == "csv" else render_trace(trace, fmt))
+    emitter.blocks(render_blocks(trace, fmt))
 
     try:
         step = find_step(timeline)

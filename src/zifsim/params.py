@@ -116,8 +116,9 @@ def _enum_names(kind) -> str | None:
 def check_fields(obj) -> None:
     """Check the fields of dataclass `obj` by declared type, each error
     naming its field first: `int` fields pass `integer` (bits from the
-    metadata) and are stored as plain ints, `float` and per-band values
-    must be finite real numbers, `bool` fields must hold a bool, and an
+    metadata) and are stored as plain ints, `float` values must be finite
+    real numbers, per-band values a dict of such numbers keyed by exactly
+    the Band members, `bool` fields must hold a bool, and an
     Enum field (or Enum | None) must hold a member (or None)."""
     for spec, (name, kind) in zip(fields(obj), field_types(type(obj))):
         value = getattr(obj, name)
@@ -128,6 +129,8 @@ def check_fields(obj) -> None:
         elif kind is float:
             _finite(name, value)
         elif kind == _PerBand:
+            if not isinstance(value, dict) or set(value) != set(Band):
+                raise ValueError(f"{name} must be a dict with one value per Band, got {value!r}")
             for band in Band:
                 _finite(name, value[band], f" for band {band.value}")
         elif (names := _enum_names(kind)) and not isinstance(value, kind):

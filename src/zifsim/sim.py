@@ -4,11 +4,10 @@ A command schedule (register writes, packet markers, an optional trigger)
 expands into timed events with the wire and power-up latencies applied,
 and the events can then be sampled onto a uniform grid the way a signal
 analyzer in zero-span mode would see it. The expanded events and the
-traces are numpy columns; expansion, sampling, step measurement and text
-rendering work on whole columns.
+traces are numpy columns; expansion, sampling and step measurement work
+on whole columns, and text rendering on a block of rows at a time.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -320,15 +319,22 @@ def sample_trace(
     check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns)
 
     count = int((end_ns - start_ns) // interval_ns) + 1
-    times = start_ns + interval_ns * np.arange(count, dtype=np.int64)
-    # an event at time e is seen by sample t exactly when ceil(e) <= t,
-    # since t is an integer: Fraction times stay exact
-    seen = np.searchsorted(timeline.ceil_ns(), times, side="right")
+    # sample k, taken at the integer time start + k * interval, sees an
+    # event at time e exactly when ceil(e) <= start + k * interval, so
+    # each event's first sample is a ceiling division (Fraction times stay
+    # exact); the times are sorted, so runs[j] samples have seen exactly
+    # the first j events
+    first = np.clip(-((start_ns - timeline.ceil_ns()) // interval_ns), 0, count)
+    runs = np.diff(first, prepend=0, append=count)
     # levels[j]: the power after the first j events
-    levels = np.concatenate(([timeline.initial_dbr], timeline.power_after_dbr[:seen[-1]]))
-    samples = levels[seen]
+    levels = np.concatenate(([timeline.initial_dbr], timeline.power_after_dbr))
+    samples = np.repeat(levels, runs)
     if settling_tau_ns > 0:
-        samples = _settle(samples, levels, timeline, seen, times, settling_tau_ns)
+        # the number of events each sample has seen, and the sample times
+        seen = np.repeat(np.arange(levels.size), runs)
+        times = start_ns + interval_ns * np.arange(count, dtype=np.int64)
+        samples = _settle(samples, levels[:seen[-1] + 1], timeline, seen, times,
+                          settling_tau_ns)
     return PowerTrace(start_ns=start_ns, interval_ns=interval_ns, samples=samples)
 
 
@@ -437,11 +443,13 @@ def _table_text(value: float) -> str:
     return f"{round(value, 2):.2f}"
 
 
-_POWER_TEXT = {
-    "csv": _fmt2,
-    "table": _table_text,
-    "json": lambda v: json.dumps(round(v, 2)),
-}
+def _json_text(value: float) -> str:
+    import json  # only json output needs it
+
+    return json.dumps(round(value, 2))
+
+
+_POWER_TEXT = {"csv": _fmt2, "table": _table_text, "json": _json_text}
 
 
 def _texts(texts):
@@ -486,8 +494,8 @@ def _time_field(times_ns, fmt):
     return matrix, digits + 3 + sign
 
 
-def _rows(times_ns, power_index, power_texts, fmt, width) -> str:
-    """Text of a block of rows."""
+def _rows(times_ns, power_index, power_texts, fmt, width) -> bytes:
+    """ASCII text of a block of rows."""
     rows = times_ns.size
     time_bytes, time_len = _time_field(times_ns, fmt)
     fields = {"time": time_bytes, "power": power_texts[power_index]}
@@ -496,35 +504,50 @@ def _rows(times_ns, power_index, power_texts, fmt, width) -> str:
         fields["pad"] = _texts([" " * k for k in range(int(pad.max()) + 1)])[pad]
     parts = [fields[item] if item in fields else _texts([item]) for item in _ROW[fmt]]
     text = np.concatenate([np.broadcast_to(m, (rows, m.shape[1])) for m in parts], axis=1)
-    return text[text != 0].tobytes().decode("ascii")
+    return text[text != 0].tobytes()
 
 
-def render_trace(trace: PowerTrace, fmt: str) -> str:
-    """The trace as csv, json or an aligned table: one row per sample with
-    time_us and power_db, each rounded to two decimals."""
+def render_blocks(trace: PowerTrace, fmt: str):
+    """The trace as csv, json or an aligned table, in ASCII bytes: the
+    header, then the rows a block of _CHUNK_ROWS at a time, each block
+    ending with a whole row. One row per sample holds time_us and
+    power_db, each rounded to two decimals."""
     if fmt not in _ROW:
         raise ValueError(f"unknown trace format {fmt!r}")
     rows = trace.samples.size
     if not rows:
-        return {"csv": _HEADER["csv"], "table": "time_us  power_db\n", "json": "[]\n"}[fmt]
-    times = trace.times_ns()
+        yield {"csv": b"time_us,power_db\n", "table": b"time_us  power_db\n", "json": b"[]\n"}[fmt]
+        return
+    start, interval = trace.start_ns, trace.interval_ns
     # times increase, so the widest time cell is the first or the last
-    width = max(len("time_us"), int(_time_field(times[[0, -1]], "table")[1].max()))
+    ends = np.array([start, start + interval * (rows - 1)], np.int64)
+    width = max(len("time_us"), int(_time_field(ends, "table")[1].max()))
     # distinct bit patterns, so -0.0 and 0.0 keep their own texts; found
     # over the run heads (the samples whose bits differ from the one
-    # before) and repeated over each run
+    # before) and repeated over each run in a block
     bits = trace.samples.view(np.int64)
     heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     distinct, head_index = np.unique(bits[heads], return_inverse=True)
-    power_index = np.repeat(head_index, np.diff(heads, append=rows))
     power_texts = _texts([_POWER_TEXT[fmt](v) for v in distinct.view(np.float64).tolist()])
-    pieces = [_HEADER.get(fmt, f"{'time_us'.ljust(width)}  power_db\n")]
+    yield _HEADER.get(fmt, f"{'time_us'.ljust(width)}  power_db\n").encode("ascii")
     for lo in range(0, rows, _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        pieces.append(_rows(times[lo:hi], power_index[lo:hi], power_texts, fmt, width))
-    if fmt == "json":
-        pieces[-1] = pieces[-1][:-2] + "\n]\n"
-    return "".join(pieces)
+        hi = min(lo + _CHUNK_ROWS, rows)
+        times = start + interval * np.arange(lo, hi, dtype=np.int64)
+        # the runs that overlap the block, the first one (the last head
+        # at or before lo) cut to it
+        first, stop = np.searchsorted(heads, (lo + 1, hi))
+        cuts = np.maximum(heads[first - 1:stop], lo)
+        power_index = np.repeat(head_index[first - 1:stop], np.diff(cuts, append=hi))
+        block = _rows(times, power_index, power_texts, fmt, width)
+        if fmt == "json" and hi == rows:  # the last row closes the list
+            block = block[:-2] + b"\n]\n"
+        yield block
+
+
+def render_trace(trace: PowerTrace, fmt: str) -> str:
+    """The trace as csv, json or an aligned table: the text of
+    render_blocks."""
+    return b"".join(render_blocks(trace, fmt)).decode("ascii")
 
 
 def trace_to_csv(trace: PowerTrace) -> str:

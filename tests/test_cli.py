@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, formats, files, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -483,6 +484,25 @@ def test_trace_csv_json_parity(capsys):
     _, json_out, _ = run_cli(capsys, "trace", "--format", "json")
     csv_rows = [{k: typed(v) for k, v in row.items()} for row in parse_csv(csv_out)]
     assert csv_rows == json.loads(json_out)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+def test_trace_writes_the_same_text_to_stdout_and_to_a_file(tmp_path, fmt):
+    # 2**16 + 6 rows: the header, then the rows in two blocks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trace.start_ns = -3\ntrace.end_ns = 65538\ntrace.interval_ns = 1\n"
+                   "trace.settling_tau_ns = 40\nschedule.0 = lo-on @ 0\n")
+    out_path = tmp_path / f"trace.{fmt}"
+    argv = ["-c", str(cfg), "trace", "--format", fmt]
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+        assert main([*argv, "--out", str(out_path)]) == 0
+    text = out_path.read_bytes().decode("ascii")
+    status = "measured turnaround: 0.67 us (rx-tx)\n"
+    assert stdout.getvalue() == text + status and err.getvalue() == status
+    rows = 2**16 + 6
+    assert text.count("\n") == (1 + rows if fmt != "json" else 4 * rows + 2)
 
 
 def test_out_writes_file_and_status_to_stdout(capsys, tmp_path):

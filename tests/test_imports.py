@@ -7,6 +7,7 @@ start without numpy: only `trace` and `noise` load the array layers
 a module once imported stays in `sys.modules`.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -24,12 +25,13 @@ import zifsim.sim
 SRC = Path(zifsim.__file__).resolve().parent.parent
 WATCHED = ["numpy", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
 
-# Runs `python -m zifsim.cli ARGV` (argv given as JSON, null for a bare
-# `import zifsim`) with its output captured, then prints the exit code and
-# which of WATCHED are loaded.
+# Runs `python -m zifsim.cli ARGV` (argv given as a Python literal, None
+# for a bare `import zifsim`) with its output captured, then prints the
+# exit code and which of the watched modules are loaded. It imports no
+# module of its own that a test watches, `json` included.
 PROBE = """
-import contextlib, io, json, runpy, sys
-argv, watched = map(json.loads, sys.argv[1:])
+import ast, contextlib, io, runpy, sys
+argv, watched = map(ast.literal_eval, sys.argv[1:])
 code = None
 if argv is None:
     import zifsim
@@ -40,7 +42,7 @@ else:
             runpy.run_module("zifsim.cli", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             code = exc.code
-print(json.dumps([code, [m for m in watched if m in sys.modules]]))
+print(repr([code, [m for m in watched if m in sys.modules]]))
 """
 
 
@@ -54,8 +56,8 @@ def run_python(*args) -> str:
     return result.stdout
 
 
-def probe(argv):
-    code, loaded = json.loads(run_python(PROBE, json.dumps(argv), json.dumps(WATCHED)))
+def probe(argv, watched=WATCHED):
+    code, loaded = ast.literal_eval(run_python(PROBE, repr(argv), repr(watched)))
     return code, loaded
 
 
@@ -79,6 +81,17 @@ def test_exact_subcommands_start_without_numpy(argv):
 ])
 def test_array_subcommands_load_the_array_layers(argv, loaded):
     assert probe(argv) == (0, loaded)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["turnaround", "--all"], []),
+    (["trace", "--format", "csv"], []),
+    (["turnaround", "--all", "--format", "csv"], ["csv"]),
+    (["turnaround", "--all", "--format", "json"], ["json"]),
+    (["trace", "--format", "json"], ["json"]),
+])
+def test_json_and_csv_load_only_for_their_formats(argv, loaded):
+    assert probe(argv, ["json", "csv"]) == (0, loaded)
 
 
 def test_importing_rf_loads_sim():

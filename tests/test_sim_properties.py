@@ -17,6 +17,7 @@ import struct
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,7 @@ from zifsim import (
     trace_to_csv,
     turnaround_budget,
 )
-from zifsim.sim import Effect
+from zifsim.sim import Effect, Timeline, render_blocks
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -428,7 +429,7 @@ def run_traces(draw):
     from the one before (many distinct levels), repeated to an empty, a
     short, or a one-block-or-so length: the renderer works in blocks of
     2**16 rows."""
-    count = draw(st.sampled_from((0, 2**16 - 1, 2**16, 2**16 + 1)) | st.integers(0, 400))
+    count = draw(st.sampled_from((0, 1, 2**16 - 1, 2**16, 2**16 + 1)) | st.integers(0, 400))
     levels = draw(st.lists(st.sampled_from((-0.0, 0.0, -0.004, 0.005, 2.675, 30.0))
                            | st.floats(-200, 200), min_size=1, max_size=6))
     runs = draw(st.lists(st.integers(1, 2000), min_size=len(levels), max_size=len(levels)))
@@ -514,6 +515,42 @@ def test_samples_equal_the_loop(case):
     assert trace.times_ns().tolist() == oracle_times(trace)
 
 
+def timeline_at(times, levels, initial_dbr=0.0):
+    """A timeline of events at `times` (ints, or Fractions with one shared
+    fractional part), each setting the level in `levels`."""
+    floor = [math.floor(t) for t in times]
+    frac = next((t - f for t, f in zip(times, floor) if t != f), 0)
+    n = len(times)
+    return Timeline(floor_ns=np.array(floor, np.int64),
+                    plus_frac=np.array([t != f for t, f in zip(times, floor)], bool),
+                    effect=np.zeros(n, np.int8), power_after_dbr=np.array(levels, np.float64),
+                    warned=np.zeros(n, bool), lo_change=np.zeros(n, bool), frac_ns=frac,
+                    initial_dbr=initial_dbr)
+
+
+@pytest.mark.parametrize("times, levels, window, interval, tau", [
+    ((-300, -120, -50), (10.0, 20.0, 30.0), (0, 200), 50, 0.0),  # all before the window
+    ((500, 700), (10.0, 20.0), (0, 400), 50, 0.0),  # all after it
+    ((100, 150, 151), (10.0, 20.0, 5.0), (0, 300), 50, 0.0),  # on grid points
+    ((-125, -75), (10.0, 20.0), (-175, 75), 50, 0.0),  # on negative grid points
+    # ceilings 100 (a grid point) and 101 (not one)
+    ((Fraction(299, 3), Fraction(302, 3)), (5.0, 7.0), (0, 300), 50, 0.0),
+    ((10, 20, 30, 40), (1.0, 2.0, 3.0, 4.0), (0, 100), 50, 0.0),  # several between samples
+    ((100,), (10.0,), (100, 149), 50, 0.0),  # one sample, on the event
+    ((101,), (10.0,), (100, 100), 50, 0.0),  # one sample, before the event
+    ((), (), (-20, 90), 7, 0.0),  # no events
+    ((), (), (-20, 90), 7, 30.0),
+    ((-500, -200, 100), (10.0, 0.0, 20.0), (0, 400), 25, 80.0),  # settling from before
+    ((Fraction(-1199, 3), Fraction(1, 3), Fraction(604, 3)), (30.0, 0.0, 30.0), (3, 350), 7,
+     40.0),
+])
+def test_grid_edges_sample_like_the_loop(times, levels, window, interval, tau):
+    timeline = timeline_at(times, levels, initial_dbr=-1.5)
+    trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
+    expected = oracle_samples(timeline.events, window, interval, -1.5, tau)
+    assert bits(trace.samples.tolist()) == bits(expected)
+
+
 @PROFILE
 @given(traced_schedules())
 def test_renderings_of_sampled_traces_equal_the_loop(case):
@@ -531,11 +568,32 @@ def test_renderings_equal_the_loop(trace):
         assert render_trace(trace, fmt) == oracle(trace), fmt
 
 
+def streamed_text(trace, fmt):
+    """The text of render_blocks, after checking its blocks: the header,
+    then a block per 2**16 rows, each holding whole rows (json closes the
+    list at the end of the last one)."""
+    header, *blocks = render_blocks(trace, fmt)
+    rows = trace.samples.size
+    assert header.endswith(b"\n")
+    assert len(blocks) == -(-rows // 2**16)
+    for k, block in enumerate(blocks):
+        last = k == len(blocks) - 1
+        if fmt == "json":
+            assert block.endswith(b"  }\n]\n" if last else b"  },\n")
+        assert block.count(b"{" if fmt == "json" else b"\n") == min(2**16, rows - k * 2**16)
+    return b"".join([header, *blocks]).decode("ascii")
+
+
 @settings(PROFILE, max_examples=20)
 @given(run_traces())
+# one row; the last block full; one row past it, settling, negative times
+@example(PowerTrace(-7, 3, [2.675]))
+@example(PowerTrace(-4000, 7, np.resize([-0.0, 30.0, 0.005], 2**16)))
+@example(PowerTrace(-4000, 1, 30.0 * (1 - np.exp(-np.arange(2**16 + 1) / 40.0))))
 def test_renderings_of_long_runs_equal_the_loop(trace):
+    # each block is checked, and the joined blocks against the loop
     for fmt, oracle in ORACLE.items():
-        assert render_trace(trace, fmt) == oracle(trace), fmt
+        assert streamed_text(trace, fmt) == oracle(trace), fmt
 
 
 def test_renderings_of_negative_zero_cells():

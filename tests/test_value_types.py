@@ -98,3 +98,20 @@ def test_a_fields_type_is_its_check(value_type, not_integer, not_bool, not_numbe
                 assert getattr(cls(**{**base, name: None}), name) is None
             else:
                 refused(cls, {**base, name: None}, name)
+
+
+PER_BAND = tuple(name for name, kind in field_types(RfModelParams) if kind == dict[Band, float])
+
+
+@pytest.mark.parametrize("value", [
+    {Band.B2G4: 70.0},  # a band missing
+    {Band.B2G4: 70.0, Band.B5G: 58.0, "6g": 50.0},  # a key that is no Band
+    {"2g4": 70.0, "5g": 58.0},  # the band values, not the members
+    70.0,
+    [70.0, 58.0],
+    None,
+])
+def test_per_band_fields_need_one_value_per_band(value):
+    assert PER_BAND
+    for name in PER_BAND:
+        refused(RfModelParams, {name: value}, name)
