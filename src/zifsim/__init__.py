@@ -29,7 +29,6 @@ _PUBLIC = {
         "Direction",
         "EnsmMode",
         "TurnaroundBudget",
-        "budget_record",
         "flush_time_ns",
         "sweep_budgets",
         "turnaround_budget",
@@ -81,12 +80,10 @@ _PUBLIC = {
     "sim": (
         "LoStep",
         "PowerTrace",
-        "SimEvent",
         "Timeline",
         "expand_schedule",
         "find_step",
         "measure_turnaround",
-        "render_trace",
         "sample_trace",
         "trace_to_csv",
     ),

@@ -23,7 +23,7 @@ from .config import (
     dump_config,
     load_config,
 )
-from .ensm import Direction, EnsmMode, sweep_budgets, turnaround_budget
+from .ensm import Direction, EnsmMode, sweep_budgets
 from .errors import ConfigError, DataError, MeasurementError
 from .mac import compliance_matrix
 from .params import Band, ns_value
@@ -180,16 +180,9 @@ def cmd_turnaround(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     if args.direction and not args.mode:
         return _usage_error("--dir needs --mode")
     if args.mode:
-        mode = EnsmMode(args.mode)
-        directions = (
-            [Direction(args.direction)]
-            if args.direction
-            else [Direction.RX_TO_TX, Direction.TX_TO_RX]
-        )
-        budgets = [
-            turnaround_budget(mode, d, config.clocks, config.profile)
-            for d in directions
-        ]
+        budgets = sweep_budgets([EnsmMode(args.mode)], config.clocks, config.profile)
+        if args.direction:
+            budgets = [b for b in budgets if b.direction.value == args.direction]
         fields = ["mode", "direction", "stage", "component", "duration_ns", "total_ns"]
         emitter.data(_render_rows(fields, _budget_rows(budgets), fmt))
         for budget in budgets:
@@ -297,13 +290,15 @@ def cmd_comply(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     deadlines = config.deadlines
     if args.deadline:
         by_name = {d.name: d for d in deadlines}
-        selected = []
+        selected = {}
         for name in args.deadline:
             if name not in by_name:
                 known = ", ".join(by_name) or "(none)"
                 return _usage_error(f"unknown deadline {name!r} (known: {known})")
-            selected.append(by_name[name])
-        deadlines = selected
+            if name in selected:
+                return _usage_error(f"deadline {name!r} given more than once")
+            selected[name] = by_name[name]
+        deadlines = list(selected.values())
     if not deadlines:
         return _usage_error("no deadlines configured")
 
@@ -358,11 +353,13 @@ def main(argv=None) -> int:
             return code
         return 0 if code is None else 2
 
+    out_path = getattr(args, "out", None)
+    if out_path == "":
+        return _usage_error("--out needs a path ('-' = stdout)")
     try:
         config = load_config(args.config) if args.config else default_config()
         fmt = getattr(args, "format", None) or config.output_format
-        out_path = getattr(args, "out", None) or config.output_path
-        emitter = _Emitter(out_path)
+        emitter = _Emitter(config.output_path if out_path is None else out_path)
         return _COMMANDS[args.command](args, config, emitter, fmt)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

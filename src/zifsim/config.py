@@ -317,6 +317,8 @@ def _parse_lines(lines, schedule) -> RunConfig:
                 )
             config.output_format = value
         elif key == "output.path":
+            if not value:
+                raise ConfigError("output.path must not be empty")
             config.output_path = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")

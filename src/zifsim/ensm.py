@@ -17,7 +17,6 @@ from .params import (
     cycles_to_ns,
     exact_ns,
     frame_duration_ns,
-    ns_value,
 )
 
 
@@ -33,6 +32,8 @@ class EnsmMode(Enum):
 
 
 class Direction(Enum):
+    """Switching directions, in the order sweeps list them."""
+
     RX_TO_TX = "rx-tx"
     TX_TO_RX = "tx-rx"
 
@@ -50,10 +51,6 @@ class TurnaroundBudget:
     direction: Direction
     components: tuple[BudgetComponent, ...]
     total_ns: int | Fraction
-
-    def total_from_components(self):
-        """Recompute the total from the component list (stage law)."""
-        return _stage_total(self.components)
 
 
 def _stage_total(components):
@@ -142,29 +139,5 @@ def turnaround_budget(
 
 def sweep_budgets(modes, clocks: ClockConfig, profile: TimingProfile):
     """Budgets over modes x directions, rx-to-tx first within each mode."""
-    rows = []
-    for mode in modes:
-        for direction in (Direction.RX_TO_TX, Direction.TX_TO_RX):
-            rows.append(turnaround_budget(mode, direction, clocks, profile))
-    return rows
-
-
-def budget_record(budget: TurnaroundBudget) -> dict:
-    """JSON-shaped record of a budget, for export and golden comparison.
-
-    Exact durations collapse to ints when integral; otherwise they are
-    emitted as floats (error below 1 ps for any realistic clock).
-    """
-    return {
-        "mode": budget.mode.value,
-        "direction": budget.direction.value,
-        "total_ns": ns_value(budget.total_ns),
-        "components": [
-            {
-                "name": comp.name,
-                "stage": comp.stage,
-                "duration_ns": ns_value(comp.duration_ns),
-            }
-            for comp in budget.components
-        ],
-    }
+    return [turnaround_budget(mode, direction, clocks, profile)
+            for mode in modes for direction in Direction]

@@ -10,7 +10,7 @@ stack.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ensm import Direction, EnsmMode, turnaround_budget
+from .ensm import EnsmMode, sweep_budgets
 from .params import ClockConfig, TimingProfile, check_fields
 
 
@@ -57,10 +57,7 @@ def check(tt_ns, deadline: ProtocolDeadline, mode: EnsmMode | None = None):
 
 def worst_case_tt_ns(mode: EnsmMode, clocks: ClockConfig, profile: TimingProfile):
     """The larger of the mode's two directional turnaround totals."""
-    return max(
-        turnaround_budget(mode, Direction.RX_TO_TX, clocks, profile).total_ns,
-        turnaround_budget(mode, Direction.TX_TO_RX, clocks, profile).total_ns,
-    )
+    return max(budget.total_ns for budget in sweep_budgets([mode], clocks, profile))
 
 
 def compliance_matrix(clocks: ClockConfig, profile: TimingProfile, deadlines):
@@ -74,4 +71,3 @@ def compliance_matrix(clocks: ClockConfig, profile: TimingProfile, deadlines):
         for deadline in deadlines:
             results.append(check(tt, deadline, mode=mode))
     return results
-

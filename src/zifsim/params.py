@@ -262,8 +262,7 @@ class Schedule:
     are copied into such arrays.
 
     Config text parses straight into the columns, with no object per
-    command; `from_commands` builds a Schedule from Command objects and
-    `commands` builds them back, on each read, for tests and debugging.
+    command; `from_commands` builds a Schedule from Command objects.
     Not a dataclass: the dataclass fields of a RunConfig are its settings
     sections.
     """
@@ -302,11 +301,6 @@ class Schedule:
     def __len__(self):
         """The number of commands."""
         return len(self.times_ns)
-
-    @property
-    def commands(self) -> list[Command]:
-        """The commands as objects, built on each read."""
-        return [Command(t, COMMAND_KINDS[k]) for t, k in zip(self.times_ns, self.kinds)]
 
 
 def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:

@@ -134,11 +134,6 @@ class PacketFilterResult:
     keep_mask: np.ndarray  # bool, aligned with the series
     samples_filtered: int
 
-    @property
-    def kept(self) -> np.ndarray:
-        """The remaining power series, copied out on each read."""
-        return self.series[self.keep_mask]
-
 
 def _median(series: np.ndarray) -> float:
     """np.median of a non-empty 1-D series, from one partition.
@@ -367,6 +362,8 @@ def save_capture(capture: IqCapture, path, agc_db: float | None = None) -> None:
     Metadata goes to a `<path>.meta` sidecar as `key = value` lines with
     keys sample_rate_hz, band, mode, agc_db (band/mode/agc only if known).
     """
+    if agc_db is not None and not math.isfinite(agc_db):
+        raise ValueError(f"agc_db must be finite, got {agc_db}")
     with open(path, "wb") as fh:
         fh.write(capture.samples.astype("<i2").tobytes())
     lines = [f"sample_rate_hz = {capture.sample_rate_hz}"]
@@ -403,11 +400,16 @@ def read_sidecar(meta_path) -> dict:
     return entries
 
 
-# sidecar key -> parser; each key is also an IqCapture field, which checks
-# the parsed value
-_SIDECAR_FIELDS = {"sample_rate_hz": int, "band": Band, "mode": EnsmMode}
-# keys a sidecar may hold: the fields, and save_capture's metadata-only agc_db
-_SIDECAR_KEYS = {*_SIDECAR_FIELDS, "agc_db"}
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# sidecar key -> parser; each key but save_capture's metadata-only agc_db
+# is also an IqCapture field, which checks the parsed value
+_SIDECAR_KEYS = {"sample_rate_hz": int, "band": Band, "mode": EnsmMode, "agc_db": _finite_float}
 
 
 def load_capture(path) -> IqCapture:
@@ -430,12 +432,13 @@ def load_capture(path) -> IqCapture:
         return DataError(f"sidecar {meta_path}: invalid {key} {meta[key]!r}")
 
     fields = {}
-    for key, parse in _SIDECAR_FIELDS.items():
+    for key, parse in _SIDECAR_KEYS.items():
         if key in meta:
             try:
                 fields[key] = parse(meta[key])
             except ValueError:
                 raise invalid(key) from None
+    fields.pop("agc_db", None)
     try:
         return IqCapture(samples, **fields)
     except ValueError as exc:  # the message names the field first

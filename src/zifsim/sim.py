@@ -47,16 +47,6 @@ _SPI_START, _SPI_END, _LO_UP, _LO_DOWN, _PACKET_ON, _PACKET_OFF = range(len(EFFE
 PACKET_WARNING = "packet transmitted while the LO divider is down"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    time_ns: int | Fraction
-    effect: Effect
-    power_after_dbr: float
-    # set when the event is legal for the hardware but suspicious for the
-    # protocol, e.g. a packet transmitted with the LO divider down
-    warning: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Timeline:
     """An expanded schedule as columns, one row per event in time order,
@@ -97,15 +87,6 @@ class Timeline:
     def time_ns(self, index) -> int | Fraction:
         """The exact time of event `index`."""
         return int(self.floor_ns[index]) + (self.frac_ns if self.plus_frac[index] else 0)
-
-    @property
-    def events(self) -> list[SimEvent]:
-        """The events as objects, built on each read; for tests and debugging."""
-        rows = zip(self.effect.tolist(), self.power_after_dbr.tolist(), self.warned.tolist())
-        return [
-            SimEvent(self.time_ns(i), EFFECTS[code], power, PACKET_WARNING if warned else None)
-            for i, (code, power, warned) in enumerate(rows)
-        ]
 
 
 def _validate_schedule(times, kinds):
@@ -544,12 +525,6 @@ def render_blocks(trace: PowerTrace, fmt: str):
         yield block
 
 
-def render_trace(trace: PowerTrace, fmt: str) -> str:
-    """The trace as csv, json or an aligned table: the text of
-    render_blocks."""
-    return b"".join(render_blocks(trace, fmt)).decode("ascii")
-
-
 def trace_to_csv(trace: PowerTrace) -> str:
     """CSV export: time in microseconds and power in dB, two decimals each."""
-    return render_trace(trace, "csv")
+    return b"".join(render_blocks(trace, "csv")).decode("ascii")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from zifsim import ClockConfig, RfModelParams, TimingProfile
+from zifsim.sim import EFFECTS, PACKET_WARNING
 
 
 @pytest.fixture
@@ -26,6 +27,14 @@ def profile():
 @pytest.fixture
 def rf():
     return RfModelParams()
+
+
+def event_rows(timeline):
+    """A Timeline's events as (time_ns, effect, power_after_dbr, warning) tuples."""
+    columns = zip(timeline.effect.tolist(), timeline.power_after_dbr.tolist(),
+                  timeline.warned.tolist())
+    return [(timeline.time_ns(i), EFFECTS[code], power, PACKET_WARNING if warned else None)
+            for i, (code, power, warned) in enumerate(columns)]
 
 
 def brute_force_keep_mask(series, threshold_db, guard):

@@ -227,7 +227,8 @@ def test_criterion_6_property_suites():
             assert list(result.keep_mask) == brute_force_keep_mask(
                 series, 10.0, guard
             )
-            again = filter_packets(list(result.kept), guard_samples=guard)
+            again = filter_packets(list(result.series[result.keep_mask]),
+                                   guard_samples=guard)
             assert again.samples_filtered == 0
 
         # scale covariance: x10 amplitude is +20 dB, within 1e-9 dB

@@ -175,6 +175,7 @@ def test_trace_no_op_lo_write_is_no_step(capsys, tmp_path, lines, expected):
     "rf.packet_delta_db = nan",
     "deadlines.extra.foo = -3",
     "trace.end_ns = 9007199254740992",
+    "output.path =",  # a configuration error, not a file that fails to open
 ])
 def test_trace_bad_config_values_exit_2(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"
@@ -344,6 +345,10 @@ def test_noise_missing_capture_exits_1(capsys, tmp_path):
     ("sampel_rate = 7", "sampel_rate"),
     ("band = 2g4\nband = 5g", "band"),
     (b"band = 2g4\xff", "utf-8"),
+    ("agc_db = banana", "invalid agc_db 'banana'"),
+    ("agc_db = nan", "invalid agc_db 'nan'"),
+    ("agc_db = inf", "invalid agc_db 'inf'"),
+    ("agc_db =", "invalid agc_db ''"),
 ])
 def test_noise_bad_sidecar_exits_1(capsys, tmp_path, line, key):
     path = tmp_path / "cap.iq"
@@ -353,6 +358,16 @@ def test_noise_bad_sidecar_exits_1(capsys, tmp_path, line, key):
     code, out, err = run_cli(capsys, "noise", "--capture", str(path))
     assert code == 1
     assert f"{path}.meta" in err and key in err
+
+
+@pytest.mark.parametrize("agc_db", ["62.0", "-3"])
+def test_noise_sidecar_with_a_finite_agc_db_loads(capsys, tmp_path, agc_db):
+    path = tmp_path / "cap.iq"
+    save_capture(IqCapture(make_burst_capture()), path)
+    (tmp_path / "cap.iq.meta").write_text(f"agc_db = {agc_db}\n")
+    code, out, err = run_cli(capsys, "noise", "--capture", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[0]["samples_total"] == "4000"
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
@@ -539,6 +554,9 @@ KNOWN_DEADLINES = ", ".join(d.name for d in BUILTIN_DEADLINES)
     ((), ("noise", "--capture", "cap.iq", "--mode", "fdd", "--band", "2g4", "--n", "1"),
      "--capture cannot be combined with --mode, --band, --n"),
     ((), ("turnaround", "--dir", "rx-tx"), "--dir needs --mode"),
+    ((), ("turnaround", "--all", "--out", ""), "--out needs a path ('-' = stdout)"),
+    ((), ("comply", "--deadline", "sifs-5g", "--deadline", "sifs-5g"),
+     "deadline 'sifs-5g' given more than once"),
 ])
 def test_usage_errors_go_to_stderr_when_data_goes_to_a_file(
     capsys, tmp_path, config_lines, argv, message
@@ -551,6 +569,20 @@ def test_usage_errors_go_to_stderr_when_data_goes_to_a_file(
     assert code == 2
     assert (out, err) == ("", f"error: {message}\n")
     assert not out_path.exists()
+
+
+def test_budget_rows_collapse_rationals(capsys, tmp_path):
+    # exact durations print as ints when integral, else as floats
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("clocks.adc_clock_hz = 7000000\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "turnaround", "--mode",
+                             "standard-tdd-dual-synth", "--dir", "tx-rx", "--format", "json")
+    assert code == 0
+    (flush,) = json.loads(out)
+    assert flush["component"] == "flush"
+    assert isinstance(flush["duration_ns"], float)
+    assert flush["duration_ns"] == flush["total_ns"] == pytest.approx(384e9 / 7e6, abs=1e-6)
+    assert '"duration_ns": 54857.142857142855' in out
 
 
 def test_config_dump_matches_library(capsys):

@@ -36,7 +36,7 @@ MODES = tuple(m.value for m in EnsmMode)
 BANDS = tuple(b.value for b in Band)
 DEADLINES = (*(d.name for d in BUILTIN_DEADLINES), "nope")
 FILES = ("run.cfg", "cap.bin", "empty.bin", "torn.bin", "missing.bin", ".", "out.txt")
-OUTPUT = {"--format": ("csv", "json", "table", "yaml"), "--out": ("-", "out.txt", ".", "x/y")}
+OUTPUT = {"--format": ("csv", "json", "table", "yaml"), "--out": ("-", "out.txt", ".", "x/y", "")}
 # each subcommand's options, with the values each is meant to take;
 # None marks a switch
 COMMANDS = {

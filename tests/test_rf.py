@@ -191,13 +191,13 @@ def test_sample_power_db_zero_maps_to_neg_inf():
 def test_filter_flat_series_removes_nothing():
     result = filter_packets([5.0] * 100)
     assert result.samples_filtered == 0
-    assert result.kept.size == 100
+    assert result.series[result.keep_mask].size == 100
 
 
 def test_filter_single_sample_retained():
     result = filter_packets([40.0])
     assert result.samples_filtered == 0
-    assert list(result.kept) == [40.0]
+    assert list(result.series[result.keep_mask]) == [40.0]
 
 
 def test_filter_injected_burst_exact_count():
@@ -258,7 +258,7 @@ def test_filter_idempotent_on_burst_fixtures():
             first = filter_packets(series)
         except FilterRefusedError:
             continue
-        second = filter_packets(list(first.kept))
+        second = filter_packets(list(first.series[first.keep_mask]))
         assert second.samples_filtered == 0
 
 
@@ -518,6 +518,15 @@ def test_capture_roundtrip(tmp_path, rf):
     assert loaded.band is Band.B5G
     assert loaded.mode is EnsmMode.LO_CONTROL
     assert loaded.sample_rate_hz == 20_000_000
+
+
+
+@pytest.mark.parametrize("agc_db", [math.nan, math.inf, -math.inf])
+def test_save_capture_refuses_a_non_finite_agc_db(tmp_path, agc_db):
+    path = tmp_path / "capture.iq"
+    with pytest.raises(ValueError, match="^agc_db must be finite"):
+        save_capture(IqCapture(np.zeros((4, 2), np.int16)), path, agc_db=agc_db)
+    assert list(tmp_path.iterdir()) == []  # refused before anything is written
 
 
 def test_load_capture_without_sidecar(tmp_path):

@@ -27,7 +27,9 @@ from zifsim import (
     turnaround_budget,
 )
 from zifsim.params import check_sampling
-from zifsim.sim import Effect
+from zifsim.sim import PACKET_WARNING, Effect
+
+from conftest import event_rows
 
 WINDOW = (-2500, 2500)
 
@@ -47,43 +49,40 @@ def _measure(schedule, clocks, profile, window=WINDOW, interval_ns=50):
 
 
 def test_lo_on_expansion(clocks, profile):
-    events = _expand([(0, CommandKind.LO_ON)], clocks, profile).events
-    assert [(e.time_ns, e.effect) for e in events] == [
-        (0, Effect.SPI_START),
-        (480, Effect.SPI_END),
-        (640, Effect.LO_POWERED_UP),
+    events = event_rows(_expand([(0, CommandKind.LO_ON)], clocks, profile))
+    assert events == [
+        (0, Effect.SPI_START, 0.0, None),
+        (480, Effect.SPI_END, 0.0, None),
+        (640, Effect.LO_POWERED_UP, 30.0, None),
     ]
-    assert [e.power_after_dbr for e in events] == [0.0, 0.0, 30.0]
 
 
 def test_lo_off_expansion(clocks, profile):
     timeline = _expand([(0, CommandKind.LO_OFF)], clocks, profile)
-    events = timeline.events
-    assert [(e.time_ns, e.effect) for e in events] == [
-        (0, Effect.SPI_START),
-        (480, Effect.SPI_END),
-        (500, Effect.LO_POWERED_DOWN),
-    ]
     # LO inferred on before the off command, so the SPI events sit at +30
-    assert [e.power_after_dbr for e in events] == [30.0, 30.0, 0.0]
+    assert event_rows(timeline) == [
+        (0, Effect.SPI_START, 30.0, None),
+        (480, Effect.SPI_END, 30.0, None),
+        (500, Effect.LO_POWERED_DOWN, 0.0, None),
+    ]
     assert timeline.initial_dbr == 30.0
 
 
 def test_empty_schedule_expands_to_nothing(clocks, profile):
     timeline = _expand([], clocks, profile)
-    assert timeline.events == [] and len(timeline) == 0
+    assert event_rows(timeline) == [] and len(timeline) == 0
     assert timeline.initial_dbr == 0.0
 
 
 def test_band_selects_the_power_step(clocks, profile):
-    events = _expand([(0, CommandKind.LO_ON)], clocks, profile, band=Band.B5G).events
-    assert events[-1].power_after_dbr == 22.0
+    events = event_rows(_expand([(0, CommandKind.LO_ON)], clocks, profile, band=Band.B5G))
+    assert events[-1][2] == 22.0
 
 
 def test_trigger_produces_no_event(clocks, profile):
-    events = _expand([(0, CommandKind.TRIGGER), (100, CommandKind.LO_ON)],
-                     clocks, profile).events
-    assert [e.effect for e in events] == [
+    events = event_rows(_expand([(0, CommandKind.TRIGGER), (100, CommandKind.LO_ON)],
+                                clocks, profile))
+    assert [effect for _, effect, _, _ in events] == [
         Effect.SPI_START, Effect.SPI_END, Effect.LO_POWERED_UP,
     ]
 
@@ -96,9 +95,9 @@ def test_overlapping_spi_rejected_with_timestamps(clocks, profile):
 
 
 def test_back_to_back_spi_at_frame_boundary_ok(clocks, profile):
-    events = _expand([(0, CommandKind.LO_ON), (480, CommandKind.LO_OFF)],
-                     clocks, profile).events
-    assert [e.effect for e in events] == [
+    events = event_rows(_expand([(0, CommandKind.LO_ON), (480, CommandKind.LO_OFF)],
+                                clocks, profile))
+    assert [effect for _, effect, _, _ in events] == [
         Effect.SPI_START, Effect.SPI_END, Effect.SPI_START,
         Effect.LO_POWERED_UP, Effect.SPI_END, Effect.LO_POWERED_DOWN,
     ]
@@ -146,7 +145,6 @@ def test_schedule_columns_and_commands():
     assert list(schedule.times_ns) == [0, 700]
     assert list(schedule.kinds) == [0, 4]  # positions in CommandKind order
     assert len(schedule) == 2
-    assert schedule.commands == commands
     assert schedule == Schedule([0, 700], [0, 4])
     assert schedule != Schedule([0, 700], [0, 3])
     assert len(Schedule()) == 0 and not Schedule()
@@ -168,25 +166,23 @@ def test_schedule_rejects_bad_columns(times, kinds, message):
 
 
 def test_packet_power_stacks_on_lo(clocks, profile):
-    events = _expand(
+    events = event_rows(_expand(
         [(0, CommandKind.LO_ON), (1000, CommandKind.TX_PACKET_START),
          (2000, CommandKind.TX_PACKET_END)],
         clocks, profile,
-    ).events
-    levels = {e.effect: e.power_after_dbr for e in events}
+    ))
+    levels = {effect: power for _, effect, power, _ in events}
     assert levels[Effect.PACKET_ON] == 45.0  # 30 + 15
     assert levels[Effect.PACKET_OFF] == 30.0
-    assert all(e.warning is None for e in events)
+    assert all(warning is None for *_, warning in events)
 
 
 def test_packet_while_lo_down_warns_but_stays_at_floor(clocks, profile):
-    events = _expand(
+    events = event_rows(_expand(
         [(0, CommandKind.TX_PACKET_START), (100, CommandKind.TX_PACKET_END)],
         clocks, profile,
-    ).events
-    on = [e for e in events if e.effect is Effect.PACKET_ON][0]
-    assert on.warning is not None
-    assert on.power_after_dbr == 0.0
+    ))
+    assert events[0] == (0, Effect.PACKET_ON, 0.0, PACKET_WARNING)
 
 
 def test_find_trigger_prefers_explicit_trigger(clocks, profile):

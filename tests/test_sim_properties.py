@@ -35,18 +35,18 @@ from zifsim import (
     RfModelParams,
     Schedule,
     ScheduleError,
-    SimEvent,
     TimingProfile,
     expand_schedule,
     find_step,
     frame_duration_ns,
     measure_turnaround,
-    render_trace,
     sample_trace,
     trace_to_csv,
     turnaround_budget,
 )
 from zifsim.sim import Effect, Timeline, render_blocks
+
+from conftest import event_rows
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -97,7 +97,8 @@ def oracle_initial_lo_on(commands):
 
 
 def oracle_expand(commands, clocks, profile, band, rf):
-    """(events, initial level) of a schedule, one SimEvent per event."""
+    """(events, initial level) of a schedule, one (time_ns, effect,
+    power_after_dbr, warning) tuple per event."""
     oracle_validate(commands)
     initial_lo_on = oracle_initial_lo_on(commands)
     frame_ns = frame_duration_ns(clocks)
@@ -139,8 +140,7 @@ def oracle_expand(commands, clocks, profile, band, rf):
                 warning = "packet transmitted while the LO divider is down"
         elif effect is Effect.PACKET_OFF:
             packet_on = False
-        events.append(SimEvent(time_ns, effect, oracle_level(lo_on, packet_on, band, rf),
-                               warning))
+        events.append((time_ns, effect, oracle_level(lo_on, packet_on, band, rf), warning))
     return events, oracle_level(initial_lo_on, False, band, rf)
 
 
@@ -152,11 +152,11 @@ def oracle_lo_changes(commands, events):
     order from the initial state."""
     lo_on = oracle_initial_lo_on(commands)
     changes = []
-    for k, event in enumerate(events):
-        if event.effect in (Effect.LO_POWERED_UP, Effect.LO_POWERED_DOWN):
-            if (event.effect is Effect.LO_POWERED_UP) != lo_on:
+    for k, (_, effect, _, _) in enumerate(events):
+        if effect in (Effect.LO_POWERED_UP, Effect.LO_POWERED_DOWN):
+            if (effect is Effect.LO_POWERED_UP) != lo_on:
                 changes.append(k)
-            lo_on = event.effect is Effect.LO_POWERED_UP
+            lo_on = effect is Effect.LO_POWERED_UP
     return changes
 
 
@@ -184,18 +184,18 @@ def oracle_step(commands, clocks, profile, events):
     # two LO writes of one kind lie at least a frame apart, so the time
     # and effect name the command's divider event
     at = command.time_ns + frame_duration_ns(clocks) + delay
-    index = next(k for k, e in enumerate(events) if (e.time_ns, e.effect) == (at, effect))
+    index = next(k for k, e in enumerate(events) if e[:2] == (at, effect))
     changes = oracle_lo_changes(commands, events)
     if index not in changes:
         return (f"the first LO command at or after the trigger at {trigger_ns} ns finds "
                 f"the LO already {state}")
-    end_ns = next((events[k].time_ns for k in changes if k > index), None)
-    return LoStep(trigger_ns, direction, events[index].power_after_dbr, end_ns)
+    end_ns = next((events[k][0] for k in changes if k > index), None)
+    return LoStep(trigger_ns, direction, events[index][2], end_ns)
 
 
 def oracle_samples(events, window, interval_ns, baseline, settling_tau_ns):
     start_ns, end_ns = window
-    events = sorted(events, key=lambda ev: ev.time_ns)
+    events = sorted(events, key=lambda ev: ev[0])
     count = int((end_ns - start_ns) // interval_ns) + 1
     samples = []
     index = 0
@@ -204,14 +204,13 @@ def oracle_samples(events, window, interval_ns, baseline, settling_tau_ns):
     value_at_change = baseline
     for k in range(count):
         t = start_ns + k * interval_ns
-        while index < len(events) and events[index].time_ns <= t:
-            new_level = events[index].power_after_dbr
+        while index < len(events) and events[index][0] <= t:
+            event_t, _, new_level, _ = events[index]
             if settling_tau_ns > 0 and new_level != level:
                 value_at_change = oracle_settled(
-                    level, value_at_change, last_change_t, events[index].time_ns,
-                    settling_tau_ns,
+                    level, value_at_change, last_change_t, event_t, settling_tau_ns,
                 )
-                last_change_t = events[index].time_ns
+                last_change_t = event_t
             level = new_level
             index += 1
         if settling_tau_ns > 0:
@@ -382,12 +381,12 @@ def expansion_or_error(expand, commands, clocks, profile):
 
 def columns_expand(commands, clocks, profile, band, rf):
     timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band, rf=rf)
-    return timeline.events, timeline.initial_dbr
+    return event_rows(timeline), timeline.initial_dbr
 
 
 def exact(events):
     """Events with the type of each time and the bits of each level."""
-    return [(e, type(e.time_ns), bits([e.power_after_dbr])) for e in events]
+    return [(e, type(e[0]), bits([e[2]])) for e in events]
 
 
 @st.composite
@@ -453,7 +452,7 @@ def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
     rf = RfModelParams(lo_on_delta_db={b: lo_level for b in Band}, packet_delta_db=packet_step)
     timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band, rf=rf)
     events, initial_dbr = oracle_expand(commands, clocks, profile, band, rf)
-    assert exact(timeline.events) == exact(events)
+    assert exact(event_rows(timeline)) == exact(events)
     assert bits([timeline.initial_dbr]) == bits([initial_dbr])
     assert len(timeline) == len(events)
 
@@ -510,7 +509,8 @@ def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_dow
 def test_samples_equal_the_loop(case):
     timeline, window, interval, tau = case
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
-    expected = oracle_samples(timeline.events, window, interval, timeline.initial_dbr, tau)
+    expected = oracle_samples(event_rows(timeline), window, interval, timeline.initial_dbr,
+                              tau)
     assert bits(trace.samples.tolist()) == bits(expected)
     assert trace.times_ns().tolist() == oracle_times(trace)
 
@@ -547,7 +547,7 @@ def timeline_at(times, levels, initial_dbr=0.0):
 def test_grid_edges_sample_like_the_loop(times, levels, window, interval, tau):
     timeline = timeline_at(times, levels, initial_dbr=-1.5)
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
-    expected = oracle_samples(timeline.events, window, interval, -1.5, tau)
+    expected = oracle_samples(event_rows(timeline), window, interval, -1.5, tau)
     assert bits(trace.samples.tolist()) == bits(expected)
 
 
@@ -558,14 +558,14 @@ def test_renderings_of_sampled_traces_equal_the_loop(case):
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
     assert trace_to_csv(trace) == oracle_csv(trace)
     for fmt, oracle in ORACLE.items():
-        assert render_trace(trace, fmt) == oracle(trace), fmt
+        assert streamed_text(trace, fmt) == oracle(trace), fmt
 
 
 @PROFILE
 @given(traces())
 def test_renderings_equal_the_loop(trace):
     for fmt, oracle in ORACLE.items():
-        assert render_trace(trace, fmt) == oracle(trace), fmt
+        assert streamed_text(trace, fmt) == oracle(trace), fmt
 
 
 def streamed_text(trace, fmt):
@@ -601,23 +601,23 @@ def test_renderings_of_negative_zero_cells():
     # the table -0.00 and json -0.0
     trace = PowerTrace(-3, 1, [-0.001, -0.0, 0.0, 0.004, -0.005])
     for fmt, oracle in ORACLE.items():
-        assert render_trace(trace, fmt) == oracle(trace), fmt
-    assert render_trace(trace, "csv").splitlines()[1] == "0.00,0.00"
-    assert render_trace(trace, "table").splitlines()[1] == "-0.00    -0.00"
-    assert '"power_db": -0.0' in render_trace(trace, "json")
+        assert streamed_text(trace, fmt) == oracle(trace), fmt
+    assert streamed_text(trace, "csv").splitlines()[1] == "0.00,0.00"
+    assert streamed_text(trace, "table").splitlines()[1] == "-0.00    -0.00"
+    assert '"power_db": -0.0' in streamed_text(trace, "json")
 
 
 def test_renderings_of_an_empty_trace():
     trace = PowerTrace(0, 50, [])
     for fmt, oracle in ORACLE.items():
-        assert render_trace(trace, fmt) == oracle(trace), fmt
+        assert streamed_text(trace, fmt) == oracle(trace), fmt
 
 
 def test_ties_round_by_the_float_quotient():
     # 0.005 us is just above its tie and 0.015 us just below
     trace = PowerTrace(5, 10, [0.0, 0.0])
-    assert render_trace(trace, "csv") == "time_us,power_db\n0.01,0.00\n0.01,0.00\n"
-    assert render_trace(trace, "csv") == oracle_csv(trace)
+    assert streamed_text(trace, "csv") == "time_us,power_db\n0.01,0.00\n0.01,0.00\n"
+    assert streamed_text(trace, "csv") == oracle_csv(trace)
 
 
 @PROFILE
