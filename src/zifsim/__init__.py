@@ -26,8 +26,6 @@ _PUBLIC = {
     ),
     "ensm": (
         "BudgetComponent",
-        "Direction",
-        "EnsmMode",
         "TurnaroundBudget",
         "flush_time_ns",
         "sweep_budgets",
@@ -56,6 +54,8 @@ _PUBLIC = {
         "ClockConfig",
         "Command",
         "CommandKind",
+        "Direction",
+        "EnsmMode",
         "RfModelParams",
         "Schedule",
         "TimingProfile",

@@ -7,9 +7,10 @@ comply (deadline matrix), config (dump settings).
 Exit codes: 0 success, 1 runtime or data error, 2 usage or configuration
 error, 3 compliance requirement not met. Error lines always go to stderr.
 
-Only `trace` and `noise` import the array layers (`sim`, `rf`) and with
-them numpy; the other subcommands start without it. `json` and `csv` are
-imported by the output formats that use them.
+Each subcommand imports the layers it runs when it runs: `turnaround`
+the budgets (`ensm`), `comply` the deadline checks (`mac`), `trace` and
+`noise` the array layers (`sim`, `rf`) and with them numpy. `json` and
+`csv` are imported by the output formats that use them.
 """
 
 import argparse
@@ -23,10 +24,8 @@ from .config import (
     dump_config,
     load_config,
 )
-from .ensm import Direction, EnsmMode, sweep_budgets
 from .errors import ConfigError, DataError, MeasurementError
-from .mac import compliance_matrix
-from .params import Band, ns_value
+from .params import Band, Direction, EnsmMode, ns_value
 
 MODE_NAMES = [m.value for m in EnsmMode]
 BAND_NAMES = [b.value for b in Band]
@@ -179,6 +178,8 @@ def _budget_rows(budgets):
 def cmd_turnaround(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     if args.direction and not args.mode:
         return _usage_error("--dir needs --mode")
+    from .ensm import sweep_budgets
+
     if args.mode:
         budgets = sweep_budgets([EnsmMode(args.mode)], config.clocks, config.profile)
         if args.direction:
@@ -301,6 +302,8 @@ def cmd_comply(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
         deadlines = list(selected.values())
     if not deadlines:
         return _usage_error("no deadlines configured")
+
+    from .mac import compliance_matrix
 
     results = compliance_matrix(config.clocks, config.profile, deadlines)
     rows = [

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 
 from .errors import ConfigError
-from .mac import BUILTIN_DEADLINES, ProtocolDeadline
 from .params import (
     COMMAND_KINDS,
     Band,
@@ -45,6 +44,9 @@ OUTPUT_FORMATS = ("csv", "json", "table")
 
 @dataclass
 class TraceSettings:
+    """`trace` settings: band, sampling window and interval in ns, and the
+    settling time constant (0 for instant steps)."""
+
     band: Band = Band.B2G4
     start_ns: int = -2500
     end_ns: int = 2500
@@ -58,6 +60,9 @@ class TraceSettings:
 
 @dataclass
 class NoiseSettings:
+    """`noise` settings: synthetic capture length and seed, and the burst
+    filter's threshold above the median (dB) and guard (samples)."""
+
     n_samples: int = 100_000
     seed: int = 1
     filter_threshold_db: float = 10.0
@@ -77,6 +82,9 @@ class NoiseSettings:
 
 @dataclass
 class RunConfig:
+    """Every setting of a run. The dataclass fields are the settings
+    sections; the rest are the schedule, deadlines and output."""
+
     clocks: ClockConfig = field(default_factory=ClockConfig)
     profile: TimingProfile = field(default_factory=TimingProfile)
     rf: RfModelParams = field(default_factory=RfModelParams)
@@ -92,6 +100,8 @@ class RunConfig:
 
     @property
     def deadlines(self) -> list:
+        from .mac import BUILTIN_DEADLINES
+
         resolved = list(BUILTIN_DEADLINES) if self.deadlines_builtin else []
         return resolved + list(self.extra_deadlines)
 
@@ -156,8 +166,12 @@ def _value_parser(kind):
     return {bool: _parse_bool, int: _parse_int, float: _parse_float}[kind]
 
 
+@functools.cache
 def _settings_keys() -> dict:
-    """Key -> (section, field, band or None, value parser), in dump order."""
+    """Key -> (section, field, band or None, value parser), in dump order.
+
+    Built on first use: a call that reads no config file and dumps none
+    never builds it."""
     keys = {}
     for section, cls in field_types(RunConfig):
         if not is_dataclass(cls):
@@ -171,9 +185,6 @@ def _settings_keys() -> dict:
             else:
                 keys[f"{section}.{name}"] = (section, name, None, _value_parser(kind))
     return keys
-
-
-_SETTINGS = _settings_keys()
 
 
 # Schedule lines in the form dump_config writes them: single spaces, no
@@ -265,6 +276,7 @@ def _parse_lines(lines, schedule) -> RunConfig:
     entries = {}  # schedule index -> (kind code, time in ns)
     schedule_empty = False
     seen = set()
+    settings_keys = _settings_keys()
     for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -291,8 +303,8 @@ def _parse_lines(lines, schedule) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
 
-        if key in _SETTINGS:
-            section, name, band, parse = _SETTINGS[key]
+        if key in settings_keys:
+            section, name, band, parse = settings_keys[key]
             fields = settings.setdefault(section, {})
             if band is None:
                 fields[name] = parse(key, value)
@@ -305,6 +317,8 @@ def _parse_lines(lines, schedule) -> RunConfig:
             config.deadlines_builtin = _parse_bool(key, value)
         elif section == "deadlines" and rest.startswith("extra.") and rest[len("extra."):]:
             name = rest[len("extra."):]
+            from .mac import ProtocolDeadline
+
             try:
                 deadline = ProtocolDeadline(name, _parse_int(key, value), source="config")
             except ValueError as exc:
@@ -324,10 +338,13 @@ def _parse_lines(lines, schedule) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
     # checked last, since deadlines.builtin may follow the extras
-    builtin = {d.name for d in BUILTIN_DEADLINES} if config.deadlines_builtin else set()
-    for name in (d.name for d in config.extra_deadlines if d.name in builtin):
-        raise ConfigError(f"deadlines.extra.{name}: {name} is a built-in deadline; "
-                          "set deadlines.builtin = false to redefine it")
+    if config.extra_deadlines and config.deadlines_builtin:
+        from .mac import BUILTIN_DEADLINES
+
+        builtin = {d.name for d in BUILTIN_DEADLINES}
+        for name in (d.name for d in config.extra_deadlines if d.name in builtin):
+            raise ConfigError(f"deadlines.extra.{name}: {name} is a built-in deadline; "
+                              "set deadlines.builtin = false to redefine it")
 
     if schedule is None:
         ordered = [entries[i] for i in sorted(entries)]
@@ -368,7 +385,7 @@ def _value_text(value) -> str:
 def dump_config(config: RunConfig) -> str:
     """Render a RunConfig as config text; parse_config inverts it."""
     lines = ["# zifsim run configuration"]
-    for key, (section, name, band, _) in _SETTINGS.items():
+    for key, (section, name, band, _) in _settings_keys().items():
         value = getattr(getattr(config, section), name)
         lines.append(f"{key} = {_value_text(value if band is None else value[band])}")
     schedule = config.schedule

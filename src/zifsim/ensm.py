@@ -1,4 +1,8 @@
-"""Enable-state-machine modes and itemized turnaround budgets.
+"""Itemized turnaround budgets of the enable-state-machine modes.
+
+`EnsmMode` and `Direction` live in the numpy-free leaf `params`, so the
+trace and noise paths name them without loading this module; they are
+the same objects here.
 
 A budget is a list of named components grouped into stages. Stages run
 sequentially; components inside a stage run in parallel, so the total is
@@ -8,11 +12,12 @@ DAC power-up, and data-path flushing start together.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .params import (
     ClockConfig,
+    Direction,
+    EnsmMode,
     TimingProfile,
     cycles_to_ns,
     exact_ns,
@@ -20,26 +25,10 @@ from .params import (
 )
 
 
-class EnsmMode(Enum):
-    """Duplexing / switching strategies of the modeled front-end."""
-
-    STANDARD_ENSM_TDD = "standard-ensm-tdd"
-    STANDARD_TDD = "standard-tdd"
-    STANDARD_TDD_DUAL_SYNTH = "standard-tdd-dual-synth"
-    FDD_INDEPENDENT = "fdd-independent"
-    FDD = "fdd"
-    LO_CONTROL = "lo-control"
-
-
-class Direction(Enum):
-    """Switching directions, in the order sweeps list them."""
-
-    RX_TO_TX = "rx-tx"
-    TX_TO_RX = "tx-rx"
-
-
 @dataclass(frozen=True)
 class BudgetComponent:
+    """One named delay of a budget, in exact ns, and its stage index."""
+
     name: str
     duration_ns: int | Fraction
     stage: int
@@ -47,6 +36,9 @@ class BudgetComponent:
 
 @dataclass(frozen=True)
 class TurnaroundBudget:
+    """A mode's itemized switching budget in one direction; `total_ns` sums
+    each stage's longest component."""
+
     mode: EnsmMode
     direction: Direction
     components: tuple[BudgetComponent, ...]

@@ -10,12 +10,14 @@ stack.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ensm import EnsmMode, sweep_budgets
-from .params import ClockConfig, TimingProfile, check_fields
+from .ensm import sweep_budgets
+from .params import ClockConfig, EnsmMode, TimingProfile, check_fields
 
 
 @dataclass(frozen=True)
 class ProtocolDeadline:
+    """A named turnaround deadline in ns (positive) and where it comes from."""
+
     name: str
     deadline_ns: int
     source: str = ""
@@ -35,6 +37,9 @@ BUILTIN_DEADLINES = (
 
 @dataclass(frozen=True)
 class ComplianceResult:
+    """A turnaround `tt_ns` judged against one deadline; `margin_ns` is the
+    deadline minus the turnaround, negative when it fails."""
+
     mode: EnsmMode | None
     deadline: ProtocolDeadline
     tt_ns: int | Fraction

@@ -73,6 +73,24 @@ class Band(Enum):
     B5G = "5g"  # Wi-Fi channel 44
 
 
+class EnsmMode(Enum):
+    """Duplexing / switching strategies of the modeled front-end."""
+
+    STANDARD_ENSM_TDD = "standard-ensm-tdd"
+    STANDARD_TDD = "standard-tdd"
+    STANDARD_TDD_DUAL_SYNTH = "standard-tdd-dual-synth"
+    FDD_INDEPENDENT = "fdd-independent"
+    FDD = "fdd"
+    LO_CONTROL = "lo-control"
+
+
+class Direction(Enum):
+    """Switching directions, in the order sweeps list them."""
+
+    RX_TO_TX = "rx-tx"
+    TX_TO_RX = "tx-rx"
+
+
 _PerBand = dict[Band, float]
 
 
@@ -237,6 +255,8 @@ def check_command_time(time_ns: int) -> None:
 
 @dataclass(frozen=True)
 class Command:
+    """One scheduled command: `kind` issued at `time_ns`."""
+
     time_ns: int
     kind: CommandKind
 

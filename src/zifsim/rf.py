@@ -8,6 +8,7 @@ and 62 dB manual gain; they are regression targets, not physical claims.
 """
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -16,9 +17,8 @@ import numpy as np
 # perfbench/tracing.py reads sys.modules["zifsim.sim"] once the benchmark
 # harness has imported `rf`; loading `sim` here keeps that entry present.
 from . import sim  # noqa: F401
-from .ensm import EnsmMode
 from .errors import DataError, FilterRefusedError
-from .params import Band, RfModelParams, check_fields
+from .params import Band, EnsmMode, RfModelParams, check_fields
 
 IQ_LIMIT = 32767  # samples are signed 16-bit
 MAX_POWER = 2 * IQ_LIMIT**2  # the largest i*i + q*q, below 2**31 - 1
@@ -130,6 +130,9 @@ def sample_power_db(capture: IqCapture) -> np.ndarray:
 
 @dataclass
 class PacketFilterResult:
+    """A power series, which of its samples the burst filter keeps, and
+    how many it removes."""
+
     series: np.ndarray  # the filtered power series
     keep_mask: np.ndarray  # bool, aligned with the series
     samples_filtered: int
@@ -309,6 +312,9 @@ def filter_packets(
 
 @dataclass
 class NoiseFloorReport:
+    """The noise floor of a capture after burst filtering, with the counts
+    and limit behind it."""
+
     average_power_db: float
     sample_count_used: int
     samples_filtered: int
@@ -413,9 +419,18 @@ _SIDECAR_KEYS = {"sample_rate_hz": int, "band": Band, "mode": EnsmMode, "agc_db"
 
 
 def load_capture(path) -> IqCapture:
-    """Read the binary capture format; sidecar metadata is used if present."""
+    """Read the binary capture format; sidecar metadata is used if present.
+
+    A regular file is mapped read-only, not copied: the samples are a
+    read-only view of its pages, so truncating the file while the capture
+    is in use raises SIGBUS. What cannot be mapped, an empty file or a
+    pipe, is read.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        try:
+            blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # empty (ValueError) or not a regular file
+            blob = fh.read()
     if not blob:
         raise DataError(f"capture file {path} is empty")
     if len(blob) % 4:

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensm import Direction
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
 from .params import (
     COMMAND_KINDS,
     Band,
     ClockConfig,
+    Direction,
     RfModelParams,
     Schedule,
     TimingProfile,

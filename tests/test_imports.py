@@ -1,10 +1,10 @@
 """Import paths and the public API.
 
-Budgets, compliance and the config dump are exact rational arithmetic and
-start without numpy: only `trace` and `noise` load the array layers
-(`zifsim.rf`, `zifsim.sim`), and no subcommand loads the SPI codec
-(`zifsim.spi`). Each case runs in a fresh interpreter, since
-a module once imported stays in `sys.modules`.
+Each subcommand loads only the zifsim modules it runs. Budgets, compliance
+and the config dump are exact rational arithmetic and start without numpy:
+only `trace` and `noise` load the array layers (`zifsim.rf`, `zifsim.sim`),
+and no subcommand loads the SPI codec (`zifsim.spi`). Each case runs in a
+fresh interpreter, since a module once imported stays in `sys.modules`.
 """
 
 import ast
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import zifsim
+import zifsim.ensm
 import zifsim.params
 import zifsim.rf
 import zifsim.sim
@@ -27,8 +28,9 @@ WATCHED = ["numpy", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
 
 # Runs `python -m zifsim.cli ARGV` (argv given as a Python literal, None
 # for a bare `import zifsim`) with its output captured, then prints the
-# exit code and which of the watched modules are loaded. It imports no
-# module of its own that a test watches, `json` included.
+# exit code, which of the watched modules are loaded and every `zifsim.*`
+# module loaded. It imports no module of its own that a test watches,
+# `json` included.
 PROBE = """
 import ast, contextlib, io, runpy, sys
 argv, watched = map(ast.literal_eval, sys.argv[1:])
@@ -42,7 +44,8 @@ else:
             runpy.run_module("zifsim.cli", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             code = exc.code
-print(repr([code, [m for m in watched if m in sys.modules]]))
+print(repr([code, [m for m in watched if m in sys.modules],
+            sorted(m for m in sys.modules if m.startswith("zifsim."))]))
 """
 
 
@@ -57,8 +60,27 @@ def run_python(*args) -> str:
 
 
 def probe(argv, watched=WATCHED):
-    code, loaded = ast.literal_eval(run_python(PROBE, repr(argv), repr(watched)))
-    return code, loaded
+    """(exit code, the watched modules loaded, every zifsim.* module loaded)"""
+    return tuple(ast.literal_eval(run_python(PROBE, repr(argv), repr(watched))))
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["turnaround", "--all"], "config ensm errors params"),
+    (["turnaround", "--mode", "lo-control", "--dir", "rx-tx"], "config ensm errors params"),
+    (["comply"], "config ensm errors mac params"),
+    (["comply", "--require", "lo-control"], "config ensm errors mac params"),
+    (["config", "--dump"], "config errors params"),
+    (["-c", "{config}", "config", "--dump"], "config errors params"),
+    (["trace"], "config errors params sim"),
+    (["noise", "--mode", "fdd", "--band", "2g4"], "config errors params rf sim"),
+    (["noise", "--capture", "{capture}"], "config errors params rf sim"),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    files = {"config": tmp_path / "run.cfg", "capture": tmp_path / "cap.iq"}
+    files["config"].write_text("trace.band = 5g\nschedule.0 = lo-off @ 10\n")
+    files["capture"].write_bytes(bytes(range(1, 41)))
+    argv = [arg.format_map(files) for arg in argv]
+    assert probe(argv)[::2] == (0, [f"zifsim.{name}" for name in modules.split()])
 
 
 @pytest.mark.parametrize("argv", [
@@ -70,7 +92,7 @@ def probe(argv, watched=WATCHED):
     ["config", "--dump"],
 ])
 def test_exact_subcommands_start_without_numpy(argv):
-    code, loaded = probe(argv)
+    code, loaded, _ = probe(argv)
     assert code == (None if argv is None else 0)
     assert loaded == []
 
@@ -80,7 +102,7 @@ def test_exact_subcommands_start_without_numpy(argv):
     (["noise", "--mode", "fdd", "--band", "2g4"], ["numpy", "zifsim.rf", "zifsim.sim"]),
 ])
 def test_array_subcommands_load_the_array_layers(argv, loaded):
-    assert probe(argv) == (0, loaded)
+    assert probe(argv)[:2] == (0, loaded)
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -91,7 +113,7 @@ def test_array_subcommands_load_the_array_layers(argv, loaded):
     (["trace", "--format", "json"], ["json"]),
 ])
 def test_json_and_csv_load_only_for_their_formats(argv, loaded):
-    assert probe(argv, ["json", "csv"]) == (0, loaded)
+    assert probe(argv, ["json", "csv"])[:2] == (0, loaded)
 
 
 def test_importing_rf_loads_sim():
@@ -152,6 +174,8 @@ def test_unknown_attribute_raises():
 
 
 @pytest.mark.parametrize("module, name", [
+    (zifsim.ensm, "EnsmMode"),
+    (zifsim.ensm, "Direction"),
     (zifsim.rf, "Band"),
     (zifsim.rf, "RfModelParams"),
     (zifsim.sim, "Band"),

@@ -537,6 +537,18 @@ def test_load_capture_without_sidecar(tmp_path):
     assert loaded.samples.tolist() == [[1, 2]]
 
 
+def test_load_capture_maps_a_regular_file(tmp_path):
+    # a read-only view of the file's pages, not a copy: a later write
+    # to the file shows through
+    path = tmp_path / "cap.iq"
+    path.write_bytes(b"\x01\x00\x02\x00\x03\x00\x04\x00")
+    loaded = load_capture(path)
+    assert not loaded.samples.flags.writeable
+    with open(path, "r+b") as fh:
+        fh.write(b"\x07\x00")
+    assert loaded.samples.tolist() == [[7, 2], [3, 4]]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_capture_from_pipe(tmp_path):
     # a pipe has no size or file position up front
