@@ -11,9 +11,15 @@ Each subcommand imports the layers it runs when it runs: `turnaround`
 the budgets (`ensm`), `comply` the deadline checks (`mac`), `trace` and
 `noise` the array layers (`sim`, `rf`) and with them numpy. `json` and
 `csv` are imported by the output formats that use them.
+
+The process entry point, `run`, freezes the garbage collector once `main`
+returns, so the interpreter's exit-time collections skip every object
+then alive instead of walking each loaded module; `main` itself does not
+freeze, since tests and benchmarks call it many times in one process.
 """
 
 import argparse
+import gc
 import io
 import sys
 
@@ -373,5 +379,13 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """Process entry point: exit with `main`'s code, without exit-time
+    collections. Flushing, atexit handlers and module teardown still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 from pathlib import Path
@@ -688,3 +689,12 @@ def test_subcommands_are_deterministic(capsys, argv):
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in GOLDEN_CASES] + [("turnaround", "--bogus")],
+                         ids=["turnaround", "trace", "noise", "comply", "config", "usage"])
+def test_main_leaves_the_collector_unfrozen(capsys, argv):
+    # only the process entry point (cli.run) freezes, after main returns
+    frozen = gc.get_freeze_count()
+    run_cli(capsys, *argv)
+    assert gc.get_freeze_count() == frozen

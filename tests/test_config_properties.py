@@ -22,13 +22,8 @@ from zifsim import (
     dump_config,
     parse_config,
 )
-from zifsim.config import (
-    OUTPUT_FORMATS,
-    _fast_schedule,
-    _Irregular,
-    _parse_lines,
-    _parse_per_line,
-)
+from zifsim.config import OUTPUT_FORMATS
+from zifsim.configtext import _fast_schedule, _Irregular, _parse_lines, _parse_per_line
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)

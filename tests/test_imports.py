@@ -3,6 +3,7 @@
 Each subcommand loads only the zifsim modules it runs. Budgets, compliance
 and the config dump are exact rational arithmetic and start without numpy:
 only `trace` and `noise` load the array layers (`zifsim.rf`, `zifsim.sim`),
+only `-c` and `config --dump` the config text format (`zifsim.configtext`),
 and no subcommand loads the SPI codec (`zifsim.spi`). Each case runs in a
 fresh interpreter, since a module once imported stays in `sys.modules`.
 """
@@ -28,11 +29,11 @@ WATCHED = ["numpy", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
 
 # Runs `python -m zifsim.cli ARGV` (argv given as a Python literal, None
 # for a bare `import zifsim`) with its output captured, then prints the
-# exit code, which of the watched modules are loaded and every `zifsim.*`
-# module loaded. It imports no module of its own that a test watches,
-# `json` included.
+# exit code, which of the watched modules are loaded, every `zifsim.*`
+# module loaded and the garbage collector's freeze count. It imports no
+# module of its own that a test watches, `json` included.
 PROBE = """
-import ast, contextlib, io, runpy, sys
+import ast, contextlib, gc, io, runpy, sys
 argv, watched = map(ast.literal_eval, sys.argv[1:])
 code = None
 if argv is None:
@@ -45,7 +46,8 @@ else:
         except SystemExit as exc:
             code = exc.code
 print(repr([code, [m for m in watched if m in sys.modules],
-            sorted(m for m in sys.modules if m.startswith("zifsim."))]))
+            sorted(m for m in sys.modules if m.startswith("zifsim.")),
+            gc.get_freeze_count()]))
 """
 
 
@@ -60,7 +62,8 @@ def run_python(*args) -> str:
 
 
 def probe(argv, watched=WATCHED):
-    """(exit code, the watched modules loaded, every zifsim.* module loaded)"""
+    """(exit code, the watched modules loaded, every zifsim.* module loaded,
+    freeze count at exit)"""
     return tuple(ast.literal_eval(run_python(PROBE, repr(argv), repr(watched))))
 
 
@@ -69,11 +72,12 @@ def probe(argv, watched=WATCHED):
     (["turnaround", "--mode", "lo-control", "--dir", "rx-tx"], "config ensm errors params"),
     (["comply"], "config ensm errors mac params"),
     (["comply", "--require", "lo-control"], "config ensm errors mac params"),
-    (["config", "--dump"], "config errors params"),
-    (["-c", "{config}", "config", "--dump"], "config errors params"),
+    (["config", "--dump"], "config configtext errors params"),
+    (["-c", "{config}", "config", "--dump"], "config configtext errors params"),
     (["trace"], "config errors params sim"),
     (["noise", "--mode", "fdd", "--band", "2g4"], "config errors params rf sim"),
     (["noise", "--capture", "{capture}"], "config errors params rf sim"),
+    (["-c", "{config}", "trace"], "config configtext errors params sim"),
 ])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     files = {"config": tmp_path / "run.cfg", "capture": tmp_path / "cap.iq"}
@@ -81,6 +85,21 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     files["capture"].write_bytes(bytes(range(1, 41)))
     argv = [arg.format_map(files) for arg in argv]
     assert probe(argv)[::2] == (0, [f"zifsim.{name}" for name in modules.split()])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (None, None),
+    (["turnaround", "--all"], 0),
+    (["trace"], 0),
+    (["config", "--dump"], 0),
+    (["comply", "--require", "standard-tdd"], 3),
+    (["turnaround", "--bogus"], 2),
+])
+def test_the_process_entry_point_freezes_the_collector(argv, code):
+    # the objects alive when main returns are left out of the exit-time
+    # collections; a bare import runs no entry point and freezes nothing
+    exit_code, _, _, frozen = probe(argv)
+    assert (exit_code, frozen > 0) == (code, argv is not None)
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,7 +111,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     ["config", "--dump"],
 ])
 def test_exact_subcommands_start_without_numpy(argv):
-    code, loaded, _ = probe(argv)
+    code, loaded, *_ = probe(argv)
     assert code == (None if argv is None else 0)
     assert loaded == []
 
@@ -124,8 +143,8 @@ def test_importing_rf_loads_sim():
 
 
 def test_no_module_imports_the_spi_codec():
-    code = ("import sys, zifsim.cli, zifsim.config, zifsim.ensm, zifsim.mac, zifsim.rf, "
-            "zifsim.sim; print('zifsim.spi' in sys.modules)")
+    code = ("import sys, zifsim.cli, zifsim.config, zifsim.configtext, zifsim.ensm, "
+            "zifsim.mac, zifsim.rf, zifsim.sim; print('zifsim.spi' in sys.modules)")
     assert run_python(code).strip() == "False"
 
 
