@@ -12,10 +12,13 @@ the budgets (`ensm`), `comply` the deadline checks (`mac`), `trace` and
 `noise` the array layers (`sim`, `rf`) and with them numpy. `json` and
 `csv` are imported by the output formats that use them.
 
-The process entry point, `run`, freezes the garbage collector once `main`
-returns, so the interpreter's exit-time collections skip every object
-then alive instead of walking each loaded module; `main` itself does not
-freeze, since tests and benchmarks call it many times in one process.
+The process entry point, `run`, disables the garbage collector before
+`main` and freezes it once `main` returns: a call is short and makes
+little cyclic garbage, so the collections it would run find next to
+nothing, and the interpreter's exit-time collections then skip every
+object alive instead of walking each loaded module. `main` itself
+neither disables nor freezes, since tests and benchmarks call it many
+times in one process and need the collector as usual.
 """
 
 import argparse
@@ -380,8 +383,10 @@ def main(argv=None) -> int:
 
 
 def run():
-    """Process entry point: exit with `main`'s code, without exit-time
-    collections. Flushing, atexit handlers and module teardown still run."""
+    """Process entry point: exit with `main`'s code, without collections
+    during the call or at exit. Flushing, atexit handlers and module
+    teardown still run."""
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -315,18 +315,18 @@ def sample_trace(
         seen = np.repeat(np.arange(levels.size), runs)
         times = start_ns + interval_ns * np.arange(count, dtype=np.int64)
         samples = _settle(samples, levels[:seen[-1] + 1], timeline, seen, times,
-                          settling_tau_ns)
+                          interval_ns, settling_tau_ns)
     return PowerTrace(start_ns=start_ns, interval_ns=interval_ns, samples=samples)
 
 
-def _settle(targets, levels, timeline, seen, times, tau):
+def _settle(targets, levels, timeline, seen, times, interval, tau):
     """First-order settling of a sampled step trace.
 
     At each level change at time c the value restarts from where it was at
     c and relaxes toward the new level:
     target + (value_at_c - target) * exp(-(t - c) / tau), with the time
     difference exact before it is rounded to float and one math.exp per
-    distinct difference.
+    distinct difference (the run the window opens in may repeat some).
     """
     changes = np.flatnonzero(levels[1:] != levels[:-1])  # event indices
     if not changes.size:
@@ -348,18 +348,25 @@ def _settle(targets, levels, timeline, seen, times, tau):
             level = level + (value_at_change[-1] - level) * math.exp(-dt / tau)
         value_at_change.append(level)
 
-    # the last change each sample has seen; -1 before the first
+    # the runs of samples after each change (rank: the last change seen)
     rank = np.searchsorted(changes, seen) - 1
-    settling = np.flatnonzero(rank >= 0)
-    rank = rank[settling]
-    # t - c over the common denominator
-    numer = times[settling].astype(dtype) * den - scaled[rank]
-    distinct, index = np.unique(numer, return_inverse=True)
-    decay = np.array([math.exp(-(n / den) / tau) for n in distinct.tolist()])[index]
+    first = int(np.searchsorted(rank, 0))
+    rank = rank[first:]
+    heads = np.flatnonzero(np.diff(rank, prepend=-1))
+    runs = np.diff(heads, append=rank.size)
+    # t - c over the common denominator steps by interval * den along a
+    # run, so its distinct values start at the runs' distinct starts
+    distinct, group = np.unique(times[first + heads].astype(dtype) * den - scaled[rank[heads]],
+                                return_inverse=True)
+    span = np.zeros(distinct.size, np.int64)
+    np.maximum.at(span, group, runs)
+    decay = np.array([math.exp(-((start + k * interval * den) / den) / tau) for start, count
+                      in zip(distinct.tolist(), span.tolist()) for k in range(count)])
+    decay = decay[np.repeat((np.cumsum(span) - span)[group] - heads, runs) + np.arange(rank.size)]
 
     out = targets.copy()
-    target = targets[settling]
-    out[settling] = target + (np.array(value_at_change)[rank] - target) * decay
+    target = targets[first:]
+    out[first:] = target + (np.array(value_at_change)[rank] - target) * decay
     return out
 
 
@@ -414,23 +421,15 @@ _ROW = {
     "json": ('  {\n    "time_us": ', "time", ',\n    "power_db": ', "power", "\n  },\n"),
 }
 
-
-def _fmt2(value: float) -> str:
-    text = f"{value:.2f}"
-    return "0.00" if text == "-0.00" else text
-
-
-def _table_text(value: float) -> str:
-    return f"{round(value, 2):.2f}"
-
-
-def _json_text(value: float) -> str:
-    import json  # only json output needs it
-
-    return json.dumps(round(value, 2))
-
-
-_POWER_TEXT = {"csv": _fmt2, "table": _table_text, "json": _json_text}
+# k = 0..999 as 4-byte words: "d.dd", the last three digits of k hundredths,
+# then without a trailing zero; for a group of three digits above them a
+# NUL and the digits, zero-padded or, leading, right-aligned behind NUL
+_k = np.arange(1000)[:, None]
+_DIGITS = (48 + _k // [100, 10, 1] % 10).astype(np.uint8)
+_LOW = np.insert(_DIGITS, 1, 46, axis=1)
+_LOW = np.stack([_LOW, _LOW * (_k % 10 > [-1, -1, -1, 0])]).view(np.uint32)[..., 0]
+_PADDED = np.insert(_DIGITS, 0, 0, axis=1).view(np.uint32)[:, 0]
+_ALIGNED = np.insert(_DIGITS * (_k >= [100, 10, 1]), 0, 0, axis=1).view(np.uint32)[:, 0]
 
 
 def _texts(texts):
@@ -438,51 +437,78 @@ def _texts(texts):
     return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
+def _decimal_field(hundredths, negative, fmt):
+    """Byte matrix of integer hundredths as two-decimal text, a row each:
+    digits right-aligned behind NUL, "-" ahead of negative rows (csv: not
+    on -0.00), and json drops a trailing zero as repr does (2.5, 0.0)."""
+    # in place: floor division by a constant is fast, divmod and % are not
+    units = np.abs(hundredths)
+    high = units // 1000
+    units -= 1000 * high
+    groups = -(-len(str(int(high.max()))) // 3)
+    text = np.empty((high.size, 4 * groups + 4), np.uint8)
+    words = text.view(np.uint32)  # a word per group, then "d.dd"
+    words[:, -1] = np.take(_LOW[int(fmt == "json")], units)
+    for column in range(groups - 1, -1, -1):
+        rest = high // 1000
+        high -= 1000 * rest
+        words[:, column] = np.where(rest > 0, np.take(_PADDED, high), np.take(_ALIGNED, high))
+        high = rest
+    text[:, 0] = np.where(negative & ((hundredths != 0) | (fmt != "csv")), ord("-"), 0)
+    return text
+
+
 def _time_field(times_ns, fmt):
-    """The time column in microseconds: bytes right-aligned behind NUL,
-    and the text lengths.
-
-    t / 1000 rounds to the nearest hundredth (t + 5) // 10 unless
-    t % 10 == 5; then the float quotient lies just above or below the tie
-    and decides, so those rows take their hundredths from its text.
-    """
+    """The time column in microseconds, as a byte matrix. t / 1000 rounds
+    to (t + 5) // 10 hundredths unless t % 10 == 5; then the float quotient
+    lies just above or below the tie and decides, by its text."""
     hundredths = (times_ns + 5) // 10
-    ties = np.flatnonzero(times_ns % 10 == 5)
-    hundredths[ties] = [
-        int(f"{t / 1000.0:.2f}".replace(".", "")) for t in times_ns[ties].tolist()
-    ]
-    magnitude = np.abs(hundredths)
-    whole = magnitude // 100
-    sign = times_ns < 0
-    if fmt == "csv":
-        sign &= magnitude > 0
-    width = len(str(int(whole.max()))) + 4  # sign, digits, point, two decimals
-    digits = np.ones(times_ns.size, np.int64)
-    for p in range(1, width - 4):
-        digits += whole >= 10**p
-    matrix = np.empty((times_ns.size, width), np.uint8, order="F")  # filled by column
-    matrix[:, -1] = 48 + magnitude % 10
-    matrix[:, -2] = 48 + magnitude // 10 % 10
-    matrix[:, -3] = ord(".")
-    matrix[:, -4] = 48 + whole % 10
-    for column in range(width - 5, -1, -1):
-        whole //= 10
-        matrix[:, column] = np.where(whole > 0, 48 + whole % 10, 0)
-    negative = np.flatnonzero(sign)
-    matrix[negative, width - 4 - digits[negative]] = ord("-")
-    if fmt == "json":  # repr drops a trailing zero: 2.5, 0.0
-        matrix[magnitude % 10 == 0, -1] = 0
-    return matrix, digits + 3 + sign
+    ties = np.flatnonzero(10 * hundredths == times_ns + 5)
+    hundredths[ties] = [int(f"{t / 1000.0:.2f}".replace(".", "")) for t in times_ns[ties].tolist()]
+    return _decimal_field(hundredths, times_ns < 0, fmt)
 
 
-def _rows(times_ns, power_index, power_texts, fmt, width) -> bytes:
+def _power_text(value, fmt):
+    """One power cell as the per-value code writes it."""
+    if fmt != "json":
+        text = f"{round(value, 2) if fmt == 'table' else value:.2f}"
+        return "0.00" if fmt == "csv" and text == "-0.00" else text
+    if math.isfinite(value):
+        return repr(round(value, 2))
+    import json  # only Infinity and NaN need it
+
+    return json.dumps(value)
+
+
+def _power_field(values, fmt):
+    """The power column of `values` (dB), as a byte matrix. v * 100 is
+    within half an ulp of the exact product, so it rounds to the text's
+    hundredths unless within |rint(v * 100)| * 2**-52 of a tie; such
+    near-ties, magnitudes of 1e13 and above and non-finite values take
+    the per-value text, once per distinct value."""
+    scaled = np.where(np.abs(values) < 1e13, values, np.nan) * 100  # NaN: not finite or big
+    hundredths = np.rint(scaled)
+    scaled -= hundredths
+    slow = np.flatnonzero(~(np.abs(scaled) < 0.5 - 2.0**-52 * np.abs(hundredths)))
+    hundredths[slow] = 0
+    text = _decimal_field(hundredths.astype(np.int64), np.signbit(values), fmt)
+    if slow.size:
+        distinct, index = np.unique(values[slow].view(np.int64), return_inverse=True)
+        texts = _texts([_power_text(v, fmt) for v in distinct.view(np.float64).tolist()])
+        text = np.pad(text, ((0, 0), (0, texts.shape[1])))
+        text[slow] = np.pad(texts[index], ((0, 0), (text.shape[1] - texts.shape[1], 0)))
+    return text
+
+
+def _rows(times_ns, power_index, power, fmt, width) -> bytes:
     """ASCII text of a block of rows."""
     rows = times_ns.size
-    time_bytes, time_len = _time_field(times_ns, fmt)
-    fields = {"time": time_bytes, "power": power_texts[power_index]}
+    time_bytes = _time_field(times_ns, fmt)
+    fields = {"time": time_bytes, "power": np.take(power, power_index, axis=0)}
     if fmt == "table":  # the time column is padded to the widest cell
-        pad = width - time_len
-        fields["pad"] = _texts([" " * k for k in range(int(pad.max()) + 1)])[pad]
+        # the text lengths; einsum sums a row's bytes faster than count_nonzero
+        pad = width - np.einsum("ij->i", (time_bytes != 0).view(np.uint8))
+        fields["pad"] = np.take(_texts([" " * k for k in range(int(pad.max()) + 1)]), pad, axis=0)
     parts = [fields[item] if item in fields else _texts([item]) for item in _ROW[fmt]]
     text = np.concatenate([np.broadcast_to(m, (rows, m.shape[1])) for m in parts], axis=1)
     return text[text != 0].tobytes()
@@ -502,14 +528,11 @@ def render_blocks(trace: PowerTrace, fmt: str):
     start, interval = trace.start_ns, trace.interval_ns
     # times increase, so the widest time cell is the first or the last
     ends = np.array([start, start + interval * (rows - 1)], np.int64)
-    width = max(len("time_us"), int(_time_field(ends, "table")[1].max()))
-    # distinct bit patterns, so -0.0 and 0.0 keep their own texts; found
-    # over the run heads (the samples whose bits differ from the one
-    # before) and repeated over each run in a block
+    width = max(len("time_us"), int(np.count_nonzero(_time_field(ends, "table"), axis=1).max()))
+    # the power of each run (samples of equal bits, so -0.0 and 0.0 keep
+    # their own texts) found once and formatted a block at a time
     bits = trace.samples.view(np.int64)
     heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    distinct, head_index = np.unique(bits[heads], return_inverse=True)
-    power_texts = _texts([_POWER_TEXT[fmt](v) for v in distinct.view(np.float64).tolist()])
     yield _HEADER.get(fmt, f"{'time_us'.ljust(width)}  power_db\n").encode("ascii")
     for lo in range(0, rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, rows)
@@ -518,8 +541,9 @@ def render_blocks(trace: PowerTrace, fmt: str):
         # at or before lo) cut to it
         first, stop = np.searchsorted(heads, (lo + 1, hi))
         cuts = np.maximum(heads[first - 1:stop], lo)
-        power_index = np.repeat(head_index[first - 1:stop], np.diff(cuts, append=hi))
-        block = _rows(times, power_index, power_texts, fmt, width)
+        power = _power_field(trace.samples[cuts], fmt)
+        power_index = np.repeat(np.arange(cuts.size), np.diff(cuts, append=hi))
+        block = _rows(times, power_index, power, fmt, width)
         if fmt == "json" and hi == rows:  # the last row closes the list
             block = block[:-2] + b"\n]\n"
         yield block

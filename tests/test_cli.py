@@ -683,6 +683,17 @@ def test_golden_outputs(capsys, name, argv):
     assert out == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", ["trace_settle.csv", "trace_settle.txt", "trace_settle.json"])
+def test_golden_settling_traces(capsys, name):
+    # a distinct settled level in most rows, negative times, times on the
+    # two-decimal tie (t % 10 == 5) and a 685 5/7 ns SPI frame
+    fmt = {".csv": "csv", ".txt": "table", ".json": "json"}[Path(name).suffix]
+    code, out, err = run_cli(capsys, "-c", str(GOLDEN / "trace_settle.cfg"), "trace",
+                             "--format", fmt)
+    assert (code, err) == (0, "measured turnaround: 0.88 us (rx-tx)\n")
+    assert out == (GOLDEN / name).read_text()
+
+
 @pytest.mark.parametrize("argv", [c[1] for c in GOLDEN_CASES],
                          ids=["turnaround", "trace", "noise", "comply", "config"])
 def test_subcommands_are_deterministic(capsys, argv):
@@ -694,7 +705,9 @@ def test_subcommands_are_deterministic(capsys, argv):
 @pytest.mark.parametrize("argv", [c[1] for c in GOLDEN_CASES] + [("turnaround", "--bogus")],
                          ids=["turnaround", "trace", "noise", "comply", "config", "usage"])
 def test_main_leaves_the_collector_unfrozen(capsys, argv):
-    # only the process entry point (cli.run) freezes, after main returns
+    # only the process entry point (cli.run) disables the collector, and
+    # freezes it after main returns
     frozen = gc.get_freeze_count()
     run_cli(capsys, *argv)
     assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()

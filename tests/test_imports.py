@@ -30,8 +30,9 @@ WATCHED = ["numpy", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
 # Runs `python -m zifsim.cli ARGV` (argv given as a Python literal, None
 # for a bare `import zifsim`) with its output captured, then prints the
 # exit code, which of the watched modules are loaded, every `zifsim.*`
-# module loaded and the garbage collector's freeze count. It imports no
-# module of its own that a test watches, `json` included.
+# module loaded, the garbage collector's freeze count and whether it is
+# enabled. It imports no module of its own that a test watches, `json`
+# included.
 PROBE = """
 import ast, contextlib, gc, io, runpy, sys
 argv, watched = map(ast.literal_eval, sys.argv[1:])
@@ -47,7 +48,7 @@ else:
             code = exc.code
 print(repr([code, [m for m in watched if m in sys.modules],
             sorted(m for m in sys.modules if m.startswith("zifsim.")),
-            gc.get_freeze_count()]))
+            gc.get_freeze_count(), gc.isenabled()]))
 """
 
 
@@ -63,7 +64,7 @@ def run_python(*args) -> str:
 
 def probe(argv, watched=WATCHED):
     """(exit code, the watched modules loaded, every zifsim.* module loaded,
-    freeze count at exit)"""
+    freeze count at exit, collector enabled at exit)"""
     return tuple(ast.literal_eval(run_python(PROBE, repr(argv), repr(watched))))
 
 
@@ -84,7 +85,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     files["config"].write_text("trace.band = 5g\nschedule.0 = lo-off @ 10\n")
     files["capture"].write_bytes(bytes(range(1, 41)))
     argv = [arg.format_map(files) for arg in argv]
-    assert probe(argv)[::2] == (0, [f"zifsim.{name}" for name in modules.split()])
+    code, _, loaded, *_ = probe(argv)
+    assert (code, loaded) == (0, [f"zifsim.{name}" for name in modules.split()])
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -96,10 +98,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     (["turnaround", "--bogus"], 2),
 ])
 def test_the_process_entry_point_freezes_the_collector(argv, code):
-    # the objects alive when main returns are left out of the exit-time
-    # collections; a bare import runs no entry point and freezes nothing
-    exit_code, _, _, frozen = probe(argv)
-    assert (exit_code, frozen > 0) == (code, argv is not None)
+    # the collector stays off through the call, and the objects alive when
+    # main returns are left out of the exit-time collections; a bare
+    # import runs no entry point and changes neither
+    exit_code, _, _, frozen, enabled = probe(argv)
+    assert (exit_code, frozen > 0, enabled) == (code, argv is not None, argv is None)
 
 
 @pytest.mark.parametrize("argv", [
@@ -129,7 +132,7 @@ def test_array_subcommands_load_the_array_layers(argv, loaded):
     (["trace", "--format", "csv"], []),
     (["turnaround", "--all", "--format", "csv"], ["csv"]),
     (["turnaround", "--all", "--format", "json"], ["json"]),
-    (["trace", "--format", "json"], ["json"]),
+    (["trace", "--format", "json"], []),  # only Infinity and NaN need json
 ])
 def test_json_and_csv_load_only_for_their_formats(argv, loaded):
     assert probe(argv, ["json", "csv"])[:2] == (0, loaded)

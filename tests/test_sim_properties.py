@@ -44,7 +44,7 @@ from zifsim import (
     trace_to_csv,
     turnaround_budget,
 )
-from zifsim.sim import Effect, Timeline, render_blocks
+from zifsim.sim import Effect, Timeline, _power_field, render_blocks
 
 from conftest import event_rows
 
@@ -611,6 +611,31 @@ def test_renderings_of_an_empty_trace():
     trace = PowerTrace(0, 50, [])
     for fmt, oracle in ORACLE.items():
         assert streamed_text(trace, fmt) == oracle(trace), fmt
+
+
+# each format's text of one power value, as the per-row code wrote it
+POWER_TEXT = {
+    "csv": oracle_fmt2,
+    "table": lambda v: f"{round(v, 2):.2f}",
+    "json": lambda v: json.dumps(round(v, 2)),
+}
+# just below, at and just above the magnitudes where the formatter hands
+# values back to Python's text
+EDGES = [v for x in (1e13, 1e15, 1e16, 2.0**53)
+         for v in (math.nextafter(x, 0), x, math.nextafter(x, math.inf), -x)]
+
+
+@PROFILE
+@given(st.lists(st.floats() | st.floats(-300, 300)
+                | st.integers(-10**6, 10**6).map(lambda k: k / 1000), min_size=1, max_size=20))
+@example([0.125, 2.675, -0.004, -0.005, -0.0])
+@example(EDGES)
+@example([math.inf, -math.inf, math.nan, 1.0])
+def test_power_texts_equal_the_per_value_text(values):
+    # a mix of the formatter's digits and values handed back to Python
+    for fmt, oracle in POWER_TEXT.items():
+        field = _power_field(np.array(values), fmt)
+        assert [bytes(row[row != 0]).decode() for row in field] == [oracle(v) for v in values]
 
 
 def test_ties_round_by_the_float_quotient():
