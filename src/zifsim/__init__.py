@@ -56,6 +56,7 @@ _PUBLIC = {
         "CommandKind",
         "Direction",
         "EnsmMode",
+        "Record",
         "RfModelParams",
         "Schedule",
         "TimingProfile",

@@ -258,10 +258,12 @@ def cmd_noise(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
         if given:
             flags = ", ".join(f"--{flag}" for flag in given)
             return _usage_error(f"--capture cannot be combined with {flags}")
-    if args.n is not None and args.n < 1:
-        return _usage_error("--n must be at least 1")
-    if args.seed is not None and args.seed < 0:
-        return _usage_error("--seed must be non-negative")
+    flags = {"n_samples": ("--n", args.n), "seed": ("--seed", args.seed)}
+    try:  # the settings' own checks, whose messages name the field first
+        noise = config.noise.replace(**{name: v for name, (_, v) in flags.items() if v is not None})
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        return _usage_error(f"{flags[name][0]} {rest}")
     if not args.capture and not (args.mode and args.band):
         return _usage_error("noise needs either --capture or --mode and --band")
 
@@ -270,19 +272,9 @@ def cmd_noise(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
     if args.capture:
         capture = load_capture(args.capture)
     else:
-        capture = synthesize_capture(
-            EnsmMode(args.mode),
-            Band(args.band),
-            config.rf,
-            args.n if args.n is not None else config.noise.n_samples,
-            args.seed if args.seed is not None else config.noise.seed,
-        )
-
-    report = noise_floor_report(
-        capture,
-        threshold_db_above_median=config.noise.filter_threshold_db,
-        guard_samples=config.noise.filter_guard_samples,
-    )
+        capture = synthesize_capture(EnsmMode(args.mode), Band(args.band), config.rf,
+                                     noise.n_samples, noise.seed)
+    report = noise_floor_report(capture, noise.filter_threshold_db, noise.filter_guard_samples)
     row = {
         "mode": capture.mode.value if capture.mode else "-",
         "band": capture.band.value if capture.band else "-",

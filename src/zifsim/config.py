@@ -9,8 +9,8 @@ so timing arithmetic stays exact. Example:
     schedule.0 = lo-on @ 0
 
 Settings keys are `section.field`, or `section.field.<band>` for a per-band
-field, read off the dataclass fields of RunConfig's sections (clocks,
-profile, rf, trace, noise); each dataclass checks its own values.
+field, read off the field tables of RunConfig's sections (clocks,
+profile, rf, trace, noise), each a Record that checks its own values.
 
 The built-in defaults reproduce the reference timing and noise numbers
 with no file at all; a file only overrides what it names. The text
@@ -19,26 +19,26 @@ parser and writer live in `configtext`, which `parse_config`,
 reads no config file and dumps none never compiles them.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import ConfigError
 from .params import (
     Band,
     ClockConfig,
     Command,
     CommandKind,
+    Field,
+    Record,
     RfModelParams,
     Schedule,
     TimingProfile,
     check_fields,
     check_sampling,
+    integer,
 )
 
 OUTPUT_FORMATS = ("csv", "json", "table")
 
 
-@dataclass
-class TraceSettings:
+class TraceSettings(Record, frozen=False):
     """`trace` settings: band, sampling window and interval in ns, and the
     settling time constant (0 for instant steps)."""
 
@@ -53,20 +53,19 @@ class TraceSettings:
         check_sampling(self.start_ns, self.end_ns, self.interval_ns, self.settling_tau_ns)
 
 
-@dataclass
-class NoiseSettings:
+class NoiseSettings(Record, frozen=False):
     """`noise` settings: synthetic capture length and seed, and the burst
     filter's threshold above the median (dB) and guard (samples)."""
 
-    n_samples: int = 100_000
+    n_samples: int = Field(100_000, bits=61)  # n < 2**61: 4n bytes of (n, 2) int16 fit intp
     seed: int = 1
     filter_threshold_db: float = 10.0
     filter_guard_samples: int = 16
 
     def __post_init__(self):
-        check_fields(self)
-        if self.n_samples < 1:
+        if integer("n_samples", self.n_samples) < 1:  # ahead of the width check
             raise ValueError("n_samples must be at least 1")
+        check_fields(self)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.filter_threshold_db <= 0:
@@ -75,21 +74,20 @@ class NoiseSettings:
             raise ValueError("filter_guard_samples must be non-negative")
 
 
-@dataclass
-class RunConfig:
-    """Every setting of a run. The dataclass fields are the settings
+class RunConfig(Record, frozen=False):
+    """Every setting of a run. The Record fields are the settings
     sections; the rest are the schedule, deadlines and output."""
 
-    clocks: ClockConfig = field(default_factory=ClockConfig)
-    profile: TimingProfile = field(default_factory=TimingProfile)
-    rf: RfModelParams = field(default_factory=RfModelParams)
-    schedule: Schedule = field(
-        default_factory=lambda: Schedule.from_commands([Command(0, CommandKind.LO_ON)])
+    clocks: ClockConfig = Field(factory=ClockConfig)
+    profile: TimingProfile = Field(factory=TimingProfile)
+    rf: RfModelParams = Field(factory=RfModelParams)
+    schedule: Schedule = Field(
+        factory=lambda: Schedule.from_commands([Command(0, CommandKind.LO_ON)])
     )
-    trace: TraceSettings = field(default_factory=TraceSettings)
-    noise: NoiseSettings = field(default_factory=NoiseSettings)
+    trace: TraceSettings = Field(factory=TraceSettings)
+    noise: NoiseSettings = Field(factory=NoiseSettings)
     deadlines_builtin: bool = True
-    extra_deadlines: list = field(default_factory=list)
+    extra_deadlines: list = Field(factory=list)
     output_format: str = "table"
     output_path: str = "-"
 

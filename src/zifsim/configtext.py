@@ -9,12 +9,11 @@ import functools
 import re
 import typing
 from array import array
-from dataclasses import is_dataclass, replace
 from enum import Enum
 
 from .config import OUTPUT_FORMATS, RunConfig, default_config
 from .errors import ConfigError
-from .params import COMMAND_KINDS, CommandKind, Schedule, check_command_time, field_types
+from .params import COMMAND_KINDS, CommandKind, Record, Schedule, check_command_time
 
 
 def _parse_bool(key, value):
@@ -77,10 +76,10 @@ def _value_parser(kind):
 def _settings_keys() -> dict:
     """Key -> (section, field, band or None, value parser), in dump order."""
     keys = {}
-    for section, cls in field_types(RunConfig):
-        if not is_dataclass(cls):
+    for section, cls, _ in RunConfig.fields:
+        if not (isinstance(cls, type) and issubclass(cls, Record)):
             continue
-        for name, kind in field_types(cls):
+        for name, kind, _ in cls.fields:
             if typing.get_origin(kind) is dict:
                 member_type, value_type = typing.get_args(kind)
                 parse = _value_parser(value_type)
@@ -261,7 +260,7 @@ def _parse_lines(lines, schedule) -> RunConfig:
 
     for section, fields in settings.items():
         try:
-            setattr(config, section, replace(getattr(config, section), **fields))
+            setattr(config, section, getattr(config, section).replace(**fields))
         except ValueError as exc:
             # every settings check message starts with its field name
             raise ConfigError(f"{section}.{exc}") from None

@@ -11,13 +11,13 @@ for example, a synthesizer calibration that must finish before PLL lock,
 DAC power-up, and data-path flushing start together.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .params import (
     ClockConfig,
     Direction,
     EnsmMode,
+    Record,
     TimingProfile,
     cycles_to_ns,
     exact_ns,
@@ -25,8 +25,7 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
-class BudgetComponent:
+class BudgetComponent(Record):
     """One named delay of a budget, in exact ns, and its stage index."""
 
     name: str
@@ -34,8 +33,7 @@ class BudgetComponent:
     stage: int
 
 
-@dataclass(frozen=True)
-class TurnaroundBudget:
+class TurnaroundBudget(Record):
     """A mode's itemized switching budget in one direction; `total_ns` sums
     each stage's longest component."""
 

@@ -7,15 +7,13 @@ here, ignoring PHY/MAC processing time that would eat into it on a real
 stack.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ensm import sweep_budgets
-from .params import ClockConfig, EnsmMode, TimingProfile, check_fields
+from .params import ClockConfig, EnsmMode, Record, TimingProfile, check_fields
 
 
-@dataclass(frozen=True)
-class ProtocolDeadline:
+class ProtocolDeadline(Record):
     """A named turnaround deadline in ns (positive) and where it comes from."""
 
     name: str
@@ -35,8 +33,7 @@ BUILTIN_DEADLINES = (
 )
 
 
-@dataclass(frozen=True)
-class ComplianceResult:
+class ComplianceResult(Record):
     """A turnaround `tt_ns` judged against one deadline; `margin_ns` is the
     deadline minus the turnaround, negative when it fails."""
 

@@ -14,7 +14,6 @@ import operator
 import types
 import typing
 from array import array
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -61,11 +60,75 @@ def ns_value(duration) -> int | float:
     return float(value) if isinstance(value, Fraction) else value
 
 
-@functools.cache
-def field_types(cls) -> tuple:
-    """(name, resolved type) of each field of dataclass `cls`, in order."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+class Field:
+    """A Record field's default, a value or a `factory` called per instance
+    (neither: the field is required), and the width in `bits` of an int."""
+
+    __slots__ = ("factory", "bits")
+
+    def __init__(self, *default, factory=None, bits=None):
+        self.factory, self.bits = (lambda: default[0]) if default else factory, bits
+
+
+class Record:
+    """Base of the value types: each annotated class attribute is a field,
+    and `fields` holds each one's (name, type, bits), read once, with no
+    generated code. A record takes its fields by position or keyword, runs
+    `__post_init__`, prints and compares by them within its class, and
+    `replace` rebuilds it through the checks. Frozen (the default), it
+    refuses changes and hashes its fields; `frozen=False` makes it mutable
+    and unhashable."""
+
+    fields = ()
+    _factories = {}
+
+    def __init_subclass__(cls, frozen=True):
+        table, factories = {f[0]: f for f in cls.fields}, dict(cls._factories)
+        for name, kind in cls.__annotations__.items():  # this class's own
+            spec = cls.__dict__.get(name, Field())
+            spec = spec if isinstance(spec, Field) else Field(spec)
+            table[name], factories[name] = (name, kind, spec.bits), spec.factory
+        cls.fields, cls._factories = tuple(table.values()), factories
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse_change
+        elif "__hash__" not in cls.__dict__:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        factories, values = self._factories, dict(zip(self._factories, args))
+        if len(values) < len(args) or values.keys() & kwargs or kwargs.keys() - factories.keys():
+            raise TypeError(f"{type(self).__qualname__}() takes each field at most once: "
+                            + ", ".join(factories))
+        values.update(kwargs)
+        for name, factory in factories.items():  # in field order
+            if name not in values and factory is None:
+                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
+            self.__dict__[name] = values[name] if name in values else factory()
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; the base checks nothing."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._factories)
+
+    def __repr__(self):
+        items = (f"{name}={value!r}" for name, value in zip(self._factories, self._values()))
+        return f"{type(self).__qualname__}({', '.join(items)})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def replace(self, **changes):
+        """A copy with `changes` applied, built and checked as new."""
+        return type(self)(**dict(zip(self._factories, self._values()), **changes))
+
+    def _refuse_change(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r} "
+                             f"of frozen {type(self).__qualname__}")
 
 
 class Band(Enum):
@@ -132,16 +195,16 @@ def _enum_names(kind) -> str | None:
 
 
 def check_fields(obj) -> None:
-    """Check the fields of dataclass `obj` by declared type, each error
+    """Check the fields of Record `obj` by declared type, each error
     naming its field first: `int` fields pass `integer` (bits from the
-    metadata) and are stored as plain ints, `float` values must be finite
+    field table) and are stored as plain ints, `float` values must be finite
     real numbers, per-band values a dict of such numbers keyed by exactly
     the Band members, `bool` fields must hold a bool, and an
     Enum field (or Enum | None) must hold a member (or None)."""
-    for spec, (name, kind) in zip(fields(obj), field_types(type(obj))):
+    for name, kind, bits in obj.fields:
         value = getattr(obj, name)
         if kind is int:
-            object.__setattr__(obj, name, integer(name, value, spec.metadata.get("bits")))
+            obj.__dict__[name] = integer(name, value, bits)
         elif kind is bool and not isinstance(value, bool):
             raise ValueError(f"{name} must be a bool, got {value!r}")
         elif kind is float:
@@ -155,8 +218,7 @@ def check_fields(obj) -> None:
             raise ValueError(f"{name} must be a {names}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ClockConfig:
+class ClockConfig(Record):
     """Clock tree settings that parameterize the timing formulas."""
 
     ref_clock_hz: int = 40_000_000
@@ -167,7 +229,7 @@ class ClockConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name in (n for n, kind in field_types(type(self)) if kind is int):
+        for name in (name for name, kind, _ in self.fields if kind is int):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.spi_clock_hz > SPI_MAX_HZ and not self.allow_spi_overclock:
@@ -177,8 +239,7 @@ class ClockConfig:
             )
 
 
-@dataclass(frozen=True)
-class TimingProfile:
+class TimingProfile(Record):
     """Per-component switching durations of the modeled front-end.
 
     Defaults describe an AD9361-class transceiver: synthesizer calibration
@@ -203,16 +264,15 @@ class TimingProfile:
                 raise ValueError(f"{name} must be below 2**53 ns, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class RfModelParams:
+class RfModelParams(Record):
     """Calibrated power levels, per band where leakage is band-dependent."""
 
     # Tx power step when the LO divider comes up, relative to LO-off.
-    lo_on_delta_db: _PerBand = field(default_factory=lambda: _per_band(30.0, 22.0))
+    lo_on_delta_db: _PerBand = Field(factory=lambda: _per_band(30.0, 22.0))
     # Rx noise floor per switching strategy.
-    base_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(53.3, 53.7))
-    fdd_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(66.4, 58.0))
-    locontrol_rx_floor_db: _PerBand = field(default_factory=lambda: _per_band(53.0, 53.4))
+    base_rx_floor_db: _PerBand = Field(factory=lambda: _per_band(53.3, 53.7))
+    fdd_rx_floor_db: _PerBand = Field(factory=lambda: _per_band(66.4, 58.0))
+    locontrol_rx_floor_db: _PerBand = Field(factory=lambda: _per_band(53.0, 53.4))
     # Extra step at packet start; trace cosmetics only.
     packet_delta_db: float = 15.0
     # Manual AGC setting the floors were calibrated at; metadata only.
@@ -253,8 +313,7 @@ def check_command_time(time_ns: int) -> None:
         raise ValueError(f"command time must be below 2**53 ns, got {time_ns}")
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Record):
     """One scheduled command: `kind` issued at `time_ns`."""
 
     time_ns: int
@@ -283,7 +342,7 @@ class Schedule:
 
     Config text parses straight into the columns, with no object per
     command; `from_commands` builds a Schedule from Command objects.
-    Not a dataclass: the dataclass fields of a RunConfig are its settings
+    Not a Record: the Record fields of a RunConfig are its settings
     sections.
     """
 

@@ -10,7 +10,6 @@ and 62 dB manual gain; they are regression targets, not physical claims.
 import math
 import mmap
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,7 @@ import numpy as np
 # harness has imported `rf`; loading `sim` here keeps that entry present.
 from . import sim  # noqa: F401
 from .errors import DataError, FilterRefusedError
-from .params import Band, EnsmMode, RfModelParams, check_fields
+from .params import Band, EnsmMode, Record, RfModelParams, check_fields
 
 IQ_LIMIT = 32767  # samples are signed 16-bit
 MAX_POWER = 2 * IQ_LIMIT**2  # the largest i*i + q*q, below 2**31 - 1
@@ -43,8 +42,7 @@ def noise_floor_delta(
     return rx_noise_floor(mode_a, band, params) - rx_noise_floor(mode_b, band, params)
 
 
-@dataclass
-class IqCapture:
+class IqCapture(Record, frozen=False):
     """Raw receiver samples: (i, q) pairs as signed 16-bit integers.
 
     Samples of any integer dtype are accepted when every value lies within
@@ -128,8 +126,7 @@ def sample_power_db(capture: IqCapture) -> np.ndarray:
     return _to_db(power, out=power)
 
 
-@dataclass
-class PacketFilterResult:
+class PacketFilterResult(Record, frozen=False):
     """A power series, which of its samples the burst filter keeps, and
     how many it removes."""
 
@@ -310,8 +307,7 @@ def filter_packets(
     )
 
 
-@dataclass
-class NoiseFloorReport:
+class NoiseFloorReport(Record, frozen=False):
     """The noise floor of a capture after burst filtering, with the counts
     and limit behind it."""
 

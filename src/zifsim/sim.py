@@ -9,7 +9,6 @@ on whole columns, and text rendering on a block of rows at a time.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .params import (
     Band,
     ClockConfig,
     Direction,
+    Record,
     RfModelParams,
     Schedule,
     TimingProfile,
@@ -47,8 +47,7 @@ _SPI_START, _SPI_END, _LO_UP, _LO_DOWN, _PACKET_ON, _PACKET_OFF = range(len(EFFE
 PACKET_WARNING = "packet transmitted while the LO divider is down"
 
 
-@dataclass(frozen=True, eq=False)
-class Timeline:
+class Timeline(Record):
     """An expanded schedule as columns, one row per event in time order,
     the power level in force before the first event, and the step a
     measurement times.
@@ -75,6 +74,8 @@ class Timeline:
     initial_dbr: float = 0.0
     trigger_ns: int | None = None
     step_index: int = -1
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __len__(self):
         """The number of events."""
@@ -217,8 +218,7 @@ def expand_schedule(
     )
 
 
-@dataclass(frozen=True)
-class LoStep:
+class LoStep(Record):
     """The LO step a trace measurement times.
 
     `level_dbr` is the power the LO event sets. The step has to cross its
@@ -257,8 +257,7 @@ def find_step(timeline: Timeline) -> LoStep:
     return LoStep(trigger_ns, direction, float(timeline.power_after_dbr[index]), end_ns)
 
 
-@dataclass(frozen=True, eq=False)
-class PowerTrace:
+class PowerTrace(Record):
     """Power samples on a uniform grid: sample k is taken at
     start_ns + k * interval_ns. `samples` is a float64 array."""
 
@@ -267,7 +266,7 @@ class PowerTrace:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        self.__dict__["samples"] = np.asarray(self.samples, dtype=np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, PowerTrace):
@@ -460,11 +459,17 @@ def _decimal_field(hundredths, negative, fmt):
 
 def _time_field(times_ns, fmt):
     """The time column in microseconds, as a byte matrix. t / 1000 rounds
-    to (t + 5) // 10 hundredths unless t % 10 == 5; then the float quotient
-    lies just above or below the tie and decides, by its text."""
+    to (t + 5) // 10 hundredths unless t % 10 == 5; then q = fl(t / 1000)
+    rounds as its text does, up, down or to even as q * 1000 - t is above,
+    below or at 0. A Veltkamp split of q into 26-bit halves makes that sign
+    exact: each half times 1000 is exact, and (Sterbenz) so is high's minus t."""
     hundredths = (times_ns + 5) // 10
     ties = np.flatnonzero(10 * hundredths == times_ns + 5)
-    hundredths[ties] = [int(f"{t / 1000.0:.2f}".replace(".", "")) for t in times_ns[ties].tolist()]
+    q = times_ns[ties] / 1000.0
+    high = q * 134217729.0  # 2**27 + 1
+    high -= high - q  # q's upper 26 bits
+    excess = (high * 1000.0 - times_ns[ties]) + (q - high) * 1000.0
+    hundredths[ties] -= (excess < 0) | (excess == 0) & (hundredths[ties] % 2 == 1)
     return _decimal_field(hundredths, times_ns < 0, fmt)
 
 

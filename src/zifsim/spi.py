@@ -11,10 +11,8 @@ total width is fixed by the device's instruction format, so the field
 split is documented here and pinned by the tests rather than configurable.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import ConfigError, MalformedFrameError
-from .params import FRAME_BITS, check_fields
+from .params import FRAME_BITS, Field, Record, check_fields
 
 ADDRESS_BITS = 10
 DATA_BITS = 8
@@ -22,21 +20,19 @@ EXTRA_COUNT_BITS = 3
 RESERVED_BITS = 2
 
 
-@dataclass(frozen=True)
-class SpiFrame:
+class SpiFrame(Record):
     """One single-register write; an extra_byte_count of 0 moves one byte."""
 
     write_flag: bool = True
-    extra_byte_count: int = field(default=0, metadata={"bits": EXTRA_COUNT_BITS})
-    register_address: int = field(default=0, metadata={"bits": ADDRESS_BITS})
-    data: int = field(default=0, metadata={"bits": DATA_BITS})
+    extra_byte_count: int = Field(0, bits=EXTRA_COUNT_BITS)
+    register_address: int = Field(0, bits=ADDRESS_BITS)
+    data: int = Field(0, bits=DATA_BITS)
 
     def __post_init__(self):
         check_fields(self)
 
 
-@dataclass(frozen=True)
-class BitSequence:
+class BitSequence(Record):
     """Bits in transmission order, most-significant bit first."""
 
     bits: tuple[int, ...]
@@ -44,7 +40,7 @@ class BitSequence:
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        self.__dict__["bits"] = tuple(int(b) for b in self.bits)
 
     def __len__(self):
         return len(self.bits)
@@ -105,8 +101,7 @@ def decode_frame(bits: BitSequence) -> SpiFrame:
     )
 
 
-@dataclass(frozen=True)
-class LoDividerConfig:
+class LoDividerConfig(Record):
     """Register address and data bytes for Tx LO-divider power control.
 
     The real register map is device documentation that this model does not
@@ -115,9 +110,9 @@ class LoDividerConfig:
     hardware.
     """
 
-    tx_register: int = field(default=0x005, metadata={"bits": ADDRESS_BITS})
-    on_value: int = field(default=0x00, metadata={"bits": DATA_BITS})
-    off_value: int = field(default=0x01, metadata={"bits": DATA_BITS})
+    tx_register: int = Field(0x005, bits=ADDRESS_BITS)
+    on_value: int = Field(0x00, bits=DATA_BITS)
+    off_value: int = Field(0x01, bits=DATA_BITS)
 
     def __post_init__(self):
         check_fields(self)

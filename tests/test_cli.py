@@ -396,6 +396,21 @@ def test_noise_negative_seed_exits_2(capsys):
     assert out == "" and "--seed" in err
 
 
+@pytest.mark.parametrize("config_line, argv, message", [
+    ("", ("--n", str(2**62)), f"--n must be an integer that fits 61 bits, got {2**62}"),
+    ("", ("--n", str(2**61)), f"--n must be an integer that fits 61 bits, got {2**61}"),
+    (f"noise.n_samples = {10**20}", (),
+     f"noise.n_samples must be an integer that fits 61 bits, got {10**20}"),
+])
+def test_noise_length_no_array_can_shape_exits_2(capsys, tmp_path, config_line, argv, message):
+    # an (n, 2) int16 capture takes 4n bytes, within intp only for n < 2**61
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(config_line + "\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "noise", "--mode", "fdd", "--band", "2g4",
+                             *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_noise_guard_wider_than_int64_acts_as_guard_n(capsys, tmp_path):
     huge = 10**22
     cfg = tmp_path / "guard.cfg"

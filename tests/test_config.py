@@ -1,7 +1,6 @@
 """Config text parsing, validation, and dump/parse inversion."""
 
 import tracemalloc
-from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -11,6 +10,7 @@ from zifsim import (
     CommandKind,
     ConfigError,
     NoiseSettings,
+    Record,
     RunConfig,
     Schedule,
     TraceSettings,
@@ -60,23 +60,23 @@ def test_dump_parse_roundtrip_nondefault():
 
 
 def test_every_settings_field_dumps_and_parses_back():
-    # walks the section dataclasses, so a new field needs no edit here
+    # walks the section records, so a new field needs no edit here
     default = default_config()
     dump = {line.partition(" = ")[0]: line for line in dump_config(default).splitlines()}
-    for section in (f.name for f in fields(RunConfig)):
+    for section, _, _ in RunConfig.fields:
         settings = getattr(default, section)
-        if not is_dataclass(settings):
+        if not isinstance(settings, Record):
             continue
-        for f in fields(settings):
-            value = getattr(settings, f.name)
+        for name, _, _ in settings.fields:
+            value = getattr(settings, name)
             if isinstance(value, dict):
-                keys = [f"{section}.{f.name}.{band.value}" for band in value]
+                keys = [f"{section}.{name}.{band.value}" for band in value]
             else:
-                keys = [f"{section}.{f.name}"]
+                keys = [f"{section}.{name}"]
             for key in keys:
                 assert key in dump
                 parsed = getattr(parse_config(dump[key] + "\n"), section)
-                assert getattr(parsed, f.name) == value
+                assert getattr(parsed, name) == value
 
 
 def test_section_overrides():

@@ -1,11 +1,10 @@
 """Hypothesis properties of the config format.
 
-Configs are drawn from the section dataclasses' own fields and annotated
+Configs are drawn from the section records' own field tables and annotated
 types, so a new settings field is covered without an edit here.
 """
 
 import typing
-from dataclasses import fields, is_dataclass, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +14,7 @@ from zifsim import (
     CommandKind,
     ConfigError,
     ProtocolDeadline,
+    Record,
     RunConfig,
     Schedule,
     ZifsimError,
@@ -49,11 +49,10 @@ def values_of(kind):
 @st.composite
 def sections(draw, default):
     """A section with some fields drawn by type; the default if invalid."""
-    hints = typing.get_type_hints(type(default))
-    changes = {f.name: draw(values_of(hints[f.name]))
-               for f in fields(default) if draw(st.booleans())}
+    changes = {name: draw(values_of(kind))
+               for name, kind, _ in default.fields if draw(st.booleans())}
     try:
-        return replace(default, **changes)
+        return default.replace(**changes)
     except ValueError:
         return default
 
@@ -66,8 +65,8 @@ deadline_names = st.lists(st.from_regex(r"[a-z0-9][a-z0-9_.-]{0,11}", fullmatch=
 def run_configs(draw):
     base = default_config()
     config = RunConfig(**{
-        f.name: draw(sections(getattr(base, f.name)))
-        for f in fields(RunConfig) if is_dataclass(getattr(base, f.name))
+        name: draw(sections(getattr(base, name)))
+        for name, _, _ in RunConfig.fields if isinstance(getattr(base, name), Record)
     })
     config.schedule = Schedule.from_commands(draw(st.lists(
         st.builds(Command, st.integers(0, 10**15), st.sampled_from(list(CommandKind))),

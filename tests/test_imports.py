@@ -4,8 +4,10 @@ Each subcommand loads only the zifsim modules it runs. Budgets, compliance
 and the config dump are exact rational arithmetic and start without numpy:
 only `trace` and `noise` load the array layers (`zifsim.rf`, `zifsim.sim`),
 only `-c` and `config --dump` the config text format (`zifsim.configtext`),
-and no subcommand loads the SPI codec (`zifsim.spi`). Each case runs in a
-fresh interpreter, since a module once imported stays in `sys.modules`.
+and no subcommand loads the SPI codec (`zifsim.spi`). No path loads
+`dataclasses`, and the numpy-free ones load no `inspect` either: the value
+types build on `params.Record`, which generates no code. Each case runs in
+a fresh interpreter, since a module once imported stays in `sys.modules`.
 """
 
 import ast
@@ -26,6 +28,8 @@ import zifsim.sim
 
 SRC = Path(zifsim.__file__).resolve().parent.parent
 WATCHED = ["numpy", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
+# modules that building classes with generated code would load
+CODEGEN = ["dataclasses", "inspect"]
 
 # Runs `python -m zifsim.cli ARGV` (argv given as a Python literal, None
 # for a bare `import zifsim`) with its output captured, then prints the
@@ -112,9 +116,16 @@ def test_the_process_entry_point_freezes_the_collector(argv, code):
     ["comply"],
     ["comply", "--require", "lo-control"],
     ["config", "--dump"],
+    ["-c", "{config}", "turnaround", "--all"],
+    ["-c", "{config}", "comply"],
+    ["-c", "{config}", "config", "--dump"],
 ])
-def test_exact_subcommands_start_without_numpy(argv):
-    code, loaded, *_ = probe(argv)
+def test_exact_subcommands_start_without_numpy(tmp_path, argv):
+    # nor dataclasses or inspect, with or without a config file
+    config = tmp_path / "run.cfg"
+    config.write_text("clocks.spi_clock_hz = 25000000\ndeadlines.extra.tight = 700\n")
+    argv = argv and [arg.format(config=config) for arg in argv]
+    code, loaded, *_ = probe(argv, WATCHED + CODEGEN)
     assert code == (None if argv is None else 0)
     assert loaded == []
 
@@ -124,7 +135,8 @@ def test_exact_subcommands_start_without_numpy(argv):
     (["noise", "--mode", "fdd", "--band", "2g4"], ["numpy", "zifsim.rf", "zifsim.sim"]),
 ])
 def test_array_subcommands_load_the_array_layers(argv, loaded):
-    assert probe(argv)[:2] == (0, loaded)
+    # numpy itself loads inspect, but nothing on these paths loads dataclasses
+    assert probe(argv, WATCHED + ["dataclasses"])[:2] == (0, loaded)
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -54,6 +54,8 @@ def test_process_writes_the_file_and_its_status_line(tmp_path):
 def test_process_exit_codes_and_their_error_lines(tmp_path):
     capture = tmp_path / "empty.iq"
     capture.write_bytes(b"")
+    config = tmp_path / "long.cfg"
+    config.write_text("noise.n_samples = 100000000000000000000\n")
     cases = [
         (["comply", "--require", "standard-tdd"], 3,
          "requirement standard-tdd: NOT met (sifs-2g4, sifs-5g, nr-guard-120khz)\n"),
@@ -61,6 +63,12 @@ def test_process_exit_codes_and_their_error_lines(tmp_path):
          "error: noise needs either --capture or --mode and --band\n"),
         (["noise", "--capture", str(capture)], 1,
          f"error: capture file {capture} is empty\n"),
+        # capture lengths no (n, 2) int16 array can shape
+        (["noise", "--mode", "fdd", "--band", "2g4", "--n", "4611686018427387904"], 2,
+         "error: --n must be an integer that fits 61 bits, got 4611686018427387904\n"),
+        (["-c", str(config), "noise", "--mode", "fdd", "--band", "2g4"], 2,
+         "error: noise.n_samples must be an integer that fits 61 bits, "
+         "got 100000000000000000000\n"),
     ]
     for argv, expected_code, expected_err in cases:
         code, _, err = zifsim_process(*argv)

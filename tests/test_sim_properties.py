@@ -9,7 +9,6 @@ first event), the csv writer and the CLI's table and json formatting of
 a trace.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -403,7 +402,7 @@ def traced_schedules(draw):
     timeline = expand_schedule(Schedule.from_commands(commands), clocks, TimingProfile(),
                                band=band, rf=rf)
     if initial_dbr is not None:
-        timeline = dataclasses.replace(timeline, initial_dbr=initial_dbr)
+        timeline = timeline.replace(initial_dbr=initial_dbr)
     interval = draw(st.sampled_from((1, 5, 7, 10, 15, 25, 50, 250)) | st.integers(1, 400))
     start = draw(st.integers(-3000, 3000))
     end = start + draw(st.integers(0, 300)) * interval + draw(st.integers(0, interval - 1))
@@ -413,11 +412,14 @@ def traced_schedules(draw):
 
 @st.composite
 def traces(draw):
-    """Arbitrary traces: negative and huge start times, ties at t % 10 == 5,
-    powers that round to -0.00, non-finite powers."""
-    interval = draw(st.integers(1, 1000))
+    """Arbitrary traces: negative and huge start times, ties at t % 10 == 5
+    (on every row of a grid of 10 ns from a tie, or every other of 25 ns),
+    times next to +/-2**53, powers that round to -0.00, non-finite powers."""
+    interval = draw(st.sampled_from((10, 25, 250)) | st.integers(1, 1000))
     count = draw(st.integers(1, 60))
-    start = draw(st.integers(-4000, 4000) | st.integers(-(2**53) + 1, 2**53 - 1 - count * interval))
+    last = 2**53 - 1 - (count - 1) * interval  # the last start inside the limit
+    start = draw(st.integers(-4000, 4000) | st.integers(-(2**53) + 1, last)
+                 | st.sampled_from((-(2**53) + 7, last - 6)))  # ties at the limits
     power = st.sampled_from((-0.0, 0.0, -0.004, 0.005, 0.015, 2.675, -1.005, 30.0)) | st.floats()
     return PowerTrace(start, interval, draw(st.lists(power, min_size=count, max_size=count)))
 
@@ -563,6 +565,10 @@ def test_renderings_of_sampled_traces_equal_the_loop(case):
 
 @PROFILE
 @given(traces())
+@example(PowerTrace(-1005, 25, [0.0] * 81))  # a tie on every other row
+@example(PowerTrace(-(2**53) + 7, 10, [0.0] * 60))  # on every row, from the limits
+@example(PowerTrace(2**53 - 7 - 59 * 10, 10, [0.0] * 60))
+@example(PowerTrace(-1875, 250, [0.0] * 60))  # quotients exactly on the tie, to even
 def test_renderings_equal_the_loop(trace):
     for fmt, oracle in ORACLE.items():
         assert streamed_text(trace, fmt) == oracle(trace), fmt

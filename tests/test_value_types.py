@@ -1,6 +1,6 @@
 """One rule for every value type: a field's declared type is its check.
 
-Each value type is walked through `field_types`, so a new field is covered
+Each value type is walked through its field table, so a new field is covered
 without an edit here.
 """
 
@@ -28,7 +28,6 @@ from zifsim import (
     TimingProfile,
     TraceSettings,
 )
-from zifsim.params import field_types
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
@@ -68,7 +67,7 @@ def enum_members(kind) -> tuple:
 def test_a_fields_type_is_its_check(value_type, not_integer, not_bool, not_number):
     cls, base = value_type
     valid = cls(**base)
-    for name, kind in field_types(cls):
+    for name, kind, _ in cls.fields:
         value = getattr(valid, name)
         if kind is int:
             for bad in (*NOT_INTEGERS, not_integer):
@@ -100,7 +99,7 @@ def test_a_fields_type_is_its_check(value_type, not_integer, not_bool, not_numbe
                 refused(cls, {**base, name: None}, name)
 
 
-PER_BAND = tuple(name for name, kind in field_types(RfModelParams) if kind == dict[Band, float])
+PER_BAND = tuple(name for name, kind, _ in RfModelParams.fields if kind == dict[Band, float])
 
 
 @pytest.mark.parametrize("value", [
