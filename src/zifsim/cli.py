@@ -8,9 +8,9 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage or configuration
 error, 3 compliance requirement not met. Error lines always go to stderr.
 
 Each subcommand imports the layers it runs when it runs: `turnaround`
-the budgets (`ensm`), `comply` the deadline checks (`mac`), `trace` and
-`noise` the array layers (`sim`, `rf`) and with them numpy. `json` and
-`csv` are imported by the output formats that use them.
+the budgets (`ensm`), `comply` the deadline checks (`mac`), `trace` the
+trace layer (`sim`) and `noise` the capture layer (`rf`), each with
+numpy. `json` and `csv` are imported by the output formats that use them.
 
 The process entry point, `run`, disables the garbage collector before
 `main` and freezes it once `main` returns: a call is short and makes

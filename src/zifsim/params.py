@@ -77,7 +77,8 @@ class Record:
     `__post_init__`, prints and compares by them within its class, and
     `replace` rebuilds it through the checks. Frozen (the default), it
     refuses changes and hashes its fields; `frozen=False` makes it mutable
-    and unhashable."""
+    and unhashable. A record that holds an array is equal only to itself,
+    set in its class body, since arrays compare element by element."""
 
     fields = ()
     _factories = {}

@@ -324,7 +324,8 @@ def test_noise_zero_power_capture_exits_1(capsys, tmp_path, nonzero, message):
 @pytest.mark.parametrize("blob, message", [
     (b"\x00\x00\x00", "not a whole number"),
     (b"\x00\x80\x00\x00", "sample magnitude exceeds 32767"),  # i = -32768
-], ids=["odd-length", "out-of-range"])
+    (b"\x01\x00\x00\x80", "sample magnitude exceeds 32767"),  # q = -32768
+], ids=["odd-length", "out-of-range", "q-out-of-range"])
 def test_noise_bad_capture_names_the_file(capsys, tmp_path, blob, message):
     path = tmp_path / "neg.iq"
     path.write_bytes(blob)

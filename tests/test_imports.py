@@ -2,12 +2,17 @@
 
 Each subcommand loads only the zifsim modules it runs. Budgets, compliance
 and the config dump are exact rational arithmetic and start without numpy:
-only `trace` and `noise` load the array layers (`zifsim.rf`, `zifsim.sim`),
-only `-c` and `config --dump` the config text format (`zifsim.configtext`),
-and no subcommand loads the SPI codec (`zifsim.spi`). No path loads
-`dataclasses`, and the numpy-free ones load no `inspect` either: the value
-types build on `params.Record`, which generates no code. Each case runs in
-a fresh interpreter, since a module once imported stays in `sys.modules`.
+only `trace` runs the trace layer (`zifsim.sim`) and only `noise` the
+capture layer (`zifsim.rf`), each with numpy; only `-c` and `config --dump`
+load the config text format (`zifsim.configtext`), and no subcommand loads
+the SPI codec (`zifsim.spi`). `rf` registers `sim` in `sys.modules` for the
+benchmark's tracer, as a lazy module that runs on the first read of an
+attribute, so a `noise` call holds `sim` but never runs it. The probe tells
+a module that ran from one only registered by its type, which reads no
+attribute. No path loads `dataclasses`, and the numpy-free ones load no
+`inspect` either: the value types build on `params.Record`, which
+generates no code. Each case runs in a fresh interpreter, since a module
+once imported stays in `sys.modules`.
 """
 
 import ast
@@ -34,7 +39,8 @@ CODEGEN = ["dataclasses", "inspect"]
 # Runs `python -m zifsim.cli ARGV` (argv given as a Python literal, None
 # for a bare `import zifsim`) with its output captured, then prints the
 # exit code, which of the watched modules are loaded, every `zifsim.*`
-# module loaded, the garbage collector's freeze count and whether it is
+# module loaded, every one that ran (a lazy module not yet run has a type
+# of its own), the garbage collector's freeze count and whether it is
 # enabled. It imports no module of its own that a test watches, `json`
 # included.
 PROBE = """
@@ -52,6 +58,8 @@ else:
             code = exc.code
 print(repr([code, [m for m in watched if m in sys.modules],
             sorted(m for m in sys.modules if m.startswith("zifsim.")),
+            sorted(m for m, module in sys.modules.items()
+                   if m.startswith("zifsim.") and type(module) is type(sys)),
             gc.get_freeze_count(), gc.isenabled()]))
 """
 
@@ -68,7 +76,8 @@ def run_python(*args) -> str:
 
 def probe(argv, watched=WATCHED):
     """(exit code, the watched modules loaded, every zifsim.* module loaded,
-    freeze count at exit, collector enabled at exit)"""
+    every zifsim.* module that ran, freeze count at exit, collector enabled
+    at exit)"""
     return tuple(ast.literal_eval(run_python(PROBE, repr(argv), repr(watched))))
 
 
@@ -89,8 +98,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     files["config"].write_text("trace.band = 5g\nschedule.0 = lo-off @ 10\n")
     files["capture"].write_bytes(bytes(range(1, 41)))
     argv = [arg.format_map(files) for arg in argv]
-    code, _, loaded, *_ = probe(argv)
+    code, _, loaded, ran, *_ = probe(argv)
     assert (code, loaded) == (0, [f"zifsim.{name}" for name in modules.split()])
+    # `rf` registers `sim` for the benchmark's tracer; only `trace` runs it
+    assert ran == [name for name in loaded if name != "zifsim.sim" or "trace" in argv]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -105,7 +116,7 @@ def test_the_process_entry_point_freezes_the_collector(argv, code):
     # the collector stays off through the call, and the objects alive when
     # main returns are left out of the exit-time collections; a bare
     # import runs no entry point and changes neither
-    exit_code, _, _, frozen, enabled = probe(argv)
+    exit_code, _, _, _, frozen, enabled = probe(argv)
     assert (exit_code, frozen > 0, enabled) == (code, argv is not None, argv is None)
 
 
@@ -135,8 +146,11 @@ def test_exact_subcommands_start_without_numpy(tmp_path, argv):
     (["noise", "--mode", "fdd", "--band", "2g4"], ["numpy", "zifsim.rf", "zifsim.sim"]),
 ])
 def test_array_subcommands_load_the_array_layers(argv, loaded):
-    # numpy itself loads inspect, but nothing on these paths loads dataclasses
-    assert probe(argv, WATCHED + ["dataclasses"])[:2] == (0, loaded)
+    # numpy itself loads inspect, but nothing on these paths loads
+    # dataclasses; `noise` holds `sim` but only `trace` runs it
+    code, watched, _, ran, *_ = probe(argv, WATCHED + ["dataclasses"])
+    assert (code, watched) == (0, loaded)
+    assert ("zifsim.sim" in ran) is (argv == ["trace"])
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -150,11 +164,29 @@ def test_json_and_csv_load_only_for_their_formats(argv, loaded):
     assert probe(argv, ["json", "csv"])[:2] == (0, loaded)
 
 
-def test_importing_rf_loads_sim():
-    # the benchmark's traced mode looks `zifsim.sim` up in sys.modules
-    # after importing `rf`
-    code = "import sys, zifsim.rf; print('zifsim.sim' in sys.modules)"
-    assert run_python(code).strip() == "True"
+# After `import zifsim.rf`: whether `zifsim.sim` is registered and whether
+# it ran (by its type, which reads no attribute), then whether each spanned
+# function the benchmark's tracer reads from sys.modules is the one a
+# `from` import gives, and whether `zifsim.sim` is that registered module.
+TRACER_LOOKUP = """
+import sys, zifsim.rf
+sim = sys.modules.get("zifsim.sim")
+print(sim is not None, type(sim) is type(sys))
+names = ("expand_schedule", "sample_trace", "measure_turnaround", "trace_to_csv")
+looked_up = [getattr(sys.modules["zifsim.sim"], name) for name in names]
+from zifsim.sim import expand_schedule, sample_trace, measure_turnaround, trace_to_csv
+imported = [expand_schedule, sample_trace, measure_turnaround, trace_to_csv]
+import zifsim.sim
+print(all(map(callable, looked_up)), [a is b for a, b in zip(looked_up, imported)])
+print(type(sim) is type(sys), zifsim.sim is sim, sys.modules["zifsim.sim"] is sim)
+"""
+
+
+def test_importing_rf_registers_sim_without_running_it():
+    # the benchmark's traced mode looks the spanned `zifsim.sim` functions
+    # up in sys.modules after importing `rf`; the first lookup runs `sim`
+    assert run_python(TRACER_LOOKUP).splitlines() == [
+        "True False", "True [True, True, True, True]", "True True True"]
 
 
 def test_no_module_imports_the_spi_codec():

@@ -77,10 +77,14 @@ RECORDS = (
 )
 MUTABLE = {TraceSettings, NoiseSettings, RunConfig, IqCapture, PacketFilterResult,
            NoiseFloorReport}
+# the records that hold arrays, each equal only to itself
+HOLD_ARRAYS = {Timeline, PowerTrace, IqCapture, PacketFilterResult, NoiseFloorReport}
 
 
 def test_the_table_covers_every_record_type():
     assert {cls for cls, _, _ in RECORDS} == set(Record.__subclasses__())
+    assert HOLD_ARRAYS == {cls for cls in Record.__subclasses__()
+                           if any(kind is np.ndarray for _, kind, _ in cls.fields)}
 
 
 @pytest.mark.parametrize("cls, required, refused", RECORDS, ids=[r[0].__name__ for r in RECORDS])
@@ -89,10 +93,10 @@ def test_record_semantics(cls, required, refused):
     values = field_values(record)
     assert list(values) == [name for name, _, _ in cls.fields]
 
-    # replace() rebuilds an equal record; a Timeline equals only itself
+    # replace() rebuilds an equal record; one that holds arrays equals only itself
     copy = record.replace()
     assert type(copy) is cls and repr(copy) == repr(record)
-    assert (copy == record) is (cls is not Timeline)
+    assert (copy == record) is (cls not in HOLD_ARRAYS)
     assert record == record
     if refused is not None:  # the constructor's checks run again, word for word
         name, value = refused
@@ -135,8 +139,29 @@ def test_hashes_follow_the_fields_or_the_identity():
     assert hash(TIMELINE) == object.__hash__(TIMELINE)
     with pytest.raises(TypeError, match="unhashable"):
         hash(RunConfig())
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(PowerTrace(0, 1, [0.0]))  # equal by its samples, so not hashable by identity
+    trace = PowerTrace(0, 1, [0.0])
+    assert hash(trace) == object.__hash__(trace)
+
+
+@pytest.mark.parametrize("cls, required", [pytest.param(cls, required, id=cls.__name__)
+                                            for cls, required, _ in RECORDS
+                                            if cls in HOLD_ARRAYS])
+def test_records_holding_arrays_compare_by_identity(cls, required):
+    # from distinct, equal, writeable arrays: == answers a bool and never
+    # asks an array for its truth value
+    def build():
+        return cls(**{name: np.array(value) if isinstance(value, np.ndarray) else value
+                      for name, value in required.items()})
+
+    first, second = build(), build()
+    arrays = [name for name, value in field_values(first).items()
+              if isinstance(value, np.ndarray)]
+    assert arrays
+    for name in arrays:
+        ours, theirs = getattr(first, name), getattr(second, name)
+        assert ours is not theirs and ours.flags.writeable and np.array_equal(ours, theirs)
+    assert (first == second) is False and (first != second) is True
+    assert (first == first) is True and (second != second) is False
 
 
 def test_fields_come_from_each_class_own_annotations():

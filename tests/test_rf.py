@@ -87,9 +87,10 @@ def test_capture_validation():
         IqCapture(np.zeros((4, 3), dtype=np.int16))
     with pytest.raises(ValueError):
         IqCapture(np.array([[40_000, 0]], dtype=np.int32))
-    with pytest.raises(ValueError):
-        # -32768 fits in int16 but exceeds the +/-32767 magnitude limit
-        IqCapture(np.array([[-32768, 0]], dtype=np.int16))
+    # -32768 fits in int16 but exceeds the +/-32767 magnitude limit, as i or q
+    for sample in ([-32768, 0], [0, -32768]):
+        with pytest.raises(ValueError, match="^sample magnitude exceeds 32767$"):
+            IqCapture(np.array([[1, 1], sample], dtype=np.int16))
     for rate in (0, -20_000_000):  # a sidecar could not hold it
         with pytest.raises(ValueError, match="sample_rate_hz"):
             IqCapture(np.zeros((1, 2), dtype=np.int16), sample_rate_hz=rate)
