@@ -56,6 +56,7 @@ _PUBLIC = {
         "CommandKind",
         "Direction",
         "EnsmMode",
+        "LoStep",
         "Record",
         "RfModelParams",
         "Schedule",
@@ -79,7 +80,6 @@ _PUBLIC = {
         "synthesize_capture",
     ),
     "sim": (
-        "LoStep",
         "PowerTrace",
         "Timeline",
         "expand_schedule",

@@ -8,9 +8,13 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage or configuration
 error, 3 compliance requirement not met. Error lines always go to stderr.
 
 Each subcommand imports the layers it runs when it runs: `turnaround`
-the budgets (`ensm`), `comply` the deadline checks (`mac`), `trace` the
-trace layer (`sim`) and `noise` the capture layer (`rf`), each with
-numpy. `json` and `csv` are imported by the output formats that use them.
+the budgets (`ensm`), `comply` the deadline checks (`mac`) and `noise`
+the capture layer (`rf`) with numpy. `trace` runs one of two pipelines
+that write the same bytes, chosen from the config's sizes before either
+loads: a trace of fewer than LOOP_ROWS rows from at most LOOP_COMMANDS
+commands the per-row loops (`looptrace`), which need no numpy, and any
+other the array layer (`sim`) with numpy. `json` and `csv` are imported
+by the output formats that use them.
 
 The process entry point, `run`, disables the garbage collector before
 `main` and freezes it once `main` returns: a call is short and makes
@@ -34,11 +38,19 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, DataError, MeasurementError
-from .params import Band, Direction, EnsmMode, ns_value
+from .params import PACKET_WARNING, Band, Direction, EnsmMode, ns_value
 
 MODE_NAMES = [m.value for m in EnsmMode]
 BAND_NAMES = [b.value for b in Band]
 DIR_NAMES = [d.value for d in Direction]
+
+# A trace of fewer rows than LOOP_ROWS from at most LOOP_COMMANDS commands
+# runs the per-row loop pipeline (`looptrace`), which loads no numpy; a
+# larger one the array pipeline (`sim`). Each bound is the largest power of
+# two below the measured fresh-call crossover of the two, in every output
+# format (README, "Power trace simulation").
+LOOP_ROWS = 2**15
+LOOP_COMMANDS = 2**13
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,32 +228,30 @@ def cmd_turnaround(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
 
 
 def cmd_trace(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
-    from .sim import (
-        PACKET_WARNING,
-        expand_schedule,
-        find_step,
-        measure_turnaround,
-        render_blocks,
-        sample_trace,
-    )
+    settings = config.trace
+    rows = (settings.end_ns - settings.start_ns) // settings.interval_ns + 1
+    if rows < LOOP_ROWS and len(config.schedule) <= LOOP_COMMANDS:
+        from . import looptrace as pipeline
+    else:
+        from . import sim as pipeline
 
-    band = Band(args.band) if args.band else config.trace.band
-    timeline = expand_schedule(
+    band = Band(args.band) if args.band else settings.band
+    timeline = pipeline.expand_schedule(
         config.schedule, config.clocks, config.profile, band=band, rf=config.rf
     )
-    for index in timeline.warned.nonzero()[0].tolist():
-        emitter.status(f"warning: {PACKET_WARNING} (t={ns_value(timeline.time_ns(index))} ns)")
-    trace = sample_trace(
+    for time_ns in timeline.warning_times():
+        emitter.status(f"warning: {PACKET_WARNING} (t={ns_value(time_ns)} ns)")
+    trace = pipeline.sample_trace(
         timeline,
-        (config.trace.start_ns, config.trace.end_ns),
-        interval_ns=config.trace.interval_ns,
-        settling_tau_ns=config.trace.settling_tau_ns,
+        (settings.start_ns, settings.end_ns),
+        interval_ns=settings.interval_ns,
+        settling_tau_ns=settings.settling_tau_ns,
     )
-    emitter.blocks(render_blocks(trace, fmt))
+    emitter.blocks(pipeline.render_blocks(trace, fmt))
 
     try:
-        step = find_step(timeline)
-        measured = measure_turnaround(trace, step)
+        step = pipeline.find_step(timeline)
+        measured = pipeline.measure_turnaround(trace, step)
     except MeasurementError as exc:
         emitter.status(f"measured turnaround: n/a ({exc})")
     else:

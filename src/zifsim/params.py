@@ -6,6 +6,10 @@ integral are normalized to plain ints; everything else stays a Fraction.
 
 The module imports no numpy: the budget, compliance and config paths build
 every setting from here without loading the array layers (`rf`, `sim`).
+It also holds what the trace's two pipelines, numpy's (`sim`) and the
+per-row loops (`looptrace`), must agree on: the event effects, the power
+levels, the warning and error texts, the text of a cell and the step a
+measurement times.
 """
 
 import functools
@@ -381,6 +385,73 @@ class Schedule:
     def __len__(self):
         """The number of commands."""
         return len(self.times_ns)
+
+
+# --- trace facts shared by the array (`sim`) and loop (`looptrace`) pipelines
+
+
+class Effect(Enum):
+    SPI_START = "spi-start"
+    SPI_END = "spi-end"
+    LO_POWERED_UP = "lo-powered-up"
+    LO_POWERED_DOWN = "lo-powered-down"
+    PACKET_ON = "packet-on"
+    PACKET_OFF = "packet-off"
+
+
+# Column code of an effect: its position in member order.
+EFFECTS = tuple(Effect)
+
+PACKET_WARNING = "packet transmitted while the LO divider is down"
+
+# The errors a schedule expansion and a step measurement raise, as
+# str.format templates.
+NOT_SORTED = "schedule not sorted: {} at {} ns after {} ns"
+PACKET_INSIDE = "packet start at {} ns inside an open packet"
+PACKET_UNMATCHED = "packet end at {} ns without a matching start"
+PACKET_OPEN = "schedule leaves a packet open (missing end)"
+SPI_OVERLAP = "register write at {} ns overlaps the frame that ends at {} ns"
+NO_REFERENCE = "no trigger and no LO command in the schedule"
+NO_STEP_COMMAND = "no LO command at or after the trigger at {} ns"
+NO_STATE_CHANGE = "the first LO command at or after the trigger at {} ns finds the LO already {}"
+TRIGGER_OUTSIDE = "trigger outside the sampled window"
+NO_STEP = "no {} step after the trigger"
+NO_CROSSING = "no {} crossing after the trigger"
+
+
+def trace_levels(rf: RfModelParams, band: Band) -> tuple:
+    """The trace's power (dB) by LO and packet state, at index
+    2 * lo_on + packet_on: the packet adds to the LO level."""
+    lo_level = rf.lo_on_delta_db[band]
+    return (0.0, 0.0, float(lo_level), float(lo_level + rf.packet_delta_db))
+
+
+def cell_text(value: float, fmt: str) -> str:
+    """One trace cell, a time (us) or a power (dB), as csv, table or json
+    text: f"{v:.2f}" with -0.00 written as 0.00, f"{round(v, 2):.2f}" and
+    repr(round(v, 2)), json.dumps only for Infinity and NaN."""
+    if fmt != "json":
+        text = f"{round(value, 2) if fmt == 'table' else value:.2f}"
+        return "0.00" if fmt == "csv" and text == "-0.00" else text
+    if math.isfinite(value):
+        return repr(round(value, 2))
+    import json  # only Infinity and NaN need it
+
+    return json.dumps(value)
+
+
+class LoStep(Record):
+    """The LO step a trace measurement times.
+
+    `level_dbr` is the power the LO event sets. The step has to cross its
+    midpoint before `end_ns`, the next LO state change (None: no change
+    follows).
+    """
+
+    trigger_ns: int
+    direction: Direction
+    level_dbr: float
+    end_ns: int | Fraction | None = None
 
 
 def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:

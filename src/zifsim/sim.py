@@ -6,10 +6,12 @@ and the events can then be sampled onto a uniform grid the way a signal
 analyzer in zero-span mode would see it. The expanded events and the
 traces are numpy columns; expansion, sampling and step measurement work
 on whole columns, and text rendering on a block of rows at a time.
+`looptrace` does the same steps as per-row loops without numpy, for the
+small traces that cost less that way; the facts both must agree on live
+in `params`.
 """
 
 import math
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -17,34 +19,36 @@ import numpy as np
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
 from .params import (
     COMMAND_KINDS,
+    EFFECTS,
+    NO_CROSSING,
+    NO_REFERENCE,
+    NO_STATE_CHANGE,
+    NO_STEP,
+    NO_STEP_COMMAND,
+    NOT_SORTED,
+    PACKET_INSIDE,
+    PACKET_OPEN,
+    PACKET_UNMATCHED,
+    SPI_OVERLAP,
+    TRIGGER_OUTSIDE,
     Band,
     ClockConfig,
     Direction,
+    LoStep,
     Record,
     RfModelParams,
     Schedule,
     TimingProfile,
+    cell_text,
     check_sampling,
     frame_duration_ns,
+    trace_levels,
 )
-
-
-class Effect(Enum):
-    SPI_START = "spi-start"
-    SPI_END = "spi-end"
-    LO_POWERED_UP = "lo-powered-up"
-    LO_POWERED_DOWN = "lo-powered-down"
-    PACKET_ON = "packet-on"
-    PACKET_OFF = "packet-off"
-
 
 # Column codes: a command kind or an effect is stored as its position in
 # member order.
-EFFECTS = tuple(Effect)
 _LO_ON, _LO_OFF, _PACKET_START, _PACKET_END, _TRIGGER = range(len(COMMAND_KINDS))
 _SPI_START, _SPI_END, _LO_UP, _LO_DOWN, _PACKET_ON, _PACKET_OFF = range(len(EFFECTS))
-
-PACKET_WARNING = "packet transmitted while the LO divider is down"
 
 
 class Timeline(Record):
@@ -89,6 +93,10 @@ class Timeline(Record):
         """The exact time of event `index`."""
         return int(self.floor_ns[index]) + (self.frac_ns if self.plus_frac[index] else 0)
 
+    def warning_times(self) -> list:
+        """The exact times of the events that carry PACKET_WARNING."""
+        return [self.time_ns(index) for index in np.flatnonzero(self.warned).tolist()]
+
 
 def _validate_schedule(times, kinds):
     """Raise ScheduleError for the first command, in schedule order, that
@@ -100,17 +108,14 @@ def _validate_schedule(times, kinds):
     misnested = packets[kinds[packets] != expected]
     if unsorted.size and not (misnested.size and misnested[0] < unsorted[0]):
         i = unsorted[0]
-        raise ScheduleError(
-            f"schedule not sorted: {COMMAND_KINDS[kinds[i]].value} at {times[i]} ns "
-            f"after {times[i - 1]} ns"
-        )
+        raise ScheduleError(NOT_SORTED.format(COMMAND_KINDS[kinds[i]].value, times[i],
+                                              times[i - 1]))
     if misnested.size:
         i = misnested[0]
-        if kinds[i] == _PACKET_START:
-            raise ScheduleError(f"packet start at {times[i]} ns inside an open packet")
-        raise ScheduleError(f"packet end at {times[i]} ns without a matching start")
+        raise ScheduleError((PACKET_INSIDE if kinds[i] == _PACKET_START
+                             else PACKET_UNMATCHED).format(times[i]))
     if packets.size % 2:
-        raise ScheduleError("schedule leaves a packet open (missing end)")
+        raise ScheduleError(PACKET_OPEN)
 
 
 def _check_spi_overlap(times, kinds, frame_ns):
@@ -121,10 +126,7 @@ def _check_spi_overlap(times, kinds, frame_ns):
     overlaps = np.flatnonzero(np.diff(lo_times) < math.ceil(frame_ns))
     if overlaps.size:
         k = overlaps[0]
-        raise OverlappingSpiError(
-            f"register write at {lo_times[k + 1]} ns overlaps the frame "
-            f"that ends at {int(lo_times[k]) + frame_ns} ns"
-        )
+        raise OverlappingSpiError(SPI_OVERLAP.format(lo_times[k + 1], int(lo_times[k]) + frame_ns))
 
 
 def _forward_fill(is_set, values, initial):
@@ -201,9 +203,7 @@ def expand_schedule(
     lo_change = lo_on != np.concatenate(([lo_on_at_start], lo_on[:-1]))
     packet_on = _forward_fill((effect == _PACKET_ON) | (effect == _PACKET_OFF),
                               effect == _PACKET_ON, False)
-    lo_level = rf.lo_on_delta_db[band]
-    # the power by LO and packet state: the packet adds to the LO level
-    levels = np.array([0.0, 0.0, lo_level, lo_level + rf.packet_delta_db])
+    levels = np.array(trace_levels(rf, band))
     return Timeline(
         floor_ns=floor_ns,
         plus_frac=plus_frac,
@@ -218,20 +218,6 @@ def expand_schedule(
     )
 
 
-class LoStep(Record):
-    """The LO step a trace measurement times.
-
-    `level_dbr` is the power the LO event sets. The step has to cross its
-    midpoint before `end_ns`, the next LO state change (None: no change
-    follows).
-    """
-
-    trigger_ns: int
-    direction: Direction
-    level_dbr: float
-    end_ns: int | Fraction | None = None
-
-
 def find_step(timeline: Timeline) -> LoStep:
     """The first LO step at or after the timeline's trigger.
 
@@ -242,15 +228,12 @@ def find_step(timeline: Timeline) -> LoStep:
     """
     trigger_ns, index = timeline.trigger_ns, timeline.step_index
     if trigger_ns is None:
-        raise MeasurementError("no trigger and no LO command in the schedule")
+        raise MeasurementError(NO_REFERENCE)
     if index < 0:
-        raise MeasurementError(f"no LO command at or after the trigger at {trigger_ns} ns")
+        raise MeasurementError(NO_STEP_COMMAND.format(trigger_ns))
     rising = timeline.effect[index] == _LO_UP
     if not timeline.lo_change[index]:
-        raise MeasurementError(
-            f"the first LO command at or after the trigger at {trigger_ns} ns finds "
-            f"the LO already {'on' if rising else 'off'}"
-        )
+        raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
     changes = np.flatnonzero(timeline.lo_change[index + 1:])
     end_ns = timeline.time_ns(index + 1 + int(changes[0])) if changes.size else None
     direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
@@ -375,12 +358,12 @@ def measure_turnaround(trace: PowerTrace, step: LoStep):
     start, interval, n = trace.start_ns, trace.interval_ns, trace.samples.size
     at_trigger = (step.trigger_ns - start) // interval
     if not 0 <= at_trigger < n - 1:
-        raise MeasurementError("trigger outside the sampled window")
+        raise MeasurementError(TRIGGER_OUTSIDE)
     pre_level = float(trace.samples[at_trigger])
     rising = step.direction is Direction.RX_TO_TX
     name = "rising" if rising else "falling"
     if not (step.level_dbr > pre_level if rising else step.level_dbr < pre_level):
-        raise MeasurementError(f"no {name} step after the trigger")
+        raise MeasurementError(NO_STEP.format(name))
     stop = n
     if step.end_ns is not None:  # samples before the next LO state change
         stop = min(n, math.ceil(Fraction(step.end_ns - start) / interval))
@@ -388,7 +371,7 @@ def measure_turnaround(trace: PowerTrace, step: LoStep):
     midpoint = (pre_level + step.level_dbr) / 2.0
     crossed = np.flatnonzero(window >= midpoint if rising else window <= midpoint)
     if not crossed.size:
-        raise MeasurementError(f"no {name} crossing after the trigger")
+        raise MeasurementError(NO_CROSSING.format(name))
     k = at_trigger + 1 + int(crossed[0])
     return start + k * interval - step.trigger_ns
 
@@ -467,18 +450,6 @@ def _time_field(times_ns, fmt):
     return _decimal_field(hundredths, times_ns < 0, fmt)
 
 
-def _power_text(value, fmt):
-    """One power cell as the per-value code writes it."""
-    if fmt != "json":
-        text = f"{round(value, 2) if fmt == 'table' else value:.2f}"
-        return "0.00" if fmt == "csv" and text == "-0.00" else text
-    if math.isfinite(value):
-        return repr(round(value, 2))
-    import json  # only Infinity and NaN need it
-
-    return json.dumps(value)
-
-
 def _power_field(values, fmt):
     """The power column of `values` (dB), as a byte matrix. v * 100 is
     within half an ulp of the exact product, so it rounds to the text's
@@ -493,7 +464,7 @@ def _power_field(values, fmt):
     text = _decimal_field(hundredths.astype(np.int64), np.signbit(values), fmt)
     if slow.size:
         distinct, index = np.unique(values[slow].view(np.int64), return_inverse=True)
-        texts = _texts([_power_text(v, fmt) for v in distinct.view(np.float64).tolist()])
+        texts = _texts([cell_text(v, fmt) for v in distinct.view(np.float64).tolist()])
         text = np.pad(text, ((0, 0), (0, texts.shape[1])))
         text[slow] = np.pad(texts[index], ((0, 0), (text.shape[1] - texts.shape[1], 0)))
     return text

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from zifsim import ClockConfig, RfModelParams, TimingProfile
-from zifsim.sim import EFFECTS, PACKET_WARNING
+from zifsim.looptrace import LoopTimeline
+from zifsim.params import EFFECTS, PACKET_WARNING
 
 
 @pytest.fixture
@@ -29,12 +30,20 @@ def rf():
     return RfModelParams()
 
 
+def loop_timeline(timeline):
+    """A Timeline as the loop pipeline's LoopTimeline: a (time_ns, effect,
+    power_after_dbr, warned, lo_change) row per event."""
+    columns = zip(timeline.effect.tolist(), timeline.power_after_dbr.tolist(),
+                  timeline.warned.tolist(), timeline.lo_change.tolist())
+    rows = [(timeline.time_ns(i), EFFECTS[code], power, warned, lo_change)
+            for i, (code, power, warned, lo_change) in enumerate(columns)]
+    return LoopTimeline(rows, timeline.initial_dbr, timeline.trigger_ns, timeline.step_index)
+
+
 def event_rows(timeline):
     """A Timeline's events as (time_ns, effect, power_after_dbr, warning) tuples."""
-    columns = zip(timeline.effect.tolist(), timeline.power_after_dbr.tolist(),
-                  timeline.warned.tolist())
-    return [(timeline.time_ns(i), EFFECTS[code], power, PACKET_WARNING if warned else None)
-            for i, (code, power, warned) in enumerate(columns)]
+    return [(time_ns, effect, power, PACKET_WARNING if warned else None)
+            for time_ns, effect, power, warned, _ in loop_timeline(timeline).events]
 
 
 def brute_force_keep_mask(series, threshold_db, guard):

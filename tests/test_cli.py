@@ -20,6 +20,7 @@ from zifsim import (
     sample_power_db,
     save_capture,
 )
+from zifsim import cli
 from zifsim.cli import main
 
 from conftest import brute_force_keep_mask, make_burst_capture
@@ -707,6 +708,33 @@ def test_golden_settling_traces(capsys, name):
     code, out, err = run_cli(capsys, "-c", str(GOLDEN / "trace_settle.cfg"), "trace",
                              "--format", fmt)
     assert (code, err) == (0, "measured turnaround: 0.88 us (rx-tx)\n")
+    assert out == (GOLDEN / name).read_text()
+
+
+# (golden, config file or None, format, the status lines)
+TRACE_GOLDENS = [
+    *[(f"trace_default.{ext}", None, fmt, "measured turnaround: 0.65 us (rx-tx)\n")
+      for ext, fmt in [("csv", "csv"), ("txt", "table"), ("json", "json")]],
+    # a 3428 4/7 ns SPI frame, a packet before the LO is up, a trigger
+    # mid-schedule and times on the two-decimal tie
+    *[(f"trace_frac.{ext}", "trace_frac.cfg", fmt,
+       "warning: packet transmitted while the LO divider is down (t=0 ns)\n"
+       "measured turnaround: 3.60 us (rx-tx)\n")
+      for ext, fmt in [("csv", "csv"), ("txt", "table"), ("json", "json")]],
+]
+
+
+@pytest.mark.parametrize("pipeline", ["loop", "array"])
+@pytest.mark.parametrize("name, config, fmt, status", TRACE_GOLDENS,
+                         ids=[c[0] for c in TRACE_GOLDENS])
+def test_golden_traces_on_both_pipelines(capsys, monkeypatch, pipeline, name, config, fmt,
+                                         status):
+    # the bound 0 sends every trace to the array pipeline
+    if pipeline == "array":
+        monkeypatch.setattr(cli, "LOOP_ROWS", 0)
+    argv = ["-c", str(GOLDEN / config)] if config else []
+    code, out, err = run_cli(capsys, *argv, "trace", "--format", fmt)
+    assert (code, err) == (0, status)
     assert out == (GOLDEN / name).read_text()
 
 

@@ -1,18 +1,26 @@
-"""Property: whatever the argv and the config file, `main()` returns a
-documented exit code and never raises.
+"""Properties of `main()`.
 
-Each example runs in a fresh directory holding the drawn config file, a
-small capture with its sidecar, an empty file and a torn one, so drawn
-paths and `--out` targets stay inside it. Drawn numbers are at most 64 in
-size or 2**53 - 1: any sample count they make is under a few thousand or
-needs more than the 128 TiB address space, so each example runs in
-milliseconds and no allocation for it can succeed.
+Whatever the argv and the config file, it returns a documented exit code
+and never raises. Each example runs in a fresh directory holding the
+drawn config file, a small capture with its sidecar, an empty file and a
+torn one, so drawn paths and `--out` targets stay inside it. Drawn
+numbers are at most 64 in size or 2**53 - 1: any sample count they make
+is under a few thousand or needs more than the 128 TiB address space, so
+each example runs in milliseconds and no allocation for it can succeed.
+
+And `trace` writes the same bytes, status lines and errors, with the same
+exit code, whichever pipeline its size bounds choose: the per-row loops
+(`looptrace`) or the numpy arrays (`sim`). The bounds are set around each
+drawn config's own size, so the check also sees which pipeline ran.
 """
 
 import contextlib
 import io
+import math
 import os
 import tempfile
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -21,12 +29,15 @@ from hypothesis import strategies as st
 from zifsim import (
     BUILTIN_DEADLINES,
     Band,
+    ConfigError,
     EnsmMode,
     IqCapture,
     default_config,
     dump_config,
+    parse_config,
     save_capture,
 )
+from zifsim import cli, looptrace, sim
 from zifsim.cli import main
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -130,3 +141,131 @@ def test_main_returns_a_documented_exit_code(use_config, argv, config_text):
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2, 3), (argv, config_text, code)
+
+
+SPI_CLOCKS = (50_000_000, 48_000_000, 25_000_000, 9_000_000, 7_000_000)
+LO_KINDS = ("lo-on", "lo-off")
+# levels that round to -0.00 or sit near a two-decimal tie, and the model's
+LO_LEVELS = ("30.0", "-0.0", "0.005", "2.675")
+KINDS = (*LO_KINDS, "tx-packet-start", "tx-packet-end", "trigger")
+
+
+@st.composite
+def trace_configs(draw):
+    """Config text of a small trace. A tidy schedule is valid: sorted, its
+    packets paired and its LO writes a frame apart. Any other may also
+    break the nesting, overlap two frames, leave a packet open or swap
+    two commands. Either may write the LO into the state it is in, and
+    the window may cut events, put the trigger outside or be empty."""
+    spi_hz = draw(st.sampled_from(SPI_CLOCKS))
+    frame = Fraction(24 * 10**9, spi_hz)
+    lines = [f"clocks.spi_clock_hz = {spi_hz}",
+             f"profile.lo_div_powerup_ns = {draw(st.sampled_from((160, 0, 3, 700, 2000)))}",
+             f"profile.lo_div_powerdown_ns = {draw(st.sampled_from((20, 0, 160, 2000)))}",
+             f"rf.lo_on_delta_db.2g4 = {draw(st.sampled_from(LO_LEVELS))}",
+             f"rf.lo_on_delta_db.5g = {draw(st.sampled_from(('22.0', '12.345')))}",
+             f"rf.packet_delta_db = {draw(st.sampled_from(('15.0', '2.5', '7.125')))}"]
+    tidy = draw(st.booleans())
+    commands, t, last_lo, packet_open = [], draw(st.integers(0, 800)), None, False
+    for kind in draw(st.lists(st.sampled_from(KINDS), max_size=10)):
+        t += draw(st.sampled_from((0, 1)) | st.integers(0, 3000))
+        if kind in LO_KINDS:
+            if last_lo is not None:  # 0: any gap
+                gaps = (math.ceil(frame),) if tidy else (math.floor(frame), math.ceil(frame), 0)
+                t = max(t, last_lo + draw(st.sampled_from(gaps)))
+            last_lo = t
+        elif kind != "trigger" and (tidy or draw(st.sampled_from((True, True, False)))):
+            kind = "tx-packet-end" if packet_open else "tx-packet-start"
+        if kind.startswith("tx-packet"):
+            packet_open = kind == "tx-packet-start"
+        commands.append((t, kind))
+    if tidy and packet_open:
+        commands.append((t + draw(st.integers(0, 500)), "tx-packet-end"))
+    if not tidy and len(commands) > 1:
+        i, j = draw(st.permutations(range(len(commands))))[:2]
+        commands[i], commands[j] = commands[j], commands[i]
+    if not commands and draw(st.booleans()):
+        lines.append("schedule.empty = true")
+    lines += [f"schedule.{i} = {kind} @ {t}" for i, (t, kind) in enumerate(commands)]
+    # the window opens and ends near the trigger (the trigger command,
+    # else the first LO write) most often, else near any command
+    triggers = [t for t, kind in commands if kind == "trigger"] or [
+        t for t, kind in commands if kind in LO_KINDS]
+    anchor = draw(st.sampled_from(triggers[:1] * 4 + [0] + [t for t, _ in commands]))
+    interval = draw(st.sampled_from((5, 7, 25, 50, 250, 490, 700)) | st.integers(3, 1000))
+    start = anchor - draw(st.sampled_from((0, 50, 700, 2500)) | st.integers(-500, 3000))
+    end = max(start, anchor + draw(st.sampled_from((1000, 2500, 6000)) | st.integers(-500, 6000)))
+    tau = draw(st.sampled_from(("0.0", "0.0", "10.0", "40.0", "200.5")))
+    lines += [f"trace.start_ns = {start}", f"trace.end_ns = {end}",
+              f"trace.interval_ns = {interval}", f"trace.settling_tau_ns = {tau}"]
+    return "\n".join(lines) + "\n"
+
+
+def traced_call(argv, rows_bound, commands_bound):
+    """(exit code, stdout, stderr, --out bytes or None, the pipelines that
+    ran) of `main(argv)` under the given bounds, in the current directory."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cli, "LOOP_ROWS", rows_bound))
+        stack.enter_context(mock.patch.object(cli, "LOOP_COMMANDS", commands_bound))
+        spies = {module: stack.enter_context(mock.patch.object(
+            module, "expand_schedule", wraps=module.expand_schedule))
+            for module in (looptrace, sim)}
+        out = stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        code = main(argv)
+    written = None
+    if os.path.exists("out.txt"):
+        with open("out.txt", "rb") as fh:
+            written = fh.read()
+        os.remove("out.txt")
+    ran = [module.__name__ for module, spy in spies.items() if spy.called]
+    return code, out.getvalue(), err.getvalue(), written, ran
+
+
+@settings(PROFILE, max_examples=150)
+@given(trace_configs(), st.sampled_from(("csv", "table", "json")),
+       st.sampled_from(((), ("--band", "2g4"), ("--band", "5g"))), st.booleans(),
+       st.sampled_from(("rows", "commands")))
+# the golden Fraction-clock config: a warning, a mid-schedule trigger
+@example("clocks.spi_clock_hz = 7000000\ntrace.start_ns = -500\ntrace.end_ns = 14000\n"
+         "trace.interval_ns = 25\nschedule.0 = tx-packet-start @ 0\nschedule.1 = lo-on @ 100\n"
+         "schedule.2 = tx-packet-end @ 2000\nschedule.3 = lo-off @ 4000\n"
+         "schedule.4 = trigger @ 8000\nschedule.5 = lo-on @ 8000\n"
+         "schedule.6 = tx-packet-start @ 12000\nschedule.7 = tx-packet-end @ 13000\n",
+         "table", (), True, "rows")
+# the crossing on the window's last sample and on the sample after the
+# trigger's; the sample past the step's end (the lo-off divider event at
+# 980 ns) and the last one before it
+@example("trace.start_ns = 0\ntrace.end_ns = 650\n", "csv", (), False, "commands")
+@example("trace.start_ns = 0\ntrace.end_ns = 2100\ntrace.interval_ns = 700\n", "csv", (),
+         False, "rows")
+@example("trace.start_ns = 0\ntrace.end_ns = 1500\ntrace.interval_ns = 490\n"
+         "trace.settling_tau_ns = 200.5\nschedule.0 = lo-on @ 0\nschedule.1 = lo-off @ 480\n",
+         "json", (), False, "rows")
+@example("trace.start_ns = 0\ntrace.end_ns = 2000\ntrace.interval_ns = 400\n"
+         "schedule.0 = lo-on @ 0\nschedule.1 = lo-off @ 480\n", "table", (), True, "commands")
+def test_both_trace_pipelines_write_the_same(config_text, fmt, band, to_file, bound):
+    argv = ["-c", "run.cfg", "trace", *band, "--format", fmt, *(["--out", "out.txt"] * to_file)]
+    try:
+        config = parse_config(config_text)
+        window = config.trace
+        rows = (window.end_ns - window.start_ns) // window.interval_ns + 1
+        commands = len(config.schedule)
+    except ConfigError:  # main fails before it chooses
+        config, rows, commands = None, 0, 0
+    # the loop pipeline at the smallest bounds that admit this trace; the
+    # array one with one bound a step lower
+    array_bounds = (rows, commands) if bound == "rows" else (rows + 1, commands - 1)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with open("run.cfg", "w") as fh:
+                fh.write(config_text)
+            *loop, loop_ran = traced_call(argv, rows + 1, commands)
+            *array, array_ran = traced_call(argv, *array_bounds)
+        finally:
+            os.chdir(cwd)
+    assert loop == array
+    if config is not None:
+        assert (loop_ran, array_ran) == (["zifsim.looptrace"], ["zifsim.sim"])

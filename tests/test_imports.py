@@ -1,11 +1,14 @@
 """Import paths and the public API.
 
 Each subcommand loads only the zifsim modules it runs. Budgets, compliance
-and the config dump are exact rational arithmetic and start without numpy:
-only `trace` runs the trace layer (`zifsim.sim`) and only `noise` the
-capture layer (`zifsim.rf`), each with numpy; only `-c` and `config --dump`
-load the config text format (`zifsim.configtext`), and no subcommand loads
-the SPI codec (`zifsim.spi`). `rf` registers `sim` in `sys.modules` for the
+and the config dump are exact rational arithmetic and start without numpy.
+`trace` runs one of two trace pipelines, chosen from the config's sizes: a
+small trace the per-row loops (`zifsim.looptrace`), with neither numpy nor
+the array layer, and a large one the array layer (`zifsim.sim`) with
+numpy and no loop module; neither loads `json` for `--format json`. Only
+`noise` runs the capture layer (`zifsim.rf`), with numpy; only `-c` and
+`config --dump` load the config text format (`zifsim.configtext`), and no
+subcommand loads the SPI codec (`zifsim.spi`). `rf` registers `sim` in `sys.modules` for the
 benchmark's tracer, as a lazy module that runs on the first read of an
 attribute, so a `noise` call holds `sim` but never runs it. The probe tells
 a module that ran from one only registered by its type, which reads no
@@ -26,13 +29,14 @@ from pathlib import Path
 import pytest
 
 import zifsim
+import zifsim.cli as cli
 import zifsim.ensm
 import zifsim.params
 import zifsim.rf
 import zifsim.sim
 
 SRC = Path(zifsim.__file__).resolve().parent.parent
-WATCHED = ["numpy", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
+WATCHED = ["numpy", "zifsim.looptrace", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
 # modules that building classes with generated code would load
 CODEGEN = ["dataclasses", "inspect"]
 
@@ -74,6 +78,24 @@ def run_python(*args) -> str:
     return result.stdout
 
 
+# configs just above the loop pipeline's bounds, in rows (on the default
+# 50 ns grid from -2500 ns) and in commands
+LARGE_TRACES = {
+    "rows": f"trace.end_ns = {50 * cli.LOOP_ROWS}\n",
+    "commands": "".join(f"schedule.{k} = trigger @ {k}\n" for k in range(cli.LOOP_COMMANDS + 1)),
+}
+
+
+def write_configs(tmp_path):
+    """A small config and the large ones, as {name: path}."""
+    files = {"config": tmp_path / "run.cfg"}
+    files["config"].write_text("trace.band = 5g\nschedule.0 = lo-off @ 10\n")
+    for name, text in LARGE_TRACES.items():
+        files[name] = tmp_path / f"{name}.cfg"
+        files[name].write_text(text)
+    return files
+
+
 def probe(argv, watched=WATCHED):
     """(exit code, the watched modules loaded, every zifsim.* module loaded,
     every zifsim.* module that ran, freeze count at exit, collector enabled
@@ -88,14 +110,15 @@ def probe(argv, watched=WATCHED):
     (["comply", "--require", "lo-control"], "config ensm errors mac params"),
     (["config", "--dump"], "config configtext errors params"),
     (["-c", "{config}", "config", "--dump"], "config configtext errors params"),
-    (["trace"], "config errors params sim"),
+    (["trace"], "config errors looptrace params"),
     (["noise", "--mode", "fdd", "--band", "2g4"], "config errors params rf sim"),
     (["noise", "--capture", "{capture}"], "config errors params rf sim"),
-    (["-c", "{config}", "trace"], "config configtext errors params sim"),
+    (["-c", "{config}", "trace"], "config configtext errors looptrace params"),
+    (["-c", "{rows}", "trace"], "config configtext errors params sim"),
+    (["-c", "{commands}", "trace"], "config configtext errors params sim"),
 ])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
-    files = {"config": tmp_path / "run.cfg", "capture": tmp_path / "cap.iq"}
-    files["config"].write_text("trace.band = 5g\nschedule.0 = lo-off @ 10\n")
+    files = {**write_configs(tmp_path), "capture": tmp_path / "cap.iq"}
     files["capture"].write_bytes(bytes(range(1, 41)))
     argv = [arg.format_map(files) for arg in argv]
     code, _, loaded, ran, *_ = probe(argv)
@@ -142,15 +165,29 @@ def test_exact_subcommands_start_without_numpy(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["trace"], ["numpy", "zifsim.sim"]),
+    (["-c", "{rows}", "trace"], ["numpy", "zifsim.sim"]),
+    (["-c", "{commands}", "trace", "--format", "csv"], ["numpy", "zifsim.sim"]),
     (["noise", "--mode", "fdd", "--band", "2g4"], ["numpy", "zifsim.rf", "zifsim.sim"]),
 ])
-def test_array_subcommands_load_the_array_layers(argv, loaded):
+def test_array_subcommands_load_the_array_layers(tmp_path, argv, loaded):
     # numpy itself loads inspect, but nothing on these paths loads
     # dataclasses; `noise` holds `sim` but only `trace` runs it
+    argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
     code, watched, _, ran, *_ = probe(argv, WATCHED + ["dataclasses"])
     assert (code, watched) == (0, loaded)
-    assert ("zifsim.sim" in ran) is (argv == ["trace"])
+    assert ("zifsim.sim" in ran) is ("trace" in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace"],
+    ["trace", "--format", "json", "--band", "5g"],
+    ["-c", "{config}", "trace", "--format", "csv"],
+])
+def test_small_traces_load_neither_numpy_nor_the_array_layer(tmp_path, argv):
+    # nor dataclasses, inspect or json: the loop pipeline is plain Python
+    argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
+    code, loaded, *_ = probe(argv, WATCHED + CODEGEN + ["json"])
+    assert (code, loaded) == (0, ["zifsim.looptrace"])
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -158,9 +195,12 @@ def test_array_subcommands_load_the_array_layers(argv, loaded):
     (["trace", "--format", "csv"], []),
     (["turnaround", "--all", "--format", "csv"], ["csv"]),
     (["turnaround", "--all", "--format", "json"], ["json"]),
-    (["trace", "--format", "json"], []),  # only Infinity and NaN need json
+    # only Infinity and NaN need json, on either trace pipeline
+    (["trace", "--format", "json"], []),
+    (["-c", "{rows}", "trace", "--format", "json"], []),
 ])
-def test_json_and_csv_load_only_for_their_formats(argv, loaded):
+def test_json_and_csv_load_only_for_their_formats(tmp_path, argv, loaded):
+    argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
     assert probe(argv, ["json", "csv"])[:2] == (0, loaded)
 
 

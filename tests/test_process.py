@@ -34,8 +34,11 @@ def zifsim_process(*argv):
     ("noise_fdd_2g4.csv", ["noise", "--mode", "fdd", "--band", "2g4", "--format", "csv"]),
     ("comply_default.csv", ["comply", "--format", "csv"]),
     ("config_dump_default.cfg", ["config", "--dump"]),
-    *[(f"trace_settle.{ext}", ["-c", str(GOLDEN / "trace_settle.cfg"), "trace", "--format", fmt])
+    *[(f"{stem}.{ext}", ["-c", str(GOLDEN / f"{stem}.cfg"), "trace", "--format", fmt])
+      for stem in ("trace_settle", "trace_frac")
       for ext, fmt in [("csv", "csv"), ("txt", "table"), ("json", "json")]],
+    ("trace_default.txt", ["trace"]),
+    ("trace_default.json", ["trace", "--format", "json"]),
 ])
 def test_process_stdout_is_the_golden(name, argv):
     code, out, _ = zifsim_process(*argv)

@@ -37,6 +37,7 @@ from zifsim import (
     expand_schedule,
     turnaround_budget,
 )
+from zifsim.looptrace import LoopTimeline, LoopTrace
 
 
 def field_values(record) -> dict:
@@ -70,6 +71,8 @@ RECORDS = (
     (Timeline, {name: getattr(TIMELINE, name) for name, _, _ in Timeline.fields[:6]}, None),
     (LoStep, {"trigger_ns": 0, "direction": Direction.RX_TO_TX, "level_dbr": 30.0}, None),
     (PowerTrace, {"start_ns": -50, "interval_ns": 50, "samples": [0.0, 30.0]}, None),
+    (LoopTimeline, {"events": []}, None),
+    (LoopTrace, {"start_ns": -50, "interval_ns": 50, "samples": [0.0, 30.0]}, None),
     (IqCapture, {"samples": READ_ONLY}, ("sample_rate_hz", 0)),
     (PacketFilterResult, dict(zip(("series", "keep_mask"), ARRAYS), samples_filtered=1), None),
     (NoiseFloorReport, {"average_power_db": 1.5, "sample_count_used": 2, "samples_filtered": 0,

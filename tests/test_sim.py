@@ -28,7 +28,7 @@ from zifsim import (
     turnaround_budget,
 )
 from zifsim.params import check_sampling
-from zifsim.sim import PACKET_WARNING, Effect
+from zifsim.params import PACKET_WARNING, Effect
 
 from conftest import event_rows
 

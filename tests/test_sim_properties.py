@@ -1,15 +1,16 @@
 """Hypothesis properties of the trace simulator.
 
-The columnar schedule expansion, the array sampling and the columnar
-text rendering must equal, exactly, bit for bit and byte for byte, the
-per-event and per-row loops they replace. Those loops are kept below as
-the oracle: the expansion loop with its validation, the sampling loop
-(with the initial level handed in, where it used to infer it from the
-first event), the csv writer and the CLI's table and json formatting of
-a trace.
+The trace has two pipelines: the array one (`zifsim.sim`), which expands,
+samples, measures and renders on whole numpy columns, and the per-event
+and per-row loops it replaced, which ship as `zifsim.looptrace` and run
+small traces. Each property runs both and asks them to agree exactly:
+the events (times of the same type, levels bit for bit, the warning and
+LO-change flags), the first error, the step, the samples bit for bit,
+the measurement and the text byte for byte. The loop sampling gets the
+array timeline's rows, so the initial level drawn here reaches both. The
+per-value texts and json's own text stay as independent checks.
 """
 
-import io
 import json
 import math
 import struct
@@ -27,7 +28,6 @@ from zifsim import (
     CommandKind,
     Direction,
     EnsmMode,
-    LoStep,
     MeasurementError,
     OverlappingSpiError,
     PowerTrace,
@@ -43,231 +43,28 @@ from zifsim import (
     trace_to_csv,
     turnaround_budget,
 )
-from zifsim.sim import Effect, Timeline, _power_field, render_blocks
+from zifsim import looptrace
+from zifsim.params import cell_text
+from zifsim.sim import Timeline, _power_field, render_blocks
 
-from conftest import event_rows
+from conftest import loop_timeline
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
-
-# --- oracle: the per-event and per-row code the array version replaces -----
-
-def oracle_level(lo_on, packet_on, band, rf):
-    if not lo_on:
-        return 0.0
-    level = rf.lo_on_delta_db[band]
-    if packet_on:
-        level += rf.packet_delta_db
-    return level
+FORMATS = ("csv", "table", "json")
 
 
-def oracle_validate(commands):
-    last_time = None
-    packet_open = False
-    for cmd in commands:
-        if last_time is not None and cmd.time_ns < last_time:
-            raise ScheduleError(
-                f"schedule not sorted: {cmd.kind.value} at {cmd.time_ns} ns "
-                f"after {last_time} ns"
-            )
-        last_time = cmd.time_ns
-        if cmd.kind is CommandKind.TX_PACKET_START:
-            if packet_open:
-                raise ScheduleError(f"packet start at {cmd.time_ns} ns inside an open packet")
-            packet_open = True
-        elif cmd.kind is CommandKind.TX_PACKET_END:
-            if not packet_open:
-                raise ScheduleError(
-                    f"packet end at {cmd.time_ns} ns without a matching start"
-                )
-            packet_open = False
-    if packet_open:
-        raise ScheduleError("schedule leaves a packet open (missing end)")
+def loop_text(trace, fmt):
+    """The loop pipeline's text of a PowerTrace."""
+    samples = looptrace.LoopTrace(trace.start_ns, trace.interval_ns, trace.samples.tolist())
+    return b"".join(looptrace.render_blocks(samples, fmt)).decode("ascii")
 
 
-def oracle_initial_lo_on(commands):
-    for cmd in commands:
-        if cmd.kind is CommandKind.LO_ON:
-            return False
-        if cmd.kind is CommandKind.LO_OFF:
-            return True
-    return False
-
-
-def oracle_expand(commands, clocks, profile, band, rf):
-    """(events, initial level) of a schedule, one (time_ns, effect,
-    power_after_dbr, warning) tuple per event."""
-    oracle_validate(commands)
-    initial_lo_on = oracle_initial_lo_on(commands)
-    frame_ns = frame_duration_ns(clocks)
-    pending = []  # (time, effect)
-    spi_busy_until = None
-    for cmd in commands:
-        if cmd.kind in (CommandKind.LO_ON, CommandKind.LO_OFF):
-            if spi_busy_until is not None and cmd.time_ns < spi_busy_until:
-                raise OverlappingSpiError(
-                    f"register write at {cmd.time_ns} ns overlaps the frame "
-                    f"that ends at {spi_busy_until} ns"
-                )
-            end = cmd.time_ns + frame_ns
-            spi_busy_until = end
-            pending.append((cmd.time_ns, Effect.SPI_START))
-            pending.append((end, Effect.SPI_END))
-            if cmd.kind is CommandKind.LO_ON:
-                pending.append((end + profile.lo_div_powerup_ns, Effect.LO_POWERED_UP))
-            else:
-                pending.append((end + profile.lo_div_powerdown_ns, Effect.LO_POWERED_DOWN))
-        elif cmd.kind is CommandKind.TX_PACKET_START:
-            pending.append((cmd.time_ns, Effect.PACKET_ON))
-        elif cmd.kind is CommandKind.TX_PACKET_END:
-            pending.append((cmd.time_ns, Effect.PACKET_OFF))
-    pending.sort(key=lambda item: item[0])  # stable for simultaneous events
-
-    events = []
-    lo_on = initial_lo_on
-    packet_on = False
-    for time_ns, effect in pending:
-        warning = None
-        if effect is Effect.LO_POWERED_UP:
-            lo_on = True
-        elif effect is Effect.LO_POWERED_DOWN:
-            lo_on = False
-        elif effect is Effect.PACKET_ON:
-            packet_on = True
-            if not lo_on:
-                warning = "packet transmitted while the LO divider is down"
-        elif effect is Effect.PACKET_OFF:
-            packet_on = False
-        events.append((time_ns, effect, oracle_level(lo_on, packet_on, band, rf), warning))
-    return events, oracle_level(initial_lo_on, False, band, rf)
-
-
-LO_KINDS = (CommandKind.LO_ON, CommandKind.LO_OFF)
-
-
-def oracle_lo_changes(commands, events):
-    """Indices of the divider events that change the LO state, in time
-    order from the initial state."""
-    lo_on = oracle_initial_lo_on(commands)
-    changes = []
-    for k, (_, effect, _, _) in enumerate(events):
-        if effect in (Effect.LO_POWERED_UP, Effect.LO_POWERED_DOWN):
-            if (effect is Effect.LO_POWERED_UP) != lo_on:
-                changes.append(k)
-            lo_on = effect is Effect.LO_POWERED_UP
-    return changes
-
-
-def oracle_step(commands, clocks, profile, events):
-    """The LoStep of a schedule whose expansion is `events`, or the message
-    of the MeasurementError: the first LO command at or after the trigger,
-    the level its own divider event sets, and the time of the next divider
-    event that changes the LO state. A command whose divider event finds
-    the LO already in its state has no step."""
-    trigger_ns = next((c.time_ns for c in commands if c.kind is CommandKind.TRIGGER), None)
-    if trigger_ns is None:
-        trigger_ns = next((c.time_ns for c in commands if c.kind in LO_KINDS), None)
-    if trigger_ns is None:
-        return "no trigger and no LO command in the schedule"
-    command = next((c for c in commands if c.kind in LO_KINDS and c.time_ns >= trigger_ns),
-                   None)
-    if command is None:
-        return f"no LO command at or after the trigger at {trigger_ns} ns"
-    if command.kind is CommandKind.LO_ON:
-        direction, effect, state = Direction.RX_TO_TX, Effect.LO_POWERED_UP, "on"
-        delay = profile.lo_div_powerup_ns
-    else:
-        direction, effect, state = Direction.TX_TO_RX, Effect.LO_POWERED_DOWN, "off"
-        delay = profile.lo_div_powerdown_ns
-    # two LO writes of one kind lie at least a frame apart, so the time
-    # and effect name the command's divider event
-    at = command.time_ns + frame_duration_ns(clocks) + delay
-    index = next(k for k, e in enumerate(events) if e[:2] == (at, effect))
-    changes = oracle_lo_changes(commands, events)
-    if index not in changes:
-        return (f"the first LO command at or after the trigger at {trigger_ns} ns finds "
-                f"the LO already {state}")
-    end_ns = next((events[k][0] for k in changes if k > index), None)
-    return LoStep(trigger_ns, direction, events[index][2], end_ns)
-
-
-def oracle_samples(events, window, interval_ns, baseline, settling_tau_ns):
-    start_ns, end_ns = window
-    events = sorted(events, key=lambda ev: ev[0])
-    count = int((end_ns - start_ns) // interval_ns) + 1
-    samples = []
-    index = 0
-    level = baseline
-    last_change_t = None
-    value_at_change = baseline
-    for k in range(count):
-        t = start_ns + k * interval_ns
-        while index < len(events) and events[index][0] <= t:
-            event_t, _, new_level, _ = events[index]
-            if settling_tau_ns > 0 and new_level != level:
-                value_at_change = oracle_settled(
-                    level, value_at_change, last_change_t, event_t, settling_tau_ns,
-                )
-                last_change_t = event_t
-            level = new_level
-            index += 1
-        if settling_tau_ns > 0:
-            samples.append(
-                oracle_settled(level, value_at_change, last_change_t, t, settling_tau_ns)
-            )
-        else:
-            samples.append(level)
-    return samples
-
-
-def oracle_settled(target, value_at_change, change_t, t, tau):
-    if change_t is None:
-        return float(target)
-    dt = float(t - change_t)
-    return float(target + (value_at_change - target) * math.exp(-dt / tau))
-
-
-def oracle_times(trace):
-    return [trace.start_ns + k * trace.interval_ns for k in range(trace.samples.size)]
-
-
-def oracle_fmt2(value):
-    text = f"{value:.2f}"
-    return "0.00" if text == "-0.00" else text
-
-
-def oracle_csv(trace):
-    lines = ["time_us,power_db"]
-    for t, v in zip(oracle_times(trace), trace.samples.tolist()):
-        lines.append(f"{oracle_fmt2(t / 1000.0)},{oracle_fmt2(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def oracle_rows(trace):
-    return [
-        {"time_us": round(t / 1000.0, 2), "power_db": round(v, 2)}
-        for t, v in zip(oracle_times(trace), trace.samples.tolist())
-    ]
-
-
-def oracle_json(trace):
-    return json.dumps(oracle_rows(trace), indent=2) + "\n"
-
-
-def oracle_table(trace):
-    texts = [[f"{r['time_us']:.2f}", f"{r['power_db']:.2f}"] for r in oracle_rows(trace)]
-    names = ["time_us", "power_db"]
-    widths = [max(len(name), *(len(t[i]) for t in texts)) if texts else len(name)
-              for i, name in enumerate(names)]
-    out = io.StringIO()
-    for cells in [names, *texts]:
-        line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-        out.write(line.rstrip() + "\n")
-    return out.getvalue()
-
-
-ORACLE = {"csv": oracle_csv, "table": oracle_table, "json": oracle_json}
+def loop_samples(timeline, window, interval, tau):
+    """The loop pipeline's samples of a Timeline's events."""
+    return looptrace.sample_trace(loop_timeline(timeline), window, interval_ns=interval,
+                                  settling_tau_ns=tau).samples
 
 
 def bits(values):
@@ -371,21 +168,20 @@ def any_schedules(draw):
 
 
 def expansion_or_error(expand, commands, clocks, profile):
-    rf = RfModelParams()
+    """The loop form of an expansion (array: through loop_timeline), or
+    the type and text of its error."""
     try:
-        return expand(commands, clocks, profile, Band.B2G4, rf)
+        timeline = expand(Schedule.from_commands(commands), clocks, profile)
     except (ScheduleError, OverlappingSpiError) as exc:
         return type(exc), str(exc)
+    return timeline if expand is looptrace.expand_schedule else loop_timeline(timeline)
 
 
-def columns_expand(commands, clocks, profile, band, rf):
-    timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band, rf=rf)
-    return event_rows(timeline), timeline.initial_dbr
-
-
-def exact(events):
-    """Events with the type of each time and the bits of each level."""
-    return [(e, type(e[0]), bits([e[2]])) for e in events]
+def exact(timeline):
+    """A LoopTimeline's fields with the type of each event time and the
+    bits of each level."""
+    return ([(e, type(e[0]), bits([e[2]])) for e in timeline.events],
+            bits([timeline.initial_dbr]), timeline.trigger_ns, timeline.step_index)
 
 
 @st.composite
@@ -452,11 +248,11 @@ def run_traces(draw):
 def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
     commands, clocks, profile = case
     rf = RfModelParams(lo_on_delta_db={b: lo_level for b in Band}, packet_delta_db=packet_step)
-    timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band, rf=rf)
-    events, initial_dbr = oracle_expand(commands, clocks, profile, band, rf)
-    assert exact(event_rows(timeline)) == exact(events)
-    assert bits([timeline.initial_dbr]) == bits([initial_dbr])
-    assert len(timeline) == len(events)
+    schedule = Schedule.from_commands(commands)
+    timeline = expand_schedule(schedule, clocks, profile, band=band, rf=rf)
+    loop = looptrace.expand_schedule(schedule, clocks, profile, band=band, rf=rf)
+    assert exact(loop_timeline(timeline)) == exact(loop)
+    assert len(timeline) == len(loop.events)
 
 
 @PROFILE
@@ -467,12 +263,12 @@ def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
 def test_expansion_fails_like_the_loop(case):
     commands, clocks = case
     profile = TimingProfile()
-    expected = expansion_or_error(oracle_expand, commands, clocks, profile)
-    got = expansion_or_error(columns_expand, commands, clocks, profile)
-    if isinstance(expected[0], list):
-        assert exact(got[0]) == exact(expected[0]) and got[1] == expected[1]
-    else:
+    expected = expansion_or_error(looptrace.expand_schedule, commands, clocks, profile)
+    got = expansion_or_error(expand_schedule, commands, clocks, profile)
+    if isinstance(expected, tuple):
         assert got == expected
+    else:
+        assert exact(got) == exact(expected)
 
 
 @PROFILE
@@ -497,13 +293,17 @@ def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_dow
     # longer delays keep the schedule valid: only the frame spaces LO writes
     profile = TimingProfile(lo_div_powerup_ns=profile.lo_div_powerup_ns + more_up,
                             lo_div_powerdown_ns=profile.lo_div_powerdown_ns + more_down)
-    events, _ = oracle_expand(commands, clocks, profile, Band.B2G4, RfModelParams())
-    expected = oracle_step(commands, clocks, profile, events)
+    schedule = Schedule.from_commands(commands)
+    assert (step_or_error(find_step, expand_schedule(schedule, clocks, profile))
+            == step_or_error(looptrace.find_step,
+                             looptrace.expand_schedule(schedule, clocks, profile)))
+
+
+def step_or_error(find, timeline):
     try:
-        got = find_step(expand_schedule(Schedule.from_commands(commands), clocks, profile))
+        return find(timeline)
     except MeasurementError as exc:
-        got = str(exc)
-    assert got == expected
+        return str(exc)
 
 
 @PROFILE
@@ -511,10 +311,27 @@ def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_dow
 def test_samples_equal_the_loop(case):
     timeline, window, interval, tau = case
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
-    expected = oracle_samples(event_rows(timeline), window, interval, timeline.initial_dbr,
-                              tau)
+    expected = loop_samples(timeline, window, interval, tau)
     assert bits(trace.samples.tolist()) == bits(expected)
-    assert trace.times_ns().tolist() == oracle_times(trace)
+    assert trace.times_ns().tolist() == [window[0] + k * interval for k in range(len(expected))]
+
+
+@PROFILE
+@given(traced_schedules())
+def test_measurements_equal_the_loop(case):
+    timeline, window, interval, tau = case
+    trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
+    loop = looptrace.LoopTrace(trace.start_ns, interval, loop_samples(timeline, window,
+                                                                      interval, tau))
+    outcomes = []
+    for measure, samples, find, events in ((measure_turnaround, trace, find_step, timeline),
+                                           (looptrace.measure_turnaround, loop,
+                                            looptrace.find_step, loop_timeline(timeline))):
+        try:
+            outcomes.append(measure(samples, find(events)))
+        except MeasurementError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def timeline_at(times, levels, initial_dbr=0.0):
@@ -549,8 +366,7 @@ def timeline_at(times, levels, initial_dbr=0.0):
 def test_grid_edges_sample_like_the_loop(times, levels, window, interval, tau):
     timeline = timeline_at(times, levels, initial_dbr=-1.5)
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
-    expected = oracle_samples(event_rows(timeline), window, interval, -1.5, tau)
-    assert bits(trace.samples.tolist()) == bits(expected)
+    assert bits(trace.samples.tolist()) == bits(loop_samples(timeline, window, interval, tau))
 
 
 @PROFILE
@@ -558,9 +374,9 @@ def test_grid_edges_sample_like_the_loop(times, levels, window, interval, tau):
 def test_renderings_of_sampled_traces_equal_the_loop(case):
     timeline, window, interval, tau = case
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
-    assert trace_to_csv(trace) == oracle_csv(trace)
-    for fmt, oracle in ORACLE.items():
-        assert streamed_text(trace, fmt) == oracle(trace), fmt
+    assert trace_to_csv(trace) == loop_text(trace, "csv")
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
 
 
 @PROFILE
@@ -570,8 +386,8 @@ def test_renderings_of_sampled_traces_equal_the_loop(case):
 @example(PowerTrace(2**53 - 7 - 59 * 10, 10, [0.0] * 60))
 @example(PowerTrace(-1875, 250, [0.0] * 60))  # quotients exactly on the tie, to even
 def test_renderings_equal_the_loop(trace):
-    for fmt, oracle in ORACLE.items():
-        assert streamed_text(trace, fmt) == oracle(trace), fmt
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
 
 
 def streamed_text(trace, fmt):
@@ -598,16 +414,16 @@ def streamed_text(trace, fmt):
 @example(PowerTrace(-4000, 1, 30.0 * (1 - np.exp(-np.arange(2**16 + 1) / 40.0))))
 def test_renderings_of_long_runs_equal_the_loop(trace):
     # each block is checked, and the joined blocks against the loop
-    for fmt, oracle in ORACLE.items():
-        assert streamed_text(trace, fmt) == oracle(trace), fmt
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
 
 
 def test_renderings_of_negative_zero_cells():
     # -3 ns and the dB values below round to -0.00: the csv shows 0.00,
     # the table -0.00 and json -0.0
     trace = PowerTrace(-3, 1, [-0.001, -0.0, 0.0, 0.004, -0.005])
-    for fmt, oracle in ORACLE.items():
-        assert streamed_text(trace, fmt) == oracle(trace), fmt
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
     assert streamed_text(trace, "csv").splitlines()[1] == "0.00,0.00"
     assert streamed_text(trace, "table").splitlines()[1] == "-0.00    -0.00"
     assert '"power_db": -0.0' in streamed_text(trace, "json")
@@ -615,13 +431,23 @@ def test_renderings_of_negative_zero_cells():
 
 def test_renderings_of_an_empty_trace():
     trace = PowerTrace(0, 50, [])
-    for fmt, oracle in ORACLE.items():
-        assert streamed_text(trace, fmt) == oracle(trace), fmt
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+
+
+@PROFILE
+@given(traces())
+@example(PowerTrace(-3, 1, [-0.001, -0.0, 2.675, math.inf, math.nan]))
+def test_loop_json_is_json(trace):
+    # json.dumps of the rows, rounded to two decimals, as the CLI once wrote them
+    rows = [{"time_us": round((trace.start_ns + k * trace.interval_ns) / 1000.0, 2),
+             "power_db": round(v, 2)} for k, v in enumerate(trace.samples.tolist())]
+    assert loop_text(trace, "json") == json.dumps(rows, indent=2) + "\n"
 
 
 # each format's text of one power value, as the per-row code wrote it
 POWER_TEXT = {
-    "csv": oracle_fmt2,
+    "csv": lambda v: "0.00" if f"{v:.2f}" == "-0.00" else f"{v:.2f}",
     "table": lambda v: f"{round(v, 2):.2f}",
     "json": lambda v: json.dumps(round(v, 2)),
 }
@@ -642,13 +468,14 @@ def test_power_texts_equal_the_per_value_text(values):
     for fmt, oracle in POWER_TEXT.items():
         field = _power_field(np.array(values), fmt)
         assert [bytes(row[row != 0]).decode() for row in field] == [oracle(v) for v in values]
+        assert [cell_text(v, fmt) for v in values] == [oracle(v) for v in values]
 
 
 def test_ties_round_by_the_float_quotient():
     # 0.005 us is just above its tie and 0.015 us just below
     trace = PowerTrace(5, 10, [0.0, 0.0])
     assert streamed_text(trace, "csv") == "time_us,power_db\n0.01,0.00\n0.01,0.00\n"
-    assert streamed_text(trace, "csv") == oracle_csv(trace)
+    assert streamed_text(trace, "csv") == loop_text(trace, "csv")
 
 
 @PROFILE
@@ -677,3 +504,7 @@ def test_single_step_measures_its_budget_on_the_grid(spi_hz, kind, command_ns, l
     step = find_step(timeline)
     assert step.direction is direction
     assert measure_turnaround(trace, step) == start + k * interval - trigger_ns
+    loop = looptrace.expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band)
+    loop_trace = looptrace.sample_trace(loop, (start, end), interval_ns=interval)
+    assert looptrace.find_step(loop) == step
+    assert looptrace.measure_turnaround(loop_trace, step) == start + k * interval - trigger_ns
