@@ -48,9 +48,11 @@ DIR_NAMES = [d.value for d in Direction]
 # runs the per-row loop pipeline (`looptrace`), which loads no numpy; a
 # larger one the array pipeline (`sim`). Each bound is the largest power of
 # two below the measured fresh-call crossover of the two, in every output
-# format (README, "Power trace simulation").
-LOOP_ROWS = 2**15
-LOOP_COMMANDS = 2**13
+# format: the loop is faster up to 100,011 rows and 60,796 commands, and
+# slower in some format by 130,011 rows and 121,666 commands (README,
+# "Power trace simulation").
+LOOP_ROWS = 2**16
+LOOP_COMMANDS = 2**15
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,6 @@ on first call.
 
 import functools
 import re
-import typing
 from array import array
 from enum import Enum
 
@@ -80,8 +79,8 @@ def _settings_keys() -> dict:
         if not (isinstance(cls, type) and issubclass(cls, Record)):
             continue
         for name, kind, _ in cls.fields:
-            if typing.get_origin(kind) is dict:
-                member_type, value_type = typing.get_args(kind)
+            if getattr(kind, "__origin__", None) is dict:  # dict[Band, float]
+                member_type, value_type = kind.__args__
                 parse = _value_parser(value_type)
                 for member in member_type:
                     keys[f"{section}.{name}.{member.value}"] = (section, name, member, parse)

@@ -15,10 +15,13 @@ samples, and `render_blocks` the whole text as one block.
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
 from .params import (
     COMMAND_KINDS,
+    EFFECTS,
     NO_CROSSING,
     NO_REFERENCE,
     NO_STATE_CHANGE,
@@ -33,7 +36,6 @@ from .params import (
     Band,
     ClockConfig,
     Direction,
-    Effect,
     LoStep,
     Record,
     RfModelParams,
@@ -46,6 +48,9 @@ from .params import (
 )
 
 _LO_ON, _LO_OFF, _PACKET_START, _PACKET_END, _TRIGGER = range(len(COMMAND_KINDS))
+# the Effect members, in member order, bound once: an Effect.X lookup
+# costs several times a global's load, and expansion tests one per event
+_SPI_START, _SPI_END, _UP, _DOWN, _PACKET_ON, _PACKET_OFF = EFFECTS
 
 
 class LoopTimeline(Record):
@@ -65,27 +70,6 @@ class LoopTimeline(Record):
         return [event[0] for event in self.events if event[3]]
 
 
-def _validate_schedule(times, kinds):
-    """Raise ScheduleError for the first command, in schedule order, that
-    comes before its predecessor or breaks the packet nesting."""
-    last_time = None
-    packet_open = False
-    for time_ns, kind in zip(times, kinds):
-        if last_time is not None and time_ns < last_time:
-            raise ScheduleError(NOT_SORTED.format(COMMAND_KINDS[kind].value, time_ns, last_time))
-        last_time = time_ns
-        if kind == _PACKET_START:
-            if packet_open:
-                raise ScheduleError(PACKET_INSIDE.format(time_ns))
-            packet_open = True
-        elif kind == _PACKET_END:
-            if not packet_open:
-                raise ScheduleError(PACKET_UNMATCHED.format(time_ns))
-            packet_open = False
-    if packet_open:
-        raise ScheduleError(PACKET_OPEN)
-
-
 def expand_schedule(
     schedule: Schedule,
     clocks: ClockConfig,
@@ -98,7 +82,6 @@ def expand_schedule(
     if rf is None:
         rf = RfModelParams()
     times, kinds = schedule.times_ns, schedule.kinds
-    _validate_schedule(times, kinds)
     first_lo = next((i for i, kind in enumerate(kinds) if kind <= _LO_OFF), None)
     lo_on_at_start = first_lo is not None and kinds[first_lo] == _LO_OFF
     if _TRIGGER in kinds:
@@ -109,49 +92,61 @@ def expand_schedule(
     frame_ns = frame_duration_ns(clocks)
     frame_floor, frame_ceil = math.floor(frame_ns), math.ceil(frame_ns)
     frac_ns = frame_ns - frame_floor
-    plus = 1 if frac_ns else 0
-    delays = {_LO_ON: (frame_floor + profile.lo_div_powerup_ns, Effect.LO_POWERED_UP),
-              _LO_OFF: (frame_floor + profile.lo_div_powerdown_ns, Effect.LO_POWERED_DOWN)}
+    plus, p, q = (1 if frac_ns else 0), frac_ns.numerator, frac_ns.denominator
+    delays = {_LO_ON: (frame_floor + profile.lo_div_powerup_ns, _UP),
+              _LO_OFF: (frame_floor + profile.lo_div_powerdown_ns, _DOWN)}
     # (2 * floor + plus_frac, effect) per event: the key orders the exact
     # times, and a stable sort keeps simultaneous events in schedule order
     pending = []
-    last_lo = None
+    last_time = last_lo = overlap = None
+    packet_open = False
     step_event = None  # the divider event of the first LO command at or after the trigger
     for time_ns, kind in zip(times, kinds):
+        if last_time is not None and time_ns < last_time:
+            raise ScheduleError(NOT_SORTED.format(COMMAND_KINDS[kind].value, time_ns, last_time))
+        last_time = time_ns
         if kind <= _LO_OFF:
             # integer gaps: gap < frame_ns exactly when gap < ceil(frame_ns)
-            if last_lo is not None and time_ns - last_lo < frame_ceil:
-                raise OverlappingSpiError(SPI_OVERLAP.format(time_ns, last_lo + frame_ns))
+            if overlap is None and last_lo is not None and time_ns - last_lo < frame_ceil:
+                overlap = OverlappingSpiError(SPI_OVERLAP.format(time_ns, last_lo + frame_ns))
             last_lo = time_ns
             delay, effect = delays[kind]
             divider = (2 * (time_ns + delay) + plus, effect)
-            pending += [(2 * time_ns, Effect.SPI_START),
-                        (2 * (time_ns + frame_floor) + plus, Effect.SPI_END), divider]
+            pending += ((2 * time_ns, _SPI_START), (2 * (time_ns + frame_floor) + plus, _SPI_END),
+                        divider)
             if step_event is None and time_ns >= trigger_ns:
                 step_event = divider
         elif kind == _PACKET_START:
-            pending.append((2 * time_ns, Effect.PACKET_ON))
+            if packet_open:
+                raise ScheduleError(PACKET_INSIDE.format(time_ns))
+            packet_open = True
+            pending.append((2 * time_ns, _PACKET_ON))
         elif kind == _PACKET_END:
-            pending.append((2 * time_ns, Effect.PACKET_OFF))
-    pending.sort(key=lambda event: event[0])
+            if not packet_open:
+                raise ScheduleError(PACKET_UNMATCHED.format(time_ns))
+            packet_open = False
+            pending.append((2 * time_ns, _PACKET_OFF))
+    if packet_open:
+        raise ScheduleError(PACKET_OPEN)
+    if overlap:  # after the order and packet errors of the whole schedule
+        raise overlap
+    pending.sort(key=itemgetter(0))
 
     levels = trace_levels(rf, band)
     lo_on, packet_on = lo_on_at_start, False
     events = []
-    step_index = -1
-    for index, event in enumerate(pending):
-        key, effect = event
+    for key, effect in pending:
         lo_change = False
-        if effect is Effect.LO_POWERED_UP or effect is Effect.LO_POWERED_DOWN:
-            on = effect is Effect.LO_POWERED_UP
+        if effect is _UP or effect is _DOWN:
+            on = effect is _UP
             lo_change, lo_on = on != lo_on, on
-        elif effect is Effect.PACKET_ON or effect is Effect.PACKET_OFF:
-            packet_on = effect is Effect.PACKET_ON
-        if event is step_event:
-            step_index = index
-        time_ns = (key >> 1) + frac_ns if key & 1 else key >> 1
-        events.append((time_ns, effect, levels[2 * lo_on + packet_on],
-                       effect is Effect.PACKET_ON and not lo_on, lo_change))
+        elif effect is _PACKET_ON or effect is _PACKET_OFF:
+            packet_on = effect is _PACKET_ON
+        # floor + frac_ns as one Fraction already in lowest terms
+        events.append((Fraction((key >> 1) * q + p, q) if key & 1 else key >> 1, effect,
+                       levels[2 * lo_on + packet_on], effect is _PACKET_ON and not lo_on,
+                       lo_change))
+    step_index = next((i for i, event in enumerate(pending) if event is step_event), -1)
     return LoopTimeline(events, levels[2 * lo_on_at_start], trigger_ns, step_index)
 
 
@@ -164,7 +159,7 @@ def find_step(timeline: LoopTimeline) -> LoStep:
     if index < 0:
         raise MeasurementError(NO_STEP_COMMAND.format(trigger_ns))
     _, effect, level, _, lo_change = timeline.events[index]
-    rising = effect is Effect.LO_POWERED_UP
+    rising = effect is _UP
     if not lo_change:
         raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
     end_ns = next((event[0] for event in timeline.events[index + 1:] if event[4]), None)
@@ -187,8 +182,8 @@ def sample_trace(
     interval_ns: int = 50,
     settling_tau_ns: float = 0.0,
 ) -> LoopTrace:
-    """Sample an expanded schedule onto a uniform grid over `window`, one
-    sample at a time, as `sim.sample_trace` does.
+    """Sample an expanded schedule onto a uniform grid over `window`, the
+    samples between two events at a time, as `sim.sample_trace` does.
 
     With settling, the value at each level change at time c relaxes
     toward the level before it, and a sample at t after it is
@@ -198,35 +193,36 @@ def sample_trace(
     start_ns, end_ns = window
     check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns)
     events = timeline.events
-    # an event at time e is seen by the samples at or after ceil(e)
-    ceilings = [math.ceil(event[0]) for event in events]
     # exact times over the frame's denominator, as integers
     den = max((event[0].denominator for event in events), default=1)
-    tau = settling_tau_ns
+    origin, step, tau, exp = start_ns * den, interval_ns * den, settling_tau_ns, math.exp
+    n = (end_ns - start_ns) // interval_ns + 1
     samples = []
-    index = 0
     level = timeline.initial_dbr
     change = None  # the last level change's scaled time
     value_at_change = level
-    for k in range((end_ns - start_ns) // interval_ns + 1):
-        t = start_ns + k * interval_ns
-        while index < len(events) and ceilings[index] <= t:
-            time_ns, _, new_level, _, _ = events[index]
-            if tau > 0 and new_level != level:
-                scaled = time_ns.numerator * (den // time_ns.denominator)
-                if change is not None:
-                    dt = (scaled - change) / den  # int / int rounds once, like float()
-                    value_at_change = level + (value_at_change - level) * math.exp(-dt / tau)
-                else:
-                    value_at_change = level
-                change = scaled
-            level = new_level
-            index += 1
-        if change is None:
-            samples.append(level)
-        else:
-            decay = math.exp(-((t * den - change) / den) / tau)
-            samples.append(level + (value_at_change - level) * decay)
+    # fill the samples up to the first one at or after each event; a
+    # sentinel event past the window fills the rest
+    for time_ns, _, new_level, _, _ in [*events, (end_ns + interval_ns, None, None, None, None)]:
+        scaled = time_ns.numerator * (den // time_ns.denominator)
+        first = min(n, (scaled - origin - 1) // step + 1)
+        if first > len(samples):
+            if change is None:  # one object per stretch
+                samples += [level] * (first - len(samples))
+            else:
+                gap, since = value_at_change - level, origin - change
+                for u in range(since + len(samples) * step, since + first * step, step):
+                    samples.append(level + gap * exp(-(u / den) / tau))  # u = t * den - change
+        if first == n:  # no sample sees this event or any later one
+            break
+        if tau > 0 and new_level != level:
+            if change is not None:
+                dt = (scaled - change) / den  # int / int rounds once, like float()
+                value_at_change = level + (value_at_change - level) * exp(-dt / tau)
+            else:
+                value_at_change = level
+            change = scaled
+        level = new_level
     return LoopTrace(start_ns, interval_ns, samples)
 
 
@@ -260,23 +256,33 @@ def render_blocks(trace: LoopTrace, fmt: str):
     if fmt not in ("csv", "table", "json"):
         raise ValueError(f"unknown trace format {fmt!r}")
     start, interval = trace.start_ns, trace.interval_ns
-    times = [cell_text((start + k * interval) / 1000.0, fmt) for k in range(len(trace.samples))]
-    powers = []
+    # a time of t >= 0 ns off a tie is (t + 5) // 10 hundredths of a
+    # microsecond (see params.cell_text), written from a table of the last
+    # two digits; negative times and ties take cell_text itself
+    cents = [f"{k:02d}" for k in range(100)]
+    if fmt == "json":  # repr drops a trailing zero: 2.5, 3.0
+        cents[::10] = "0123456789"
+    times = [cell_text(t / 1000.0, fmt) if t < 0 or t % 10 == 5
+             else f"{(t + 5) // 1000}.{cents[(t + 5) % 1000 // 10]}"
+             for t in range(start, start + len(trace.samples) * interval, interval)]
+    # a text per run of one object, and per distinct value but zero: 0.0
+    # and -0.0 are equal keys of different texts (a NaN finds only itself)
+    powers, texts = [], {}
     last = text = None
     for value in trace.samples:
-        if value is not last:  # a run of one level is one object
-            last, text = value, cell_text(value, fmt)
+        if value is not last:
+            last, text = value, texts.get(value) if value else None
+            if text is None:
+                text = texts[value] = cell_text(value, fmt)
         powers.append(text)
-    if fmt == "csv":
-        text = "time_us,power_db\n" + "".join(f"{t},{p}\n" for t, p in zip(times, powers))
-    elif fmt == "table":
-        width = max([len("time_us"), *map(len, times)])
-        text = "".join(f"{t.ljust(width)}  {p}\n" for t, p in zip(["time_us", *times],
-                                                                  ["power_db", *powers]))
-    elif not times:
-        text = "[]\n"
-    else:
-        rows = ",\n".join(f'  {{\n    "time_us": {t},\n    "power_db": {p}\n  }}'
-                          for t, p in zip(times, powers))
-        text = f"[\n{rows}\n]\n"
+    if fmt == "json":
+        rows = map(',\n    "power_db": '.join, zip(times, powers))
+        text = '[\n  {\n    "time_us": ' + '\n  },\n  {\n    "time_us": '.join(rows) + "\n  }\n]\n"
+        text = text if times else "[]\n"
+    else:  # with the header as the first row
+        times.insert(0, "time_us")
+        if fmt == "table":
+            times = list(map(str.ljust, times, repeat(max(map(len, times)))))
+        rows = map(("," if fmt == "csv" else "  ").join, zip(times, ["power_db", *powers]))
+        text = "\n".join(rows) + "\n"
     yield text.encode("ascii")

@@ -16,7 +16,6 @@ import functools
 import math
 import operator
 import types
-import typing
 from array import array
 from enum import Enum
 from fractions import Fraction
@@ -193,7 +192,7 @@ def _finite(name: str, value, where: str = "") -> None:
 def _enum_names(kind) -> str | None:
     """How a message names an Enum type or an Enum | None union ("Band",
     "Band or None"); None for any other type."""
-    members = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+    members = kind.__args__ if isinstance(kind, types.UnionType) else (kind,)
     names = ["None" if m is types.NoneType else m.__name__ for m in members
              if m is types.NoneType or isinstance(m, type) and issubclass(m, Enum)]
     return " or ".join(names) if len(names) == len(members) else None
@@ -429,7 +428,17 @@ def trace_levels(rf: RfModelParams, band: Band) -> tuple:
 def cell_text(value: float, fmt: str) -> str:
     """One trace cell, a time (us) or a power (dB), as csv, table or json
     text: f"{v:.2f}" with -0.00 written as 0.00, f"{round(v, 2):.2f}" and
-    repr(round(v, 2)), json.dumps only for Infinity and NaN."""
+    repr(round(v, 2)), json.dumps only for Infinity and NaN.
+
+    Both trace pipelines write most time cells from integers by one fact:
+    for an integer t with |t| < 2**53 and t % 10 != 5, the cell of
+    t / 1000.0 us is that of (t + 5) // 10 hundredths. t / 1000 lies at
+    least 0.001 from a two-decimal tie, and the float quotient, below
+    2**44 us, within half an ulp (at most 2**-10) of it, so each text
+    rounds it as it rounds the exact quotient. At a tie (t % 10 == 5)
+    each text rounds the float quotient, which may lie on either side of
+    it, and a cell in (-0.005, 0) us takes a sign that differs by
+    format."""
     if fmt != "json":
         text = f"{round(value, 2) if fmt == 'table' else value:.2f}"
         return "0.00" if fmt == "csv" and text == "-0.00" else text

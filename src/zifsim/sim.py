@@ -436,10 +436,11 @@ def _decimal_field(hundredths, negative, fmt):
 
 def _time_field(times_ns, fmt):
     """The time column in microseconds, as a byte matrix. t / 1000 rounds
-    to (t + 5) // 10 hundredths unless t % 10 == 5; then q = fl(t / 1000)
-    rounds as its text does, up, down or to even as q * 1000 - t is above,
-    below or at 0. A Veltkamp split of q into 26-bit halves makes that sign
-    exact: each half times 1000 is exact, and (Sterbenz) so is high's minus t."""
+    to (t + 5) // 10 hundredths unless t % 10 == 5 (`params.cell_text`
+    says why); then q = fl(t / 1000) rounds as its text does, up, down or
+    to even as q * 1000 - t is above, below or at 0. A Veltkamp split of q
+    into 26-bit halves makes that sign exact: each half times 1000 is
+    exact, and (Sterbenz) so is high's minus t."""
     hundredths = (times_ns + 5) // 10
     ties = np.flatnonzero(10 * hundredths == times_ns + 5)
     q = times_ns[ties] / 1000.0

@@ -14,8 +14,9 @@ attribute, so a `noise` call holds `sim` but never runs it. The probe tells
 a module that ran from one only registered by its type, which reads no
 attribute. No path loads `dataclasses`, and the numpy-free ones load no
 `inspect` either: the value types build on `params.Record`, which
-generates no code. Each case runs in a fresh interpreter, since a module
-once imported stays in `sys.modules`.
+generates no code. Nor do they load `typing`, which a child without
+`site` (`python -S`) shows. Each case runs in a fresh interpreter, since
+a module once imported stays in `sys.modules`.
 """
 
 import ast
@@ -68,11 +69,12 @@ print(repr([code, [m for m in watched if m in sys.modules],
 """
 
 
-def run_python(*args) -> str:
-    """Stdout of `python -c ARGS` in a fresh interpreter that finds zifsim."""
+def run_python(*args, flags=()) -> str:
+    """Stdout of `python FLAGS -c ARGS` in a fresh interpreter that finds
+    zifsim."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", *args], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
     )
     return result.stdout
@@ -96,11 +98,11 @@ def write_configs(tmp_path):
     return files
 
 
-def probe(argv, watched=WATCHED):
+def probe(argv, watched=WATCHED, flags=()):
     """(exit code, the watched modules loaded, every zifsim.* module loaded,
     every zifsim.* module that ran, freeze count at exit, collector enabled
     at exit)"""
-    return tuple(ast.literal_eval(run_python(PROBE, repr(argv), repr(watched))))
+    return tuple(ast.literal_eval(run_python(PROBE, repr(argv), repr(watched), flags=flags)))
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -162,6 +164,20 @@ def test_exact_subcommands_start_without_numpy(tmp_path, argv):
     code, loaded, *_ = probe(argv, WATCHED + CODEGEN)
     assert code == (None if argv is None else 0)
     assert loaded == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["turnaround", "--all"],
+    ["comply"],
+    ["config", "--dump"],
+    ["-c", "{config}", "config", "--dump"],
+    ["trace"],
+])
+def test_numpy_free_subcommands_load_no_typing(tmp_path, argv):
+    # in a child without `site` (python -S), as a host whose start-up
+    # imports nothing sees them: no zifsim module imports `typing`
+    argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
+    assert probe(argv, ["typing"], flags=["-S"])[:2] == (0, [])
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -362,11 +362,36 @@ def timeline_at(times, levels, initial_dbr=0.0):
     ((-500, -200, 100), (10.0, 0.0, 20.0), (0, 400), 25, 80.0),  # settling from before
     ((Fraction(-1199, 3), Fraction(1, 3), Fraction(604, 3)), (30.0, 0.0, 30.0), (3, 350), 7,
      40.0),
+    ((100, 500, 700), (10.0, 20.0, 0.0), (0, 400), 50, 1.0),  # settling, changes after it
 ])
 def test_grid_edges_sample_like_the_loop(times, levels, window, interval, tau):
     timeline = timeline_at(times, levels, initial_dbr=-1.5)
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
     assert bits(trace.samples.tolist()) == bits(loop_samples(timeline, window, interval, tau))
+
+
+def test_settled_runs_reach_their_level_or_decay_toward_zero():
+    # toward 30 dB the settled samples round to the level itself within the
+    # stretch and stay there; toward 0 dBr they shrink at every sample
+    timeline = timeline_at((0, 2000), (30.0, 0.0), initial_dbr=-1.5)
+    trace = sample_trace(timeline, (-100, 4000), interval_ns=50, settling_tau_ns=10.0)
+    loop = loop_samples(timeline, (-100, 4000), 50, 10.0)
+    assert bits(trace.samples.tolist()) == bits(loop)
+    rising, falling = loop[2:42], loop[42:]  # from 0 ns and from 2000 ns
+    reached = rising.index(30.0)
+    assert 0 < reached and rising[reached:] == [30.0] * (len(rising) - reached)
+    assert all(0 < later < value for value, later in zip(falling, falling[1:]))
+
+
+@pytest.mark.parametrize("start", [2**53 - 605, -(2**53) + 5])
+def test_settled_ties_at_the_time_limits_render_like_the_loop(start):
+    # every row of a 10 ns grid from a tie is a tie, next to +/-2**53 ns
+    timeline = timeline_at((start + 100, start + 300), (30.0, 0.0), initial_dbr=-1.5)
+    trace = sample_trace(timeline, (start, start + 590), interval_ns=10, settling_tau_ns=40.0)
+    assert bits(trace.samples.tolist()) == bits(loop_samples(timeline, (start, start + 590), 10,
+                                                             40.0))
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
 
 
 @PROFILE
@@ -385,6 +410,7 @@ def test_renderings_of_sampled_traces_equal_the_loop(case):
 @example(PowerTrace(-(2**53) + 7, 10, [0.0] * 60))  # on every row, from the limits
 @example(PowerTrace(2**53 - 7 - 59 * 10, 10, [0.0] * 60))
 @example(PowerTrace(-1875, 250, [0.0] * 60))  # quotients exactly on the tie, to even
+@example(PowerTrace(-12, 1, [30.0] * 25))  # across zero at 1 ns: ties and -0.00 cells
 def test_renderings_equal_the_loop(trace):
     for fmt in FORMATS:
         assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
@@ -427,6 +453,20 @@ def test_renderings_of_negative_zero_cells():
     assert streamed_text(trace, "csv").splitlines()[1] == "0.00,0.00"
     assert streamed_text(trace, "table").splitlines()[1] == "-0.00    -0.00"
     assert '"power_db": -0.0' in streamed_text(trace, "json")
+
+
+def test_renderings_of_equal_values_held_as_distinct_objects():
+    # tolist() gives each sample its own float object, so the loop renderer
+    # meets 0.0, -0.0 and NaN again outside a run: the equal zeros keep
+    # their own texts and each NaN its text
+    trace = PowerTrace(-3, 1, [0.0, -0.0, 0.0, -0.0, math.nan, math.nan, 2.5, -0.0, 0.0])
+    samples = trace.samples.tolist()
+    assert len({id(value) for value in samples}) == len(samples)
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+    assert [row.split()[1] for row in loop_text(trace, "table").splitlines()[1:]] == [
+        "0.00", "-0.00", "0.00", "-0.00", "nan", "nan", "2.50", "-0.00", "0.00"]
+    assert loop_text(trace, "json").count('"power_db": -0.0\n') == 3
 
 
 def test_renderings_of_an_empty_trace():
