@@ -10,7 +10,9 @@ so `zifsim trace` runs it below the sizes `cli` sets (`LOOP_ROWS`,
 
 The functions carry `sim`'s names and arguments. `expand_schedule` gives
 a `LoopTimeline` of event rows, `sample_trace` a `LoopTrace` of a list of
-samples, and `render_blocks` the whole text as one block.
+samples, and `render_blocks` the whole text as one block. An event's
+time is an integer key, as in `sim`'s columns, with the frame's fraction
+held once per timeline.
 """
 
 import math
@@ -43,6 +45,7 @@ from .params import (
     TimingProfile,
     cell_text,
     check_sampling,
+    event_time_ns,
     frame_duration_ns,
     trace_levels,
 )
@@ -55,19 +58,23 @@ _SPI_START, _SPI_END, _UP, _DOWN, _PACKET_ON, _PACKET_OFF = EFFECTS
 
 class LoopTimeline(Record):
     """An expanded schedule: the fields of a `sim.Timeline`, with the
-    events as rows in time order. A row is (time_ns, effect,
-    power_after_dbr, warned, lo_change): the exact time (int or
-    Fraction), the Effect, the power after the event, whether it carries
-    PACKET_WARNING and whether it changes the LO state."""
+    events as rows in time order. A row is (key, effect, power_after_dbr,
+    warned, lo_change): the integer key 2 * floor_ns + plus_frac of the
+    event's time, the Effect, the power after the event, whether it
+    carries PACKET_WARNING and whether it changes the LO state. The
+    frame's fraction `frac_ns` is held once; `params.event_time_ns` makes
+    the exact time of a key."""
 
     events: list
+    frac_ns: int | Fraction = 0
     initial_dbr: float = 0.0
     trigger_ns: int | None = None
     step_index: int = -1
 
     def warning_times(self) -> list:
         """The exact times of the events that carry PACKET_WARNING."""
-        return [event[0] for event in self.events if event[3]]
+        return [event_time_ns(key >> 1, key & 1, self.frac_ns)
+                for key, _, _, warned, _ in self.events if warned]
 
 
 def expand_schedule(
@@ -92,7 +99,7 @@ def expand_schedule(
     frame_ns = frame_duration_ns(clocks)
     frame_floor, frame_ceil = math.floor(frame_ns), math.ceil(frame_ns)
     frac_ns = frame_ns - frame_floor
-    plus, p, q = (1 if frac_ns else 0), frac_ns.numerator, frac_ns.denominator
+    plus = 1 if frac_ns else 0
     delays = {_LO_ON: (frame_floor + profile.lo_div_powerup_ns, _UP),
               _LO_OFF: (frame_floor + profile.lo_div_powerdown_ns, _DOWN)}
     # (2 * floor + plus_frac, effect) per event: the key orders the exact
@@ -142,12 +149,10 @@ def expand_schedule(
             lo_change, lo_on = on != lo_on, on
         elif effect is _PACKET_ON or effect is _PACKET_OFF:
             packet_on = effect is _PACKET_ON
-        # floor + frac_ns as one Fraction already in lowest terms
-        events.append((Fraction((key >> 1) * q + p, q) if key & 1 else key >> 1, effect,
-                       levels[2 * lo_on + packet_on], effect is _PACKET_ON and not lo_on,
-                       lo_change))
+        events.append((key, effect, levels[2 * lo_on + packet_on],
+                       effect is _PACKET_ON and not lo_on, lo_change))
     step_index = next((i for i, event in enumerate(pending) if event is step_event), -1)
-    return LoopTimeline(events, levels[2 * lo_on_at_start], trigger_ns, step_index)
+    return LoopTimeline(events, frac_ns, levels[2 * lo_on_at_start], trigger_ns, step_index)
 
 
 def find_step(timeline: LoopTimeline) -> LoStep:
@@ -162,7 +167,8 @@ def find_step(timeline: LoopTimeline) -> LoStep:
     rising = effect is _UP
     if not lo_change:
         raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
-    end_ns = next((event[0] for event in timeline.events[index + 1:] if event[4]), None)
+    end = next((event[0] for event in timeline.events[index + 1:] if event[4]), None)
+    end_ns = None if end is None else event_time_ns(end >> 1, end & 1, timeline.frac_ns)
     direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
     return LoStep(trigger_ns, direction, level, end_ns)
 
@@ -193,19 +199,32 @@ def sample_trace(
     start_ns, end_ns = window
     check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns)
     events = timeline.events
-    # exact times over the frame's denominator, as integers
-    den = max((event[0].denominator for event in events), default=1)
-    origin, step, tau, exp = start_ns * den, interval_ns * den, settling_tau_ns, math.exp
     n = (end_ns - start_ns) // interval_ns + 1
     samples = []
     level = timeline.initial_dbr
+    # sample k sees an event once start_ns + k * interval_ns reaches the
+    # event's ceiling, (key + 1) >> 1: fill the samples up to the first
+    # one at or after each event, a stretch of one level at a time
+    if not settling_tau_ns:
+        filled = 0
+        for key, _, new_level, _, _ in events:
+            first = ((key + 1 >> 1) - start_ns - 1) // interval_ns + 1
+            if first > filled:
+                if first >= n:  # no sample sees this event or any later one
+                    break
+                samples += [level] * (first - filled)
+                filled = first
+            level = new_level
+        samples += [level] * (n - filled)
+        return LoopTrace(start_ns, interval_ns, samples)
+    # exact times over the frame's denominator, as integers
+    p, den = timeline.frac_ns.numerator, timeline.frac_ns.denominator
+    origin, step, tau, exp = start_ns * den, interval_ns * den, settling_tau_ns, math.exp
     change = None  # the last level change's scaled time
     value_at_change = level
-    # fill the samples up to the first one at or after each event; a
-    # sentinel event past the window fills the rest
-    for time_ns, _, new_level, _, _ in [*events, (end_ns + interval_ns, None, None, None, None)]:
-        scaled = time_ns.numerator * (den // time_ns.denominator)
-        first = min(n, (scaled - origin - 1) // step + 1)
+    # a sentinel event past the window fills the rest
+    for key, _, new_level, _, _ in [*events, (2 * (end_ns + interval_ns), None, None, None, None)]:
+        first = min(n, ((key + 1 >> 1) - start_ns - 1) // interval_ns + 1)
         if first > len(samples):
             if change is None:  # one object per stretch
                 samples += [level] * (first - len(samples))
@@ -215,7 +234,8 @@ def sample_trace(
                     samples.append(level + gap * exp(-(u / den) / tau))  # u = t * den - change
         if first == n:  # no sample sees this event or any later one
             break
-        if tau > 0 and new_level != level:
+        if new_level != level:
+            scaled = (key >> 1) * den + (key & 1) * p
             if change is not None:
                 dt = (scaled - change) / den  # int / int rounds once, like float()
                 value_at_change = level + (value_at_change - level) * exp(-dt / tau)
@@ -255,16 +275,30 @@ def render_blocks(trace: LoopTrace, fmt: str):
     in one block."""
     if fmt not in ("csv", "table", "json"):
         raise ValueError(f"unknown trace format {fmt!r}")
-    start, interval = trace.start_ns, trace.interval_ns
+    start, interval, count = trace.start_ns, trace.interval_ns, len(trace.samples)
     # a time of t >= 0 ns off a tie is (t + 5) // 10 hundredths of a
     # microsecond (see params.cell_text), written from a table of the last
     # two digits; negative times and ties take cell_text itself
     cents = [f"{k:02d}" for k in range(100)]
     if fmt == "json":  # repr drops a trailing zero: 2.5, 3.0
         cents[::10] = "0123456789"
-    times = [cell_text(t / 1000.0, fmt) if t < 0 or t % 10 == 5
-             else f"{(t + 5) // 1000}.{cents[(t + 5) % 1000 // 10]}"
-             for t in range(start, start + len(trace.samples) * interval, interval)]
+    if interval % 10 or 1000 % interval or start % 10 == 5:
+        times = [cell_text(t / 1000.0, fmt) if t < 0 or t % 10 == 5
+                 else f"{(t + 5) // 1000}.{cents[(t + 5) % 1000 // 10]}"
+                 for t in range(start, start + count * interval, interval)]
+    else:  # no tie, and hundredths that step by a divisor of 100: every
+        # microsecond u >= 0 holds the same two-digit suffixes
+        neg = min(count, max(0, -(start // interval)))  # the rows before 0 ns
+        times = [cell_text(t / 1000.0, fmt) for t in range(start, start + neg * interval, interval)]
+        if neg < count:
+            low, high = (start + neg * interval + 5) // 10, (start + (count - 1) * interval + 5) // 10
+            step = interval // 10
+            every = cents[low % step::step]
+            for u in range(low // 100, high // 100 + 1):
+                times.extend(map(f"{u}.".__add__, every))
+            # cut the first and the last microsecond to the window
+            del times[len(times) - (99 - high % 100) // step:]
+            del times[neg:neg + low % 100 // step]
     # a text per run of one object, and per distinct value but zero: 0.0
     # and -0.0 are equal keys of different texts (a NaN finds only itself)
     powers, texts = [], {}

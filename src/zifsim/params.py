@@ -53,6 +53,12 @@ def frame_duration_ns(clocks: "ClockConfig") -> int | Fraction:
     return cycles_to_ns(FRAME_BITS, clocks.spi_clock_hz)
 
 
+def event_time_ns(floor_ns: int, plus_frac, frac_ns) -> int | Fraction:
+    """The exact time of an event stored as its floor and whether it adds
+    the SPI frame's fractional part `frac_ns` (see `sim.Timeline`)."""
+    return floor_ns + frac_ns if plus_frac else floor_ns
+
+
 def ns_value(duration) -> int | float:
     """Collapse an exact duration to an int when integral, else a float.
 

@@ -41,6 +41,7 @@ from .params import (
     TimingProfile,
     cell_text,
     check_sampling,
+    event_time_ns,
     frame_duration_ns,
     trace_levels,
 )
@@ -89,13 +90,10 @@ class Timeline(Record):
         """The event times rounded up to whole ns, as int64."""
         return self.floor_ns + self.plus_frac
 
-    def time_ns(self, index) -> int | Fraction:
-        """The exact time of event `index`."""
-        return int(self.floor_ns[index]) + (self.frac_ns if self.plus_frac[index] else 0)
-
     def warning_times(self) -> list:
         """The exact times of the events that carry PACKET_WARNING."""
-        return [self.time_ns(index) for index in np.flatnonzero(self.warned).tolist()]
+        return [event_time_ns(floor, plus, self.frac_ns) for floor, plus
+                in zip(self.floor_ns[self.warned].tolist(), self.plus_frac[self.warned].tolist())]
 
 
 def _validate_schedule(times, kinds):
@@ -234,8 +232,9 @@ def find_step(timeline: Timeline) -> LoStep:
     rising = timeline.effect[index] == _LO_UP
     if not timeline.lo_change[index]:
         raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
-    changes = np.flatnonzero(timeline.lo_change[index + 1:])
-    end_ns = timeline.time_ns(index + 1 + int(changes[0])) if changes.size else None
+    changes = index + 1 + np.flatnonzero(timeline.lo_change[index + 1:])
+    end_ns = (event_time_ns(int(timeline.floor_ns[changes[0]]), timeline.plus_frac[changes[0]],
+                            timeline.frac_ns) if changes.size else None)
     direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
     return LoStep(trigger_ns, direction, float(timeline.power_after_dbr[index]), end_ns)
 

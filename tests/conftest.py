@@ -12,7 +12,7 @@ import pytest
 
 from zifsim import ClockConfig, RfModelParams, TimingProfile
 from zifsim.looptrace import LoopTimeline
-from zifsim.params import EFFECTS, PACKET_WARNING
+from zifsim.params import EFFECTS, PACKET_WARNING, event_time_ns
 
 
 @pytest.fixture
@@ -31,19 +31,28 @@ def rf():
 
 
 def loop_timeline(timeline):
-    """A Timeline as the loop pipeline's LoopTimeline: a (time_ns, effect,
-    power_after_dbr, warned, lo_change) row per event."""
-    columns = zip(timeline.effect.tolist(), timeline.power_after_dbr.tolist(),
+    """A Timeline as the loop pipeline's LoopTimeline: a (key, effect,
+    power_after_dbr, warned, lo_change) row per event, the key
+    2 * floor_ns + plus_frac, and the frame's fraction held once."""
+    columns = zip((2 * timeline.floor_ns + timeline.plus_frac).tolist(),
+                  timeline.effect.tolist(), timeline.power_after_dbr.tolist(),
                   timeline.warned.tolist(), timeline.lo_change.tolist())
-    rows = [(timeline.time_ns(i), EFFECTS[code], power, warned, lo_change)
-            for i, (code, power, warned, lo_change) in enumerate(columns)]
-    return LoopTimeline(rows, timeline.initial_dbr, timeline.trigger_ns, timeline.step_index)
+    rows = [(key, EFFECTS[code], power, warned, lo_change)
+            for key, code, power, warned, lo_change in columns]
+    return LoopTimeline(rows, timeline.frac_ns, timeline.initial_dbr, timeline.trigger_ns,
+                        timeline.step_index)
+
+
+def exact_times(timeline):
+    """A LoopTimeline's event times, exact (int or Fraction)."""
+    return [event_time_ns(key >> 1, key & 1, timeline.frac_ns) for key, *_ in timeline.events]
 
 
 def event_rows(timeline):
     """A Timeline's events as (time_ns, effect, power_after_dbr, warning) tuples."""
+    loop = loop_timeline(timeline)
     return [(time_ns, effect, power, PACKET_WARNING if warned else None)
-            for time_ns, effect, power, warned, _ in loop_timeline(timeline).events]
+            for time_ns, (_, effect, power, warned, _) in zip(exact_times(loop), loop.events)]
 
 
 def brute_force_keep_mask(series, threshold_db, guard):

@@ -358,7 +358,7 @@ def test_find_step_takes_the_level_of_the_commands_own_divider_event(clocks):
     schedule = [(0, CommandKind.LO_ON), (1000, CommandKind.LO_ON),
                 (2500, CommandKind.TRIGGER), (2500, CommandKind.LO_OFF)]
     timeline = _expand(schedule, clocks, profile)
-    assert timeline.time_ns(timeline.step_index) == 3000
+    assert event_rows(timeline)[timeline.step_index][0] == 3000
     step = find_step(timeline)
     assert step == LoStep(2500, Direction.TX_TO_RX, 0.0, 3480)
     trace = sample_trace(timeline, (0, 5000), interval_ns=50)

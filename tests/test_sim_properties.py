@@ -44,10 +44,10 @@ from zifsim import (
     turnaround_budget,
 )
 from zifsim import looptrace
-from zifsim.params import cell_text
+from zifsim.params import cell_text, event_time_ns
 from zifsim.sim import Timeline, _power_field, render_blocks
 
-from conftest import loop_timeline
+from conftest import exact_times, loop_timeline
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -178,10 +178,17 @@ def expansion_or_error(expand, commands, clocks, profile):
 
 
 def exact(timeline):
-    """A LoopTimeline's fields with the type of each event time and the
-    bits of each level."""
-    return ([(e, type(e[0]), bits([e[2]])) for e in timeline.events],
-            bits([timeline.initial_dbr]), timeline.trigger_ns, timeline.step_index)
+    """A LoopTimeline's fields with the exact time of each event, its type
+    and the bits of each level."""
+    return ([(e, t, type(t), bits([e[2]])) for e, t in zip(timeline.events, exact_times(timeline))],
+            timeline.frac_ns, bits([timeline.initial_dbr]), timeline.trigger_ns,
+            timeline.step_index)
+
+
+def array_times(timeline):
+    """A Timeline's event times, exact, from its columns."""
+    return [event_time_ns(floor, plus, timeline.frac_ns)
+            for floor, plus in zip(timeline.floor_ns.tolist(), timeline.plus_frac.tolist())]
 
 
 @st.composite
@@ -253,6 +260,42 @@ def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
     loop = looptrace.expand_schedule(schedule, clocks, profile, band=band, rf=rf)
     assert exact(loop_timeline(timeline)) == exact(loop)
     assert len(timeline) == len(loop.events)
+    times = array_times(timeline)
+    assert [(t, type(t)) for t in times] == [(t, type(t)) for t in exact_times(loop)]
+    assert loop.warning_times() == timeline.warning_times() == [
+        t for t, (*_, warned, _) in zip(times, loop.events) if warned]
+
+
+@PROFILE
+@given(st.sampled_from(SPI_CLOCKS) | st.integers(1_000_000, 50_000_000),
+       st.integers(0, 3000), st.integers(0, 3000),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 2000)), max_size=8))
+def test_event_keys_order_the_exact_times(spi_hz, up, down, writes):
+    # LO writes a frame or more apart, and a packet at each write: every
+    # key is 2 * floor + plus, its time floor (+ frac_ns) exactly, and the
+    # keys order the times as the exact arithmetic does
+    clocks = ClockConfig(spi_clock_hz=spi_hz)
+    profile = TimingProfile(lo_div_powerup_ns=up, lo_div_powerdown_ns=down)
+    frame = frame_duration_ns(clocks)
+    commands, expected, t = [], [], 7
+    for on, gap in writes:
+        commands += [Command(t, CommandKind.LO_ON if on else CommandKind.LO_OFF),
+                     Command(t, CommandKind.TX_PACKET_START),
+                     Command(t + gap, CommandKind.TX_PACKET_END)]
+        expected += [t, t + frame, t + frame + (up if on else down), t, t + gap]
+        t += gap + math.ceil(frame)
+    loop = looptrace.expand_schedule(Schedule.from_commands(commands), clocks, profile)
+    frac = Fraction(frame) - math.floor(frame)
+    assert loop.frac_ns == frac and type(loop.frac_ns) is (Fraction if frac else int)
+    keys, times = [event[0] for event in loop.events], exact_times(loop)
+    for key, time in zip(keys, times):
+        assert time == Fraction(key >> 1) + (frac if key & 1 else 0)
+        assert type(time) is (Fraction if key & 1 else int)
+        assert (key >> 1, (key + 1) >> 1) == (math.floor(time), math.ceil(time))
+    assert sorted(times) == sorted(expected)
+    assert times == sorted(times)
+    assert all((a < b) == (s < u) and (a == b) == (s == u)
+               for (a, s), (b, u) in zip(zip(keys, times), zip(keys[1:], times[1:])))
 
 
 @PROFILE
@@ -294,9 +337,16 @@ def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_dow
     profile = TimingProfile(lo_div_powerup_ns=profile.lo_div_powerup_ns + more_up,
                             lo_div_powerdown_ns=profile.lo_div_powerdown_ns + more_down)
     schedule = Schedule.from_commands(commands)
-    assert (step_or_error(find_step, expand_schedule(schedule, clocks, profile))
-            == step_or_error(looptrace.find_step,
-                             looptrace.expand_schedule(schedule, clocks, profile)))
+    timeline = expand_schedule(schedule, clocks, profile)
+    loop = looptrace.expand_schedule(schedule, clocks, profile)
+    step = step_or_error(find_step, timeline)
+    assert step == step_or_error(looptrace.find_step, loop)
+    if not isinstance(step, str) and step.end_ns is not None:
+        # the end is the exact time of the next LO state change
+        end = next(i for i in range(timeline.step_index + 1, len(timeline))
+                   if timeline.lo_change[i])
+        assert (step.end_ns, type(step.end_ns)) == (array_times(timeline)[end],
+                                                    type(exact_times(loop)[end]))
 
 
 def step_or_error(find, timeline):
@@ -412,6 +462,32 @@ def test_renderings_of_sampled_traces_equal_the_loop(case):
 @example(PowerTrace(-1875, 250, [0.0] * 60))  # quotients exactly on the tie, to even
 @example(PowerTrace(-12, 1, [30.0] * 25))  # across zero at 1 ns: ties and -0.00 cells
 def test_renderings_equal_the_loop(trace):
+    for fmt in FORMATS:
+        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+
+
+@PROFILE
+@given(st.sampled_from((10, 20, 40, 50, 100, 200, 250, 500, 1000, 30, 125)), st.integers(0, 9),
+       st.integers(1, 400), st.integers(-3000, 3000) | st.sampled_from((-(2**53), 2**53)),
+       st.sampled_from((-0.0, 2.675, 30.0)))
+@example(10, 3, 450, 1230, 30.0)  # 1.23 to 5.72 us: a partial first and last microsecond
+@example(10, 3, 450, 1210, 30.0)  # 1.21 to 5.70 us
+@example(10, 5, 450, 1230, 30.0)  # every row a tie: the per-row texts
+@example(50, 0, 101, -2500, 30.0)  # the default window, across 0
+@example(250, 7, 40, -1000, 2.675)
+@example(1000, 9, 30, -4, 30.0)
+@example(30, 0, 100, -100, 30.0)  # grids that do not divide 1 us
+@example(125, 0, 100, 0, 30.0)
+@example(20, 1, 400, 2**53, -0.0)  # next to +2**53
+@example(40, 6, 400, -(2**53), -0.0)
+def test_renderings_by_the_microsecond_equal_the_loop(interval, residue, count, around, level):
+    # a grid that divides 1 us in steps of 10 ns, from a start off a tie,
+    # writes the time column a microsecond at a time, the first and last
+    # one cut to the window; a tie or any other grid takes the per-row texts
+    lowest, highest = -(2**53) + 10, 2**53 - 10 - (count - 1) * interval
+    start = min(max(around, lowest), highest)
+    start += (residue - start) % 10
+    trace = PowerTrace(start, interval, [level] * count)
     for fmt in FORMATS:
         assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
 
