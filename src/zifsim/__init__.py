@@ -52,7 +52,6 @@ _PUBLIC = {
     "params": (
         "Band",
         "ClockConfig",
-        "Command",
         "CommandKind",
         "Direction",
         "EnsmMode",

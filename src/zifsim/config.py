@@ -21,9 +21,9 @@ reads no config file and dumps none never compiles them.
 
 from .errors import ConfigError
 from .params import (
+    COMMAND_KINDS,
     Band,
     ClockConfig,
-    Command,
     CommandKind,
     Field,
     Record,
@@ -82,7 +82,7 @@ class RunConfig(Record, frozen=False):
     profile: TimingProfile = Field(factory=TimingProfile)
     rf: RfModelParams = Field(factory=RfModelParams)
     schedule: Schedule = Field(
-        factory=lambda: Schedule.from_commands([Command(0, CommandKind.LO_ON)])
+        factory=lambda: Schedule([0], [COMMAND_KINDS.index(CommandKind.LO_ON)])
     )
     trace: TraceSettings = Field(factory=TraceSettings)
     noise: NoiseSettings = Field(factory=NoiseSettings)

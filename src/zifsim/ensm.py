@@ -11,8 +11,6 @@ for example, a synthesizer calibration that must finish before PLL lock,
 DAC power-up, and data-path flushing start together.
 """
 
-from fractions import Fraction
-
 from .params import (
     ClockConfig,
     Direction,
@@ -29,7 +27,7 @@ class BudgetComponent(Record):
     """One named delay of a budget, in exact ns, and its stage index."""
 
     name: str
-    duration_ns: int | Fraction
+    duration_ns: "int | Fraction"
     stage: int
 
 
@@ -40,7 +38,7 @@ class TurnaroundBudget(Record):
     mode: EnsmMode
     direction: Direction
     components: tuple[BudgetComponent, ...]
-    total_ns: int | Fraction
+    total_ns: "int | Fraction"
 
 
 def _stage_total(components):

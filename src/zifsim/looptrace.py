@@ -16,7 +16,6 @@ held once per timeline.
 """
 
 import math
-from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
 
@@ -46,6 +45,7 @@ from .params import (
     cell_text,
     check_sampling,
     event_time_ns,
+    first_sample_at,
     frame_duration_ns,
     trace_levels,
 )
@@ -66,7 +66,7 @@ class LoopTimeline(Record):
     the exact time of a key."""
 
     events: list
-    frac_ns: int | Fraction = 0
+    frac_ns: "int | Fraction" = 0
     initial_dbr: float = 0.0
     trigger_ns: int | None = None
     step_index: int = -1
@@ -261,7 +261,7 @@ def measure_turnaround(trace: LoopTrace, step: LoStep):
         raise MeasurementError(NO_STEP.format(name))
     stop = n
     if step.end_ns is not None:  # samples before the next LO state change
-        stop = min(n, math.ceil(Fraction(step.end_ns - start) / interval))
+        stop = min(n, first_sample_at(step.end_ns, start, interval))
     midpoint = (pre_level + step.level_dbr) / 2.0
     for k in range(at_trigger + 1, stop):
         if samples[k] >= midpoint if rising else samples[k] <= midpoint:

@@ -7,8 +7,6 @@ here, ignoring PHY/MAC processing time that would eat into it on a real
 stack.
 """
 
-from fractions import Fraction
-
 from .ensm import sweep_budgets
 from .params import ClockConfig, EnsmMode, Record, TimingProfile, check_fields
 
@@ -39,9 +37,9 @@ class ComplianceResult(Record):
 
     mode: EnsmMode | None
     deadline: ProtocolDeadline
-    tt_ns: int | Fraction
+    tt_ns: "int | Fraction"
     passed: bool
-    margin_ns: int | Fraction
+    margin_ns: "int | Fraction"
 
 
 def check(tt_ns, deadline: ProtocolDeadline, mode: EnsmMode | None = None):

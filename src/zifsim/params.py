@@ -2,7 +2,10 @@
 
 All frequencies are integer hertz and all durations integer nanoseconds, so
 every derived duration is an exact rational number. Durations that come out
-integral are normalized to plain ints; everything else stays a Fraction.
+integral are plain ints, worked out in integer arithmetic; everything else
+is a Fraction. `fractions` is imported at the first non-integral duration,
+so a call at clocks that divide evenly never loads it, and the annotations
+that name `Fraction` are strings.
 
 The module imports no numpy: the budget, compliance and config paths build
 every setting from here without loading the array layers (`rf`, `sim`).
@@ -18,7 +21,6 @@ import operator
 import types
 from array import array
 from enum import Enum
-from fractions import Fraction
 
 NS_PER_S = 1_000_000_000
 
@@ -35,38 +37,47 @@ SPI_MAX_HZ = 50_000_000
 FRAME_BITS = 24
 
 
-def exact_ns(duration) -> int | Fraction:
+def exact_ns(duration) -> "int | Fraction":
     """An exact duration as a plain int when integral, else a Fraction."""
+    if isinstance(duration, int):
+        return int(duration)
+    from fractions import Fraction
+
     frac = Fraction(duration)
     return int(frac) if frac.denominator == 1 else frac
 
 
-def cycles_to_ns(cycles: int, clock_hz: int) -> int | Fraction:
+def cycles_to_ns(cycles: int, clock_hz: int) -> "int | Fraction":
     """Exact duration of `cycles` periods of a `clock_hz` clock, in ns."""
     if clock_hz <= 0:
         raise ValueError(f"clock_hz must be positive, got {clock_hz}")
-    return exact_ns(Fraction(cycles * NS_PER_S, clock_hz))
+    ns, rest = divmod(cycles * NS_PER_S, clock_hz)
+    if rest or type(ns) is not int:  # a fraction of a ns, or no plain ints
+        from fractions import Fraction
+
+        return exact_ns(Fraction(cycles * NS_PER_S, clock_hz))
+    return ns
 
 
-def frame_duration_ns(clocks: "ClockConfig") -> int | Fraction:
+def frame_duration_ns(clocks: "ClockConfig") -> "int | Fraction":
     """Wire time of one 24-bit frame at the configured SPI clock, exact ns."""
     return cycles_to_ns(FRAME_BITS, clocks.spi_clock_hz)
 
 
-def event_time_ns(floor_ns: int, plus_frac, frac_ns) -> int | Fraction:
+def event_time_ns(floor_ns: int, plus_frac, frac_ns) -> "int | Fraction":
     """The exact time of an event stored as its floor and whether it adds
     the SPI frame's fractional part `frac_ns` (see `sim.Timeline`)."""
     return floor_ns + frac_ns if plus_frac else floor_ns
 
 
-def ns_value(duration) -> int | float:
+def ns_value(duration) -> "int | float":
     """Collapse an exact duration to an int when integral, else a float.
 
     Used only at serialization boundaries (CSV/JSON); internal arithmetic
     stays rational.
     """
     value = exact_ns(duration)
-    return float(value) if isinstance(value, Fraction) else value
+    return value if isinstance(value, int) else float(value)
 
 
 class Field:
@@ -311,7 +322,6 @@ class CommandKind(Enum):
 
 # Column code of a command kind: its position in member order.
 COMMAND_KINDS = tuple(CommandKind)
-_KIND_CODES = {kind: code for code, kind in enumerate(COMMAND_KINDS)}
 _CODE_BYTES = bytes(range(len(COMMAND_KINDS)))
 
 
@@ -321,17 +331,6 @@ def check_command_time(time_ns: int) -> None:
         raise ValueError(f"command time must be non-negative, got {time_ns}")
     if time_ns >= TIME_LIMIT_NS:
         raise ValueError(f"command time must be below 2**53 ns, got {time_ns}")
-
-
-class Command(Record):
-    """One scheduled command: `kind` issued at `time_ns`."""
-
-    time_ns: int
-    kind: CommandKind
-
-    def __post_init__(self):
-        check_fields(self)
-        check_command_time(self.time_ns)
 
 
 def _column(values, typecode: str, name: str) -> array:
@@ -351,9 +350,8 @@ class Schedule:
     are copied into such arrays.
 
     Config text parses straight into the columns, with no object per
-    command; `from_commands` builds a Schedule from Command objects.
-    Not a Record: the Record fields of a RunConfig are its settings
-    sections.
+    command. Not a Record: the Record fields of a RunConfig are its
+    settings sections.
     """
 
     __slots__ = ("times_ns", "kinds")
@@ -380,12 +378,6 @@ class Schedule:
 
     def __repr__(self):
         return f"Schedule({self.times_ns!r}, {self.kinds!r})"
-
-    @classmethod
-    def from_commands(cls, commands) -> "Schedule":
-        """The schedule of Command objects, in their order."""
-        commands = list(commands)
-        return cls([cmd.time_ns for cmd in commands], [_KIND_CODES[cmd.kind] for cmd in commands])
 
     def __len__(self):
         """The number of commands."""
@@ -466,7 +458,15 @@ class LoStep(Record):
     trigger_ns: int
     direction: Direction
     level_dbr: float
-    end_ns: int | Fraction | None = None
+    end_ns: "int | Fraction | None" = None
+
+
+def first_sample_at(time_ns, start_ns: int, interval_ns: int) -> int:
+    """The index k of the first grid time start_ns + k * interval_ns at or
+    after the exact time `time_ns`, an int or a Fraction (k < 0 before
+    start_ns): ceil((time_ns - start_ns) / interval_ns), exact since
+    floor division of either by an int is."""
+    return -((start_ns - time_ns) // interval_ns)
 
 
 def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:

@@ -12,7 +12,6 @@ in `params`.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .params import (
     cell_text,
     check_sampling,
     event_time_ns,
+    first_sample_at,
     frame_duration_ns,
     trace_levels,
 )
@@ -75,7 +75,7 @@ class Timeline(Record):
     power_after_dbr: np.ndarray  # float64
     warned: np.ndarray  # bool
     lo_change: np.ndarray  # bool
-    frac_ns: int | Fraction = 0
+    frac_ns: "int | Fraction" = 0
     initial_dbr: float = 0.0
     trigger_ns: int | None = None
     step_index: int = -1
@@ -307,7 +307,7 @@ def _settle(targets, levels, timeline, seen, times, interval, tau):
     if not changes.size:
         return targets
     # change times over the frame's denominator, as exact integers
-    frac = Fraction(timeline.frac_ns)
+    frac = timeline.frac_ns  # an int or a Fraction
     den = frac.denominator
     floor_ns = timeline.floor_ns[changes]
     bound = (max(abs(int(times[0])), abs(int(times[-1]))) + int(floor_ns[-1]) + 1) * den
@@ -365,7 +365,7 @@ def measure_turnaround(trace: PowerTrace, step: LoStep):
         raise MeasurementError(NO_STEP.format(name))
     stop = n
     if step.end_ns is not None:  # samples before the next LO state change
-        stop = min(n, math.ceil(Fraction(step.end_ns - start) / interval))
+        stop = min(n, first_sample_at(step.end_ns, start, interval))
     window = trace.samples[at_trigger + 1:stop]
     midpoint = (pre_level + step.level_dbr) / 2.0
     crossed = np.flatnonzero(window >= midpoint if rising else window <= midpoint)

@@ -12,7 +12,17 @@ import pytest
 
 from zifsim import ClockConfig, RfModelParams, TimingProfile
 from zifsim.looptrace import LoopTimeline
-from zifsim.params import EFFECTS, PACKET_WARNING, event_time_ns
+from zifsim.params import (
+    COMMAND_KINDS,
+    EFFECTS,
+    PACKET_WARNING,
+    CommandKind,
+    Record,
+    Schedule,
+    check_command_time,
+    check_fields,
+    event_time_ns,
+)
 
 
 @pytest.fixture
@@ -28,6 +38,26 @@ def profile():
 @pytest.fixture
 def rf():
     return RfModelParams()
+
+
+class Command(Record):
+    """One scheduled command: `kind` issued at `time_ns`. The library keeps
+    a schedule as columns (`Schedule`), with no object per command; tests
+    write their schedules as lists of these."""
+
+    time_ns: int
+    kind: CommandKind
+
+    def __post_init__(self):
+        check_fields(self)
+        check_command_time(self.time_ns)
+
+
+def from_commands(commands) -> Schedule:
+    """The schedule of Command objects, in their order."""
+    commands = list(commands)
+    return Schedule([cmd.time_ns for cmd in commands],
+                    [COMMAND_KINDS.index(cmd.kind) for cmd in commands])
 
 
 def loop_timeline(timeline):

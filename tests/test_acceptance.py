@@ -17,13 +17,11 @@ from zifsim import (
     Band,
     BUILTIN_DEADLINES,
     ClockConfig,
-    Command,
     CommandKind,
     Direction,
     EnsmMode,
     IqCapture,
     RfModelParams,
-    Schedule,
     SpiFrame,
     TimingProfile,
     average_power_db,
@@ -45,7 +43,7 @@ from zifsim import (
 from zifsim.cli import main
 from zifsim.errors import FilterRefusedError
 
-from conftest import brute_force_keep_mask, make_burst_series
+from conftest import Command, brute_force_keep_mask, from_commands, make_burst_series
 
 
 _CAPTURE_MANAGER = None
@@ -115,7 +113,7 @@ def test_criterion_3_trace_pipeline():
         clocks, profile, rf = ClockConfig(), TimingProfile(), RfModelParams()
         window, interval = (-2500, 2500), 50
 
-        on = Schedule.from_commands([Command(0, CommandKind.LO_ON)])
+        on = from_commands([Command(0, CommandKind.LO_ON)])
         for band in Band:
             on_events = expand_schedule(on, clocks, profile, band=band, rf=rf)
             on_trace = sample_trace(on_events, window, interval_ns=interval)
@@ -127,7 +125,7 @@ def test_criterion_3_trace_pipeline():
             delta = on_trace.samples[-1] - on_trace.samples[0]
             assert delta == rf.lo_on_delta_db[band]
 
-        off = Schedule.from_commands([Command(0, CommandKind.LO_OFF)])
+        off = from_commands([Command(0, CommandKind.LO_OFF)])
         off_events = expand_schedule(off, clocks, profile, rf=rf)
         off_trace = sample_trace(off_events, window, interval_ns=interval)
         step = find_step(off_events)

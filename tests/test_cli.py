@@ -20,7 +20,7 @@ from zifsim import (
     sample_power_db,
     save_capture,
 )
-from zifsim import cli
+from zifsim import cli_trace
 from zifsim.cli import main
 
 from conftest import brute_force_keep_mask, make_burst_capture
@@ -731,7 +731,7 @@ def test_golden_traces_on_both_pipelines(capsys, monkeypatch, pipeline, name, co
                                          status):
     # the bound 0 sends every trace to the array pipeline
     if pipeline == "array":
-        monkeypatch.setattr(cli, "LOOP_ROWS", 0)
+        monkeypatch.setattr(cli_trace, "LOOP_ROWS", 0)
     argv = ["-c", str(GOLDEN / config)] if config else []
     code, out, err = run_cli(capsys, *argv, "trace", "--format", fmt)
     assert (code, err) == (0, status)

@@ -37,7 +37,7 @@ from zifsim import (
     parse_config,
     save_capture,
 )
-from zifsim import cli, looptrace, sim
+from zifsim import cli_trace, looptrace, sim
 from zifsim.cli import main
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -205,8 +205,8 @@ def traced_call(argv, rows_bound, commands_bound):
     """(exit code, stdout, stderr, --out bytes or None, the pipelines that
     ran) of `main(argv)` under the given bounds, in the current directory."""
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(cli, "LOOP_ROWS", rows_bound))
-        stack.enter_context(mock.patch.object(cli, "LOOP_COMMANDS", commands_bound))
+        stack.enter_context(mock.patch.object(cli_trace, "LOOP_ROWS", rows_bound))
+        stack.enter_context(mock.patch.object(cli_trace, "LOOP_COMMANDS", commands_bound))
         spies = {module: stack.enter_context(mock.patch.object(
             module, "expand_schedule", wraps=module.expand_schedule))
             for module in (looptrace, sim)}

@@ -6,7 +6,6 @@ import pytest
 
 from zifsim import (
     Band,
-    Command,
     CommandKind,
     ConfigError,
     NoiseSettings,
@@ -19,6 +18,8 @@ from zifsim import (
     load_config,
     parse_config,
 )
+
+from conftest import Command, from_commands
 
 
 def test_empty_text_gives_defaults():
@@ -101,7 +102,7 @@ def test_schedule_entries_replace_default():
     config = parse_config(
         "schedule.1 = lo-off @ 5000\nschedule.0 = lo-on @ 0\n"
     )
-    assert config.schedule == Schedule.from_commands(
+    assert config.schedule == from_commands(
         [Command(0, CommandKind.LO_ON), Command(5000, CommandKind.LO_OFF)]
     )
 

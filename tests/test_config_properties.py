@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zifsim import (
-    Command,
     CommandKind,
     ConfigError,
     ProtocolDeadline,
@@ -24,6 +23,8 @@ from zifsim import (
 )
 from zifsim.config import OUTPUT_FORMATS
 from zifsim.configtext import _fast_schedule, _Irregular, _parse_lines, _parse_per_line
+
+from conftest import Command, from_commands
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -68,7 +69,7 @@ def run_configs(draw):
         name: draw(sections(getattr(base, name)))
         for name, _, _ in RunConfig.fields if isinstance(getattr(base, name), Record)
     })
-    config.schedule = Schedule.from_commands(draw(st.lists(
+    config.schedule = from_commands(draw(st.lists(
         st.builds(Command, st.integers(0, 10**15), st.sampled_from(list(CommandKind))),
         max_size=5,
     )))

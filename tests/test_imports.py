@@ -1,7 +1,10 @@
 """Import paths and the public API.
 
-Each subcommand loads only the zifsim modules it runs. Budgets, compliance
-and the config dump are exact rational arithmetic and start without numpy.
+Each subcommand loads only the zifsim modules it runs, its own handler
+module (`zifsim.cli_<subcommand>`) among them and no other subcommand's.
+Budgets, compliance and the config dump are exact rational arithmetic and
+start without numpy, and at clocks that divide evenly without
+`fractions`: every duration is then a plain int.
 `trace` runs one of two trace pipelines, chosen from the config's sizes: a
 small trace the per-row loops (`zifsim.looptrace`), with neither numpy nor
 the array layer, and a large one the array layer (`zifsim.sim`) with
@@ -30,7 +33,7 @@ from pathlib import Path
 import pytest
 
 import zifsim
-import zifsim.cli as cli
+import zifsim.cli_trace as cli_trace
 import zifsim.ensm
 import zifsim.params
 import zifsim.rf
@@ -83,8 +86,9 @@ def run_python(*args, flags=()) -> str:
 # configs just above the loop pipeline's bounds, in rows (on the default
 # 50 ns grid from -2500 ns) and in commands
 LARGE_TRACES = {
-    "rows": f"trace.end_ns = {50 * cli.LOOP_ROWS}\n",
-    "commands": "".join(f"schedule.{k} = trigger @ {k}\n" for k in range(cli.LOOP_COMMANDS + 1)),
+    "rows": f"trace.end_ns = {50 * cli_trace.LOOP_ROWS}\n",
+    "commands": "".join(f"schedule.{k} = trigger @ {k}\n"
+                        for k in range(cli_trace.LOOP_COMMANDS + 1)),
 }
 
 
@@ -105,6 +109,17 @@ def probe(argv, watched=WATCHED, flags=()):
     return tuple(ast.literal_eval(run_python(PROBE, repr(argv), repr(watched), flags=flags)))
 
 
+# the handler modules each subcommand loads
+HANDLERS = {
+    "turnaround": "cli_rows cli_turnaround",
+    "comply": "cli_comply cli_rows",
+    "config": "",
+    "trace": "cli_trace",
+    "noise": "cli_noise cli_rows",
+}
+SUBCOMMANDS = set(HANDLERS)
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["turnaround", "--all"], "config ensm errors params"),
     (["turnaround", "--mode", "lo-control", "--dir", "rx-tx"], "config ensm errors params"),
@@ -120,11 +135,15 @@ def probe(argv, watched=WATCHED, flags=()):
     (["-c", "{commands}", "trace"], "config configtext errors params sim"),
 ])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    # besides the call's own handler module and, with it, the row renderer
+    # of the subcommands that print rows; never `zifsim.cli` itself, which
+    # runs as __main__
     files = {**write_configs(tmp_path), "capture": tmp_path / "cap.iq"}
     files["capture"].write_bytes(bytes(range(1, 41)))
     argv = [arg.format_map(files) for arg in argv]
     code, _, loaded, ran, *_ = probe(argv)
-    assert (code, loaded) == (0, [f"zifsim.{name}" for name in modules.split()])
+    modules = f"{modules} {HANDLERS[next(a for a in argv if a in SUBCOMMANDS)]}".split()
+    assert (code, loaded) == (0, sorted(f"zifsim.{name}" for name in modules))
     # `rf` registers `sim` for the benchmark's tracer; only `trace` runs it
     assert ran == [name for name in loaded if name != "zifsim.sim" or "trace" in argv]
 
@@ -220,6 +239,41 @@ def test_json_and_csv_load_only_for_their_formats(tmp_path, argv, loaded):
     assert probe(argv, ["json", "csv"])[:2] == (0, loaded)
 
 
+# a config as the benchmark writes one for its small calls: clocks, budgets
+# and deadlines at their defaults
+SMALL_CONFIG = ("noise.seed = 12345\nnoise.filter_guard_samples = 16\ntrace.band = 5g\n"
+                "deadlines.builtin = true\n")
+# the exact-rational modules, which only a non-integral duration needs
+RATIONAL = ["fractions", "decimal", "numbers"]
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["default", "small-config"])
+@pytest.mark.parametrize("argv", [
+    ["turnaround", "--all"],
+    ["turnaround", "--mode", "lo-control"],
+    ["comply"],
+    ["config", "--dump"],
+    ["trace"],
+    ["noise", "--mode", "fdd", "--band", "2g4"],
+])
+def test_integral_durations_load_no_fractions(tmp_path, argv, config):
+    # every duration at these clocks is a whole ns, so the calls stay in
+    # integer arithmetic; numpy imports `numbers` itself
+    if config:
+        (tmp_path / "small.cfg").write_text(SMALL_CONFIG)
+        argv = ["-c", str(tmp_path / "small.cfg"), *argv]
+    code, loaded, *_ = probe(argv, RATIONAL)
+    assert (code, loaded) == (0, ["numbers"] if "noise" in argv else [])
+
+
+@pytest.mark.parametrize("argv", [["turnaround", "--mode", "lo-control"], ["trace"]])
+def test_a_fractional_frame_loads_fractions(tmp_path, argv):
+    # 24 bits at 7 MHz last 3428.571... ns
+    (tmp_path / "7mhz.cfg").write_text("clocks.spi_clock_hz = 7000000\n")
+    code, loaded, *_ = probe(["-c", str(tmp_path / "7mhz.cfg"), *argv], RATIONAL)
+    assert (code, "fractions" in loaded) == (0, True)
+
+
 # After `import zifsim.rf`: whether `zifsim.sim` is registered and whether
 # it ran (by its type, which reads no attribute), then whether each spanned
 # function the benchmark's tracer reads from sys.modules is the one a
@@ -246,7 +300,8 @@ def test_importing_rf_registers_sim_without_running_it():
 
 
 def test_no_module_imports_the_spi_codec():
-    code = ("import sys, zifsim.cli, zifsim.config, zifsim.configtext, zifsim.ensm, "
+    code = ("import sys, zifsim.cli, zifsim.cli_comply, zifsim.cli_noise, zifsim.cli_trace, "
+            "zifsim.cli_turnaround, zifsim.config, zifsim.configtext, zifsim.ensm, "
             "zifsim.mac, zifsim.rf, zifsim.sim; print('zifsim.spi' in sys.modules)")
     assert run_python(code).strip() == "False"
 
@@ -305,7 +360,6 @@ def test_unknown_attribute_raises():
     (zifsim.sim, "check_sampling"),
     (zifsim, "Band"),
     (zifsim, "RfModelParams"),
-    (zifsim, "Command"),
     (zifsim, "CommandKind"),
     (zifsim, "frame_duration_ns"),
 ])

@@ -1,9 +1,12 @@
-"""The README's `$ zifsim ...` examples, run and compared with the text shown.
+"""The README's examples, run: its `$ zifsim ...` calls compared with the
+text shown, and its Python blocks executed.
 
-An example is a ```text block whose first line is `$ zifsim ARGS`; the
+A call is a ```text block whose first line is `$ zifsim ARGS`; the
 lines after it are what the command prints. Status lines go to stderr
 and data to stdout, so the shown text must be the two streams merged,
 each in its own order. Examples that elide rows with `...` are skipped.
+Each ```python block runs in a namespace of its own, so an example that
+uses a removed or renamed name fails here.
 """
 
 import functools
@@ -51,3 +54,18 @@ def test_readme_example_prints_what_it_shows(capsys, argv, shown):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert interleaves(shown, captured.out.splitlines(), captured.err.splitlines())
+
+
+def python_blocks():
+    """The source of each ```python block."""
+    return [block.split("```")[0] for block in README.read_text().split("```python\n")[1:]]
+
+
+def test_the_readme_has_python_examples():
+    assert len(python_blocks()) >= 2
+
+
+@pytest.mark.parametrize("source", [pytest.param(source, id=f"block{k}")
+                                    for k, source in enumerate(python_blocks())])
+def test_readme_python_example_runs(capsys, source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})

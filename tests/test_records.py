@@ -12,7 +12,6 @@ from zifsim import (
     BitSequence,
     BudgetComponent,
     ClockConfig,
-    Command,
     CommandKind,
     ComplianceResult,
     Direction,
@@ -38,6 +37,8 @@ from zifsim import (
     turnaround_budget,
 )
 from zifsim.looptrace import LoopTimeline, LoopTrace
+
+from conftest import Command
 
 
 def field_values(record) -> dict:

@@ -9,7 +9,6 @@ import pytest
 from zifsim import (
     Band,
     ClockConfig,
-    Command,
     CommandKind,
     Direction,
     EnsmMode,
@@ -30,13 +29,13 @@ from zifsim import (
 from zifsim.params import check_sampling
 from zifsim.params import PACKET_WARNING, Effect
 
-from conftest import event_rows
+from conftest import Command, event_rows, from_commands
 
 WINDOW = (-2500, 2500)
 
 
 def _schedule(commands):
-    return Schedule.from_commands(Command(t, k) for t, k in commands)
+    return from_commands(Command(t, k) for t, k in commands)
 
 
 def _expand(schedule, clocks, profile, **kwargs):
@@ -141,7 +140,7 @@ def test_command_time_is_an_integer_below_2_53_ns():
 
 def test_schedule_columns_and_commands():
     commands = [Command(0, CommandKind.LO_ON), Command(700, CommandKind.TRIGGER)]
-    schedule = Schedule.from_commands(commands)
+    schedule = from_commands(commands)
     assert (schedule.times_ns.typecode, schedule.kinds.typecode) == ("q", "b")
     assert list(schedule.times_ns) == [0, 700]
     assert list(schedule.kinds) == [0, 4]  # positions in CommandKind order

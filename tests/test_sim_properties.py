@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from zifsim import (
     Band,
     ClockConfig,
-    Command,
     CommandKind,
     Direction,
     EnsmMode,
@@ -32,7 +31,6 @@ from zifsim import (
     OverlappingSpiError,
     PowerTrace,
     RfModelParams,
-    Schedule,
     ScheduleError,
     TimingProfile,
     expand_schedule,
@@ -47,7 +45,7 @@ from zifsim import looptrace
 from zifsim.params import cell_text, event_time_ns
 from zifsim.sim import Timeline, _power_field, render_blocks
 
-from conftest import exact_times, loop_timeline
+from conftest import Command, exact_times, from_commands, loop_timeline
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -171,7 +169,7 @@ def expansion_or_error(expand, commands, clocks, profile):
     """The loop form of an expansion (array: through loop_timeline), or
     the type and text of its error."""
     try:
-        timeline = expand(Schedule.from_commands(commands), clocks, profile)
+        timeline = expand(from_commands(commands), clocks, profile)
     except (ScheduleError, OverlappingSpiError) as exc:
         return type(exc), str(exc)
     return timeline if expand is looptrace.expand_schedule else loop_timeline(timeline)
@@ -202,7 +200,7 @@ def traced_schedules(draw):
     # the level before the first event: the expansion's, or the LO held
     # on or off
     initial_dbr = draw(st.sampled_from((None, rf.lo_on_delta_db[band], 0.0)))
-    timeline = expand_schedule(Schedule.from_commands(commands), clocks, TimingProfile(),
+    timeline = expand_schedule(from_commands(commands), clocks, TimingProfile(),
                                band=band, rf=rf)
     if initial_dbr is not None:
         timeline = timeline.replace(initial_dbr=initial_dbr)
@@ -255,7 +253,7 @@ def run_traces(draw):
 def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
     commands, clocks, profile = case
     rf = RfModelParams(lo_on_delta_db={b: lo_level for b in Band}, packet_delta_db=packet_step)
-    schedule = Schedule.from_commands(commands)
+    schedule = from_commands(commands)
     timeline = expand_schedule(schedule, clocks, profile, band=band, rf=rf)
     loop = looptrace.expand_schedule(schedule, clocks, profile, band=band, rf=rf)
     assert exact(loop_timeline(timeline)) == exact(loop)
@@ -284,7 +282,7 @@ def test_event_keys_order_the_exact_times(spi_hz, up, down, writes):
                      Command(t + gap, CommandKind.TX_PACKET_END)]
         expected += [t, t + frame, t + frame + (up if on else down), t, t + gap]
         t += gap + math.ceil(frame)
-    loop = looptrace.expand_schedule(Schedule.from_commands(commands), clocks, profile)
+    loop = looptrace.expand_schedule(from_commands(commands), clocks, profile)
     frac = Fraction(frame) - math.floor(frame)
     assert loop.frac_ns == frac and type(loop.frac_ns) is (Fraction if frac else int)
     keys, times = [event[0] for event in loop.events], exact_times(loop)
@@ -336,7 +334,7 @@ def test_step_is_the_first_lo_commands_own_divider_event(case, more_up, more_dow
     # longer delays keep the schedule valid: only the frame spaces LO writes
     profile = TimingProfile(lo_div_powerup_ns=profile.lo_div_powerup_ns + more_up,
                             lo_div_powerdown_ns=profile.lo_div_powerdown_ns + more_down)
-    schedule = Schedule.from_commands(commands)
+    schedule = from_commands(commands)
     timeline = expand_schedule(schedule, clocks, profile)
     loop = looptrace.expand_schedule(schedule, clocks, profile)
     step = step_or_error(find_step, timeline)
@@ -609,7 +607,7 @@ def test_single_step_measures_its_budget_on_the_grid(spi_hz, kind, command_ns, l
     clocks, profile = ClockConfig(spi_clock_hz=spi_hz), TimingProfile()
     trigger_ns = max(0, command_ns - lead_ns)
     commands = [Command(trigger_ns, CommandKind.TRIGGER), Command(command_ns, kind)]
-    timeline = expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band)
+    timeline = expand_schedule(from_commands(commands), clocks, profile, band=band)
     direction = Direction.RX_TO_TX if kind is CommandKind.LO_ON else Direction.TX_TO_RX
     budget = turnaround_budget(EnsmMode.LO_CONTROL, direction, clocks, profile).total_ns
     start = trigger_ns - start_back
@@ -620,7 +618,7 @@ def test_single_step_measures_its_budget_on_the_grid(spi_hz, kind, command_ns, l
     step = find_step(timeline)
     assert step.direction is direction
     assert measure_turnaround(trace, step) == start + k * interval - trigger_ns
-    loop = looptrace.expand_schedule(Schedule.from_commands(commands), clocks, profile, band=band)
+    loop = looptrace.expand_schedule(from_commands(commands), clocks, profile, band=band)
     loop_trace = looptrace.sample_trace(loop, (start, end), interval_ns=interval)
     assert looptrace.find_step(loop) == step
     assert looptrace.measure_turnaround(loop_trace, step) == start + k * interval - trigger_ns

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from zifsim import (
     Band,
     ClockConfig,
-    Command,
     CommandKind,
     IqCapture,
     LoDividerConfig,
@@ -28,6 +27,8 @@ from zifsim import (
     TimingProfile,
     TraceSettings,
 )
+
+from conftest import Command
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
