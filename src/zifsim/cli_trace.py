@@ -4,8 +4,8 @@ A trace of fewer rows than LOOP_ROWS from at most LOOP_COMMANDS commands
 runs the per-row loop pipeline (`looptrace`), which loads no numpy; a
 larger one the array pipeline (`sim`). Each bound is the largest power of
 two below the measured fresh-call crossover of the two, in every output
-format (README, "Power trace simulation"; BENCH_25.json and
-BENCH_26.json).
+format (README, "Power trace simulation"; BENCH_25.json, BENCH_26.json
+and BENCH_28.json).
 """
 
 from .config import RunConfig

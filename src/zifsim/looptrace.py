@@ -16,7 +16,6 @@ held once per timeline.
 """
 
 import math
-from itertools import repeat
 from operator import itemgetter
 
 from .errors import MeasurementError, OverlappingSpiError, ScheduleError
@@ -33,6 +32,7 @@ from .params import (
     PACKET_OPEN,
     PACKET_UNMATCHED,
     SPI_OVERLAP,
+    TRACE_ROW,
     TRIGGER_OUTSIDE,
     Band,
     ClockConfig,
@@ -47,6 +47,7 @@ from .params import (
     event_time_ns,
     first_sample_at,
     frame_duration_ns,
+    trace_header,
     trace_levels,
 )
 
@@ -273,32 +274,59 @@ def render_blocks(trace: LoopTrace, fmt: str):
     """The trace as csv, json or an aligned table, in ASCII bytes, one row
     per sample of time_us and power_db, as `sim.render_blocks` writes it,
     in one block."""
-    if fmt not in ("csv", "table", "json"):
+    if fmt not in TRACE_ROW:
         raise ValueError(f"unknown trace format {fmt!r}")
+    lead, sep, end = TRACE_ROW[fmt]
     start, interval, count = trace.start_ns, trace.interval_ns, len(trace.samples)
-    # a time of t >= 0 ns off a tie is (t + 5) // 10 hundredths of a
-    # microsecond (see params.cell_text), written from a table of the last
-    # two digits; negative times and ties take cell_text itself
+    if not count:
+        yield trace_header(fmt, 0, 0).encode("ascii")
+        return
+    last_ns = start + (count - 1) * interval
+    width = 0  # no pad outside the table: " " * (0 - len(cell)) is ""
+    if fmt == "table":  # times increase, so the widest time cell is the first or the last
+        width = max(len("time_us"), len(cell_text(start / 1000.0, fmt)),
+                    len(cell_text(last_ns / 1000.0, fmt)))
+    # a row is three parts, each an object many rows share: a head (the
+    # lead and the time cell, or its part up to the two hundredths
+    # digits), a tail (those digits, the table's pad and the separator)
+    # and the power cell with the row end. A time of t >= 0 ns off a tie
+    # is (t + 5) // 10 hundredths of a microsecond (see params.cell_text),
+    # its last two digits from a table; negative times and ties take
+    # cell_text itself, a cell per row
     cents = [f"{k:02d}" for k in range(100)]
     if fmt == "json":  # repr drops a trailing zero: 2.5, 3.0
         cents[::10] = "0123456789"
     if interval % 10 or 1000 % interval or start % 10 == 5:
-        times = [cell_text(t / 1000.0, fmt) if t < 0 or t % 10 == 5
-                 else f"{(t + 5) // 1000}.{cents[(t + 5) % 1000 // 10]}"
-                 for t in range(start, start + count * interval, interval)]
+        by_row = count
     else:  # no tie, and hundredths that step by a divisor of 100: every
         # microsecond u >= 0 holds the same two-digit suffixes
-        neg = min(count, max(0, -(start // interval)))  # the rows before 0 ns
-        times = [cell_text(t / 1000.0, fmt) for t in range(start, start + neg * interval, interval)]
-        if neg < count:
-            low, high = (start + neg * interval + 5) // 10, (start + (count - 1) * interval + 5) // 10
-            step = interval // 10
-            every = cents[low % step::step]
-            for u in range(low // 100, high // 100 + 1):
-                times.extend(map(f"{u}.".__add__, every))
-            # cut the first and the last microsecond to the window
-            del times[len(times) - (99 - high % 100) // step:]
-            del times[neg:neg + low % 100 // step]
+        by_row = min(count, max(0, -(start // interval)))  # the rows before 0 ns
+    cells = [cell_text(t / 1000.0, fmt) if t < 0 or t % 10 == 5
+             else f"{(t + 5) // 1000}.{cents[(t + 5) % 1000 // 10]}"
+             for t in range(start, start + by_row * interval, interval)]
+    heads = [lead + cell for cell in cells]
+    tails = [" " * (width - len(cell)) + sep for cell in cells]
+    if by_row < count:
+        low, high = (start + by_row * interval + 5) // 10, (last_ns + 5) // 10
+        step = interval // 10
+        every = cents[low % step::step]
+        # a head per microsecond u, over its rows; a tail per suffix, the
+        # table's pad one width per digit count of u
+        per, u, top = len(every), low // 100, high // 100 + 1
+        micro = [f"{lead}{v}." for v in range(u, top)]
+        heads += micro * per  # the size, then each head over its rows
+        for k in range(per):
+            heads[by_row + k::per] = micro
+        while u < top:
+            digits = len(str(u))
+            stop = min(top, 10**digits)
+            pad = " " * (width - digits - 3)
+            tails += [f"{pair}{pad}{sep}" for pair in every] * (stop - u)
+            u = stop
+        # cut the first and the last microsecond to the window
+        for column in heads, tails:
+            del column[len(column) - (99 - high % 100) // step:]
+            del column[by_row:by_row + low % 100 // step]
     # a text per run of one object, and per distinct value but zero: 0.0
     # and -0.0 are equal keys of different texts (a NaN finds only itself)
     powers, texts = [], {}
@@ -307,16 +335,11 @@ def render_blocks(trace: LoopTrace, fmt: str):
         if value is not last:
             last, text = value, texts.get(value) if value else None
             if text is None:
-                text = texts[value] = cell_text(value, fmt)
+                text = texts[value] = cell_text(value, fmt) + end
         powers.append(text)
-    if fmt == "json":
-        rows = map(',\n    "power_db": '.join, zip(times, powers))
-        text = '[\n  {\n    "time_us": ' + '\n  },\n  {\n    "time_us": '.join(rows) + "\n  }\n]\n"
-        text = text if times else "[]\n"
-    else:  # with the header as the first row
-        times.insert(0, "time_us")
-        if fmt == "table":
-            times = list(map(str.ljust, times, repeat(max(map(len, times)))))
-        rows = map(("," if fmt == "csv" else "  ").join, zip(times, ["power_db", *powers]))
-        text = "\n".join(rows) + "\n"
-    yield text.encode("ascii")
+    heads[0] = trace_header(fmt, width, count) + heads[0]
+    if fmt == "json":  # the last row closes the list
+        powers[-1] = powers[-1][:-2] + "\n]\n"
+    parts = [None] * (3 * count)
+    parts[0::3], parts[1::3], parts[2::3] = heads, tails, powers
+    yield "".join(parts).encode("ascii")

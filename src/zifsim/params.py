@@ -11,8 +11,8 @@ The module imports no numpy: the budget, compliance and config paths build
 every setting from here without loading the array layers (`rf`, `sim`).
 It also holds what the trace's two pipelines, numpy's (`sim`) and the
 per-row loops (`looptrace`), must agree on: the event effects, the power
-levels, the warning and error texts, the text of a cell and the step a
-measurement times.
+levels, the warning and error texts, the text of a cell and of a row,
+and the step a measurement times.
 """
 
 import functools
@@ -445,6 +445,25 @@ def cell_text(value: float, fmt: str) -> str:
     import json  # only Infinity and NaN need it
 
     return json.dumps(value)
+
+
+# A trace row in each format: lead + time cell + separator + power cell +
+# end, the table's time cells padded to the widest. json's last row ends
+# "\n  }\n", and "]\n" closes the list.
+TRACE_ROW = {
+    "csv": ("", ",", "\n"),
+    "table": ("", "  ", "\n"),
+    "json": ('  {\n    "time_us": ', ',\n    "power_db": ', "\n  },\n"),
+}
+
+
+def trace_header(fmt: str, width: int, rows: int) -> str:
+    """The text ahead of a trace's rows, the table's time column `width`
+    wide; with no rows, the whole text."""
+    if fmt == "json":
+        return "[\n" if rows else "[]\n"
+    _, sep, end = TRACE_ROW[fmt]
+    return f"{'time_us'.ljust(width)}{sep}power_db{end}"
 
 
 class LoStep(Record):

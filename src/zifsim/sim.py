@@ -29,6 +29,7 @@ from .params import (
     PACKET_OPEN,
     PACKET_UNMATCHED,
     SPI_OVERLAP,
+    TRACE_ROW,
     TRIGGER_OUTSIDE,
     Band,
     ClockConfig,
@@ -43,6 +44,7 @@ from .params import (
     event_time_ns,
     first_sample_at,
     frame_duration_ns,
+    trace_header,
     trace_levels,
 )
 
@@ -387,15 +389,6 @@ def measure_turnaround(trace: PowerTrace, step: LoStep):
 
 _CHUNK_ROWS = 1 << 16
 
-_HEADER = {"csv": "time_us,power_db\n", "json": "[\n"}
-
-# the fields of one row, in order; other items are literal text
-_ROW = {
-    "csv": ("time", ",", "power", "\n"),
-    "table": ("time", "pad", "  ", "power", "\n"),
-    "json": ('  {\n    "time_us": ', "time", ',\n    "power_db": ', "power", "\n  },\n"),
-}
-
 # k = 0..999 as 4-byte words: "d.dd", the last three digits of k hundredths,
 # then without a trailing zero; for a group of three digits above them a
 # NUL and the digits, zero-padded or, leading, right-aligned behind NUL
@@ -473,13 +466,15 @@ def _power_field(values, fmt):
 def _rows(times_ns, power_index, power, fmt, width) -> bytes:
     """ASCII text of a block of rows."""
     rows = times_ns.size
+    lead, sep, end = TRACE_ROW[fmt]
     time_bytes = _time_field(times_ns, fmt)
-    fields = {"time": time_bytes, "power": np.take(power, power_index, axis=0)}
+    parts = [_texts([lead])] if lead else []
+    parts.append(time_bytes)
     if fmt == "table":  # the time column is padded to the widest cell
         # the text lengths; einsum sums a row's bytes faster than count_nonzero
         pad = width - np.einsum("ij->i", (time_bytes != 0).view(np.uint8))
-        fields["pad"] = np.take(_texts([" " * k for k in range(int(pad.max()) + 1)]), pad, axis=0)
-    parts = [fields[item] if item in fields else _texts([item]) for item in _ROW[fmt]]
+        parts.append(np.take(_texts([" " * k for k in range(int(pad.max()) + 1)]), pad, axis=0))
+    parts += [_texts([sep]), np.take(power, power_index, axis=0), _texts([end])]
     text = np.concatenate([np.broadcast_to(m, (rows, m.shape[1])) for m in parts], axis=1)
     return text[text != 0].tobytes()
 
@@ -489,21 +484,22 @@ def render_blocks(trace: PowerTrace, fmt: str):
     header, then the rows a block of _CHUNK_ROWS at a time, each block
     ending with a whole row. One row per sample holds time_us and
     power_db, each rounded to two decimals."""
-    if fmt not in _ROW:
+    if fmt not in TRACE_ROW:
         raise ValueError(f"unknown trace format {fmt!r}")
     rows = trace.samples.size
     if not rows:
-        yield {"csv": b"time_us,power_db\n", "table": b"time_us  power_db\n", "json": b"[]\n"}[fmt]
+        yield trace_header(fmt, 0, 0).encode("ascii")
         return
     start, interval = trace.start_ns, trace.interval_ns
-    # times increase, so the widest time cell is the first or the last
-    ends = np.array([start, start + interval * (rows - 1)], np.int64)
-    width = max(len("time_us"), int(np.count_nonzero(_time_field(ends, "table"), axis=1).max()))
+    width = 0
+    if fmt == "table":  # times increase, so the widest time cell is the first or the last
+        ends = np.array([start, start + interval * (rows - 1)], np.int64)
+        width = max(len("time_us"), int(np.count_nonzero(_time_field(ends, fmt), axis=1).max()))
     # the power of each run (samples of equal bits, so -0.0 and 0.0 keep
     # their own texts) found once and formatted a block at a time
     bits = trace.samples.view(np.int64)
     heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    yield _HEADER.get(fmt, f"{'time_us'.ljust(width)}  power_db\n").encode("ascii")
+    yield trace_header(fmt, width, rows).encode("ascii")
     for lo in range(0, rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, rows)
         times = start + interval * np.arange(lo, hi, dtype=np.int64)

@@ -144,6 +144,22 @@ def test_trace_measures_the_step_after_the_trigger(capsys, tmp_path, schedule, e
     assert f"measured turnaround: {expected}" in err.splitlines()
 
 
+@pytest.mark.parametrize("pipeline", ["loop", "array"])
+def test_trace_step_window_ends_at_the_first_sample_after_the_next_change(
+        capsys, monkeypatch, tmp_path, pipeline):
+    # the step lands at 1080 ns and the lo-off's divider event at 1110 ns,
+    # between grid samples: the window ends before the first sample at or
+    # after 1110 ns (1150 ns), so the crossing sample at 1100 ns counts
+    if pipeline == "array":
+        monkeypatch.setattr(cli_trace, "LOOP_ROWS", 0)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("profile.lo_div_powerup_ns = 600\nprofile.lo_div_powerdown_ns = 30\n"
+                   "schedule.0 = lo-on @ 0\nschedule.1 = lo-off @ 600\n"
+                   "trace.start_ns = -500\ntrace.end_ns = 3000\ntrace.interval_ns = 50\n")
+    code, out, err = run_cli(capsys, "-c", str(cfg), "trace", "--format", "csv")
+    assert (code, err) == (0, "measured turnaround: 1.10 us (rx-tx)\n")
+
+
 def test_trace_without_lo_command_after_trigger_says_why(capsys, tmp_path):
     cfg = tmp_path / "late.cfg"
     cfg.write_text("schedule.0 = lo-on @ 0\nschedule.1 = trigger @ 1000\n")

@@ -478,6 +478,15 @@ def test_renderings_equal_the_loop(trace):
 @example(125, 0, 100, 0, 30.0)
 @example(20, 1, 400, 2**53, -0.0)  # next to +2**53
 @example(40, 6, 400, -(2**53), -0.0)
+@example(50, 0, 3, 9900, 30.0)  # across a digit count of the microsecond: 9.95 to 10.00 us
+@example(10, 0, 12, 99950, 2.675)  # 99.95 to 100.00 us
+@example(50, 0, 3, 999900, -0.0)  # 999.95 to 1000.00 us
+@example(10, 0, 12, 999950, 30.0)
+@example(50, 0, 3, 9999900, 30.0)  # to 10000.00 us, wider than "time_us"
+@example(1000, 0, 2000, -1_000_000, 30.0)  # the widest cell the first, -1000.00 to 999.00 us
+@example(50, 0, 1, 1230, 30.0)  # one and two rows
+@example(50, 0, 2, 1230, 2.675)
+@example(50, 0, 2, -50, -0.0)  # -0.05 and 0.00 us
 def test_renderings_by_the_microsecond_equal_the_loop(interval, residue, count, around, level):
     # a grid that divides 1 us in steps of 10 ns, from a start off a tie,
     # writes the time column a microsecond at a time, the first and last
