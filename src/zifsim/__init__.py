@@ -61,7 +61,9 @@ _PUBLIC = {
         "Schedule",
         "TimingProfile",
         "cycles_to_ns",
+        "find_step",
         "frame_duration_ns",
+        "measure_turnaround",
         "ns_value",
     ),
     "rf": (
@@ -82,8 +84,6 @@ _PUBLIC = {
         "PowerTrace",
         "Timeline",
         "expand_schedule",
-        "find_step",
-        "measure_turnaround",
         "sample_trace",
         "trace_to_csv",
     ),

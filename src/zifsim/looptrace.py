@@ -12,32 +12,25 @@ The functions carry `sim`'s names and arguments. `expand_schedule` gives
 a `LoopTimeline` of event rows, `sample_trace` a `LoopTrace` of a list of
 samples, and `render_blocks` the whole text as one block. An event's
 time is an integer key, as in `sim`'s columns, with the frame's fraction
-held once per timeline.
+held once per timeline. `find_step` and `measure_turnaround` are the
+`params` functions `sim` binds too, reading `step_event` and `first_past`.
 """
 
 import math
 from operator import itemgetter
 
-from .errors import MeasurementError, OverlappingSpiError, ScheduleError
+from .errors import OverlappingSpiError, ScheduleError
 from .params import (
     COMMAND_KINDS,
     EFFECTS,
-    NO_CROSSING,
-    NO_REFERENCE,
-    NO_STATE_CHANGE,
-    NO_STEP,
-    NO_STEP_COMMAND,
     NOT_SORTED,
     PACKET_INSIDE,
     PACKET_OPEN,
     PACKET_UNMATCHED,
     SPI_OVERLAP,
     TRACE_ROW,
-    TRIGGER_OUTSIDE,
     Band,
     ClockConfig,
-    Direction,
-    LoStep,
     Record,
     RfModelParams,
     Schedule,
@@ -45,8 +38,10 @@ from .params import (
     cell_text,
     check_sampling,
     event_time_ns,
-    first_sample_at,
+    find_step,  # the step measurement of both pipelines, under looptrace's names
     frame_duration_ns,
+    measure_turnaround,
+    time_width,
     trace_header,
     trace_levels,
 )
@@ -76,6 +71,12 @@ class LoopTimeline(Record):
         """The exact times of the events that carry PACKET_WARNING."""
         return [event_time_ns(key >> 1, key & 1, self.frac_ns)
                 for key, _, _, warned, _ in self.events if warned]
+
+    def step_event(self) -> tuple:
+        """The event at step_index as `sim.Timeline.step_event` gives it."""
+        _, effect, level, _, lo_change = self.events[self.step_index]
+        end = next((event[0] for event in self.events[self.step_index + 1:] if event[4]), None)
+        return effect is _UP, level, lo_change, end
 
 
 def expand_schedule(
@@ -156,24 +157,6 @@ def expand_schedule(
     return LoopTimeline(events, frac_ns, levels[2 * lo_on_at_start], trigger_ns, step_index)
 
 
-def find_step(timeline: LoopTimeline) -> LoStep:
-    """The first LO step at or after the timeline's trigger, as
-    `sim.find_step` finds it."""
-    trigger_ns, index = timeline.trigger_ns, timeline.step_index
-    if trigger_ns is None:
-        raise MeasurementError(NO_REFERENCE)
-    if index < 0:
-        raise MeasurementError(NO_STEP_COMMAND.format(trigger_ns))
-    _, effect, level, _, lo_change = timeline.events[index]
-    rising = effect is _UP
-    if not lo_change:
-        raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
-    end = next((event[0] for event in timeline.events[index + 1:] if event[4]), None)
-    end_ns = None if end is None else event_time_ns(end >> 1, end & 1, timeline.frac_ns)
-    direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
-    return LoStep(trigger_ns, direction, level, end_ns)
-
-
 class LoopTrace(Record):
     """Power samples on a uniform grid, as a list: sample k is taken at
     start_ns + k * interval_ns."""
@@ -181,6 +164,15 @@ class LoopTrace(Record):
     start_ns: int
     interval_ns: int
     samples: list
+
+    def first_past(self, midpoint: float, rising: bool, lo: int, hi: int) -> int:
+        """The first sample index in [lo, hi) at or above `midpoint`
+        (rising) or at or below it, else -1."""
+        samples = self.samples
+        for k in range(lo, hi):
+            if samples[k] >= midpoint if rising else samples[k] <= midpoint:
+                return k
+        return -1
 
 
 def sample_trace(
@@ -247,29 +239,6 @@ def sample_trace(
     return LoopTrace(start_ns, interval_ns, samples)
 
 
-def measure_turnaround(trace: LoopTrace, step: LoStep):
-    """Time from the trigger to the first sample past the step midpoint,
-    as `sim.measure_turnaround` measures it."""
-    start, interval, samples = trace.start_ns, trace.interval_ns, trace.samples
-    n = len(samples)
-    at_trigger = (step.trigger_ns - start) // interval
-    if not 0 <= at_trigger < n - 1:
-        raise MeasurementError(TRIGGER_OUTSIDE)
-    pre_level = samples[at_trigger]
-    rising = step.direction is Direction.RX_TO_TX
-    name = "rising" if rising else "falling"
-    if not (step.level_dbr > pre_level if rising else step.level_dbr < pre_level):
-        raise MeasurementError(NO_STEP.format(name))
-    stop = n
-    if step.end_ns is not None:  # samples before the next LO state change
-        stop = min(n, first_sample_at(step.end_ns, start, interval))
-    midpoint = (pre_level + step.level_dbr) / 2.0
-    for k in range(at_trigger + 1, stop):
-        if samples[k] >= midpoint if rising else samples[k] <= midpoint:
-            return start + k * interval - step.trigger_ns
-    raise MeasurementError(NO_CROSSING.format(name))
-
-
 def render_blocks(trace: LoopTrace, fmt: str):
     """The trace as csv, json or an aligned table, in ASCII bytes, one row
     per sample of time_us and power_db, as `sim.render_blocks` writes it,
@@ -282,10 +251,7 @@ def render_blocks(trace: LoopTrace, fmt: str):
         yield trace_header(fmt, 0, 0).encode("ascii")
         return
     last_ns = start + (count - 1) * interval
-    width = 0  # no pad outside the table: " " * (0 - len(cell)) is ""
-    if fmt == "table":  # times increase, so the widest time cell is the first or the last
-        width = max(len("time_us"), len(cell_text(start / 1000.0, fmt)),
-                    len(cell_text(last_ns / 1000.0, fmt)))
+    width = time_width(fmt, start, last_ns)  # 0: " " * (0 - len(cell)) is ""
     # a row is three parts, each an object many rows share: a head (the
     # lead and the time cell, or its part up to the two hundredths
     # digits), a tail (those digits, the table's pad and the separator)

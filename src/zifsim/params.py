@@ -12,7 +12,9 @@ every setting from here without loading the array layers (`rf`, `sim`).
 It also holds what the trace's two pipelines, numpy's (`sim`) and the
 per-row loops (`looptrace`), must agree on: the event effects, the power
 levels, the warning and error texts, the text of a cell and of a row,
-and the step a measurement times.
+the table's width, and the step measurement itself (`find_step`,
+`measure_turnaround`), which reads each pipeline's storage through its
+`step_event` and `first_past` methods.
 """
 
 import functools
@@ -21,6 +23,8 @@ import operator
 import types
 from array import array
 from enum import Enum
+
+from .errors import MeasurementError
 
 NS_PER_S = 1_000_000_000
 
@@ -457,6 +461,15 @@ TRACE_ROW = {
 }
 
 
+def time_width(fmt: str, first_ns: int, last_ns: int) -> int:
+    """The width the table pads its time cells to, 0 in the other formats:
+    times increase, so the widest cell is "time_us", the first or the last."""
+    if fmt != "table":
+        return 0
+    return max(len("time_us"), len(cell_text(first_ns / 1000.0, fmt)),
+               len(cell_text(last_ns / 1000.0, fmt)))
+
+
 def trace_header(fmt: str, width: int, rows: int) -> str:
     """The text ahead of a trace's rows, the table's time column `width`
     wide; with no rows, the whole text."""
@@ -486,6 +499,44 @@ def first_sample_at(time_ns, start_ns: int, interval_ns: int) -> int:
     start_ns): ceil((time_ns - start_ns) / interval_ns), exact since
     floor division of either by an int is."""
     return -((start_ns - time_ns) // interval_ns)
+
+
+def find_step(timeline) -> LoStep:
+    """The first LO step at or after either timeline's trigger, from the
+    divider event of the first LO command at or after it (`step_index`).
+    MeasurementError: no such command, or its event changes no LO state."""
+    trigger_ns, index = timeline.trigger_ns, timeline.step_index
+    if trigger_ns is None:
+        raise MeasurementError(NO_REFERENCE)
+    if index < 0:
+        raise MeasurementError(NO_STEP_COMMAND.format(trigger_ns))
+    rising, level, lo_change, end = timeline.step_event()
+    if not lo_change:
+        raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
+    end_ns = None if end is None else event_time_ns(end >> 1, end & 1, timeline.frac_ns)
+    return LoStep(trigger_ns, Direction.RX_TO_TX if rising else Direction.TX_TO_RX, level, end_ns)
+
+
+def measure_turnaround(trace, step: LoStep):
+    """Time from the trigger to the first sample past the step midpoint,
+    on either trace: the pre level is the sample at or before the
+    trigger, the post level the step's, and the crossing the trace's
+    `first_past` of their midpoint after the trigger, before `end_ns`."""
+    start, interval, n = trace.start_ns, trace.interval_ns, len(trace.samples)
+    at_trigger = (step.trigger_ns - start) // interval
+    if not 0 <= at_trigger < n - 1:
+        raise MeasurementError(TRIGGER_OUTSIDE)
+    pre_level = float(trace.samples[at_trigger])
+    rising = step.direction is Direction.RX_TO_TX
+    name = "rising" if rising else "falling"
+    if not (step.level_dbr > pre_level if rising else step.level_dbr < pre_level):
+        raise MeasurementError(NO_STEP.format(name))
+    # the samples before the next LO state change
+    stop = n if step.end_ns is None else min(n, first_sample_at(step.end_ns, start, interval))
+    k = trace.first_past((pre_level + step.level_dbr) / 2.0, rising, at_trigger + 1, stop)
+    if k < 0:
+        raise MeasurementError(NO_CROSSING.format(name))
+    return start + k * interval - step.trigger_ns
 
 
 def check_sampling(start_ns, end_ns, interval_ns, settling_tau_ns) -> None:

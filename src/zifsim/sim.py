@@ -4,37 +4,31 @@ A command schedule (register writes, packet markers, an optional trigger)
 expands into timed events with the wire and power-up latencies applied,
 and the events can then be sampled onto a uniform grid the way a signal
 analyzer in zero-span mode would see it. The expanded events and the
-traces are numpy columns; expansion, sampling and step measurement work
-on whole columns, and text rendering on a block of rows at a time.
+traces are numpy columns; expansion, sampling and the crossing search
+work on whole columns, and text rendering on a block of rows at a time.
 `looptrace` does the same steps as per-row loops without numpy, for the
-small traces that cost less that way; the facts both must agree on live
-in `params`.
+small traces that cost less that way. The facts both must agree on live
+in `params`, and so does the step measurement both bind (`find_step`,
+`measure_turnaround`), reading `Timeline.step_event` and
+`PowerTrace.first_past`.
 """
 
 import math
 
 import numpy as np
 
-from .errors import MeasurementError, OverlappingSpiError, ScheduleError
+from .errors import OverlappingSpiError, ScheduleError
 from .params import (
     COMMAND_KINDS,
     EFFECTS,
-    NO_CROSSING,
-    NO_REFERENCE,
-    NO_STATE_CHANGE,
-    NO_STEP,
-    NO_STEP_COMMAND,
     NOT_SORTED,
     PACKET_INSIDE,
     PACKET_OPEN,
     PACKET_UNMATCHED,
     SPI_OVERLAP,
     TRACE_ROW,
-    TRIGGER_OUTSIDE,
     Band,
     ClockConfig,
-    Direction,
-    LoStep,
     Record,
     RfModelParams,
     Schedule,
@@ -42,8 +36,10 @@ from .params import (
     cell_text,
     check_sampling,
     event_time_ns,
-    first_sample_at,
+    find_step,  # the step measurement of both pipelines, under sim's names
     frame_duration_ns,
+    measure_turnaround,
+    time_width,
     trace_header,
     trace_levels,
 )
@@ -96,6 +92,18 @@ class Timeline(Record):
         """The exact times of the events that carry PACKET_WARNING."""
         return [event_time_ns(floor, plus, self.frac_ns) for floor, plus
                 in zip(self.floor_ns[self.warned].tolist(), self.plus_frac[self.warned].tolist())]
+
+    def step_event(self) -> tuple:
+        """The event at step_index as `params.find_step` reads it: whether
+        it rises, the level after it, whether it changes the LO state, and
+        the key 2 * floor_ns + plus_frac of the next LO state change (None:
+        none follows)."""
+        index = self.step_index
+        changes = index + 1 + np.flatnonzero(self.lo_change[index + 1:])
+        end = (2 * int(self.floor_ns[changes[0]]) + bool(self.plus_frac[changes[0]])
+               if changes.size else None)
+        return (bool(self.effect[index] == _LO_UP), float(self.power_after_dbr[index]),
+                bool(self.lo_change[index]), end)
 
 
 def _validate_schedule(times, kinds):
@@ -218,29 +226,6 @@ def expand_schedule(
     )
 
 
-def find_step(timeline: Timeline) -> LoStep:
-    """The first LO step at or after the timeline's trigger.
-
-    The divider event of the first LO command at or after the trigger
-    gives the direction and the level. Raises MeasurementError when there
-    is no such command, or when its divider event does not change the LO
-    state.
-    """
-    trigger_ns, index = timeline.trigger_ns, timeline.step_index
-    if trigger_ns is None:
-        raise MeasurementError(NO_REFERENCE)
-    if index < 0:
-        raise MeasurementError(NO_STEP_COMMAND.format(trigger_ns))
-    rising = timeline.effect[index] == _LO_UP
-    if not timeline.lo_change[index]:
-        raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
-    changes = index + 1 + np.flatnonzero(timeline.lo_change[index + 1:])
-    end_ns = (event_time_ns(int(timeline.floor_ns[changes[0]]), timeline.plus_frac[changes[0]],
-                            timeline.frac_ns) if changes.size else None)
-    direction = Direction.RX_TO_TX if rising else Direction.TX_TO_RX
-    return LoStep(trigger_ns, direction, float(timeline.power_after_dbr[index]), end_ns)
-
-
 class PowerTrace(Record):
     """Power samples on a uniform grid: sample k is taken at
     start_ns + k * interval_ns. `samples` is a float64 array."""
@@ -257,6 +242,13 @@ class PowerTrace(Record):
     def times_ns(self) -> np.ndarray:
         """Sample times in ns, as int64."""
         return self.start_ns + self.interval_ns * np.arange(self.samples.size, dtype=np.int64)
+
+    def first_past(self, midpoint: float, rising: bool, lo: int, hi: int) -> int:
+        """The first sample index in [lo, hi) at or above `midpoint`
+        (rising) or at or below it, else -1."""
+        window = self.samples[lo:max(lo, hi)]
+        crossed = np.flatnonzero(window >= midpoint if rising else window <= midpoint)
+        return lo + int(crossed[0]) if crossed.size else -1
 
 
 def sample_trace(
@@ -345,36 +337,6 @@ def _settle(targets, levels, timeline, seen, times, interval, tau):
     target = targets[first:]
     out[first:] = target + (np.array(value_at_change)[rank] - target) * decay
     return out
-
-
-def measure_turnaround(trace: PowerTrace, step: LoStep):
-    """Time from the trigger to the first sample past the step midpoint.
-
-    The pre level is the sample at or before the trigger and the post
-    level the one the LO event sets; the crossing is the first sample
-    after the trigger, and before the step's end, at or beyond their
-    midpoint (rising for rx-to-tx, falling for tx-to-rx). Quantized to the
-    sample grid by construction.
-    """
-    start, interval, n = trace.start_ns, trace.interval_ns, trace.samples.size
-    at_trigger = (step.trigger_ns - start) // interval
-    if not 0 <= at_trigger < n - 1:
-        raise MeasurementError(TRIGGER_OUTSIDE)
-    pre_level = float(trace.samples[at_trigger])
-    rising = step.direction is Direction.RX_TO_TX
-    name = "rising" if rising else "falling"
-    if not (step.level_dbr > pre_level if rising else step.level_dbr < pre_level):
-        raise MeasurementError(NO_STEP.format(name))
-    stop = n
-    if step.end_ns is not None:  # samples before the next LO state change
-        stop = min(n, first_sample_at(step.end_ns, start, interval))
-    window = trace.samples[at_trigger + 1:stop]
-    midpoint = (pre_level + step.level_dbr) / 2.0
-    crossed = np.flatnonzero(window >= midpoint if rising else window <= midpoint)
-    if not crossed.size:
-        raise MeasurementError(NO_CROSSING.format(name))
-    k = at_trigger + 1 + int(crossed[0])
-    return start + k * interval - step.trigger_ns
 
 
 # --- text rendering ---------------------------------------------------------
@@ -491,10 +453,7 @@ def render_blocks(trace: PowerTrace, fmt: str):
         yield trace_header(fmt, 0, 0).encode("ascii")
         return
     start, interval = trace.start_ns, trace.interval_ns
-    width = 0
-    if fmt == "table":  # times increase, so the widest time cell is the first or the last
-        ends = np.array([start, start + interval * (rows - 1)], np.int64)
-        width = max(len("time_us"), int(np.count_nonzero(_time_field(ends, fmt), axis=1).max()))
+    width = time_width(fmt, start, start + interval * (rows - 1))
     # the power of each run (samples of equal bits, so -0.0 and 0.0 keep
     # their own texts) found once and formatted a block at a time
     bits = trace.samples.view(np.int64)

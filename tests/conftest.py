@@ -15,8 +15,12 @@ from zifsim.looptrace import LoopTimeline
 from zifsim.params import (
     COMMAND_KINDS,
     EFFECTS,
+    NO_CROSSING,
+    NO_STEP,
     PACKET_WARNING,
+    TRIGGER_OUTSIDE,
     CommandKind,
+    Direction,
     Record,
     Schedule,
     check_command_time,
@@ -83,6 +87,41 @@ def event_rows(timeline):
     loop = loop_timeline(timeline)
     return [(time_ns, effect, power, PACKET_WARNING if warned else None)
             for time_ns, (_, effect, power, warned, _) in zip(exact_times(loop), loop.events)]
+
+
+def assert_same_text(got, expected):
+    """Fail unless the two texts (str, bytes or None) are equal, naming the
+    first line that differs and both versions of it. pytest's own diff of
+    two traces of 2**16 rows takes minutes, and hypothesis fails many
+    times while it shrinks."""
+    if got != expected:
+        ours, theirs = ((text or "").splitlines(keepends=True) for text in (got, expected))
+        k = next((k for k, pair in enumerate(zip(ours, theirs)) if pair[0] != pair[1]),
+                 min(len(ours), len(theirs)))
+        pytest.fail(f"texts differ at line {k + 1}: {ours[k:k + 1]} != {theirs[k:k + 1]}")
+
+
+def brute_force_turnaround(trace, step):
+    """Reference step measurement over either pipeline's trace: every
+    sample's time tested against the trigger, and the window's end by the
+    exact test start + k * interval < end_ns. The time, or the
+    MeasurementError text."""
+    samples = list(trace.samples)
+    times = [trace.start_ns + k * trace.interval_ns for k in range(len(samples))]
+    before = [k for k, t in enumerate(times) if t <= step.trigger_ns]
+    if not before or before[-1] == len(samples) - 1:
+        return TRIGGER_OUTSIDE
+    at, rising = before[-1], step.direction is Direction.RX_TO_TX
+    name = "rising" if rising else "falling"
+    if not (step.level_dbr > samples[at] if rising else step.level_dbr < samples[at]):
+        return NO_STEP.format(name)
+    midpoint = (samples[at] + step.level_dbr) / 2.0
+    for k in range(at + 1, len(samples)):
+        if step.end_ns is not None and not times[k] < step.end_ns:
+            break
+        if samples[k] >= midpoint if rising else samples[k] <= midpoint:
+            return times[k] - step.trigger_ns
+    return NO_CROSSING.format(name)
 
 
 def brute_force_keep_mask(series, threshold_db, guard):

@@ -299,6 +299,25 @@ def test_importing_rf_registers_sim_without_running_it():
         "True False", "True [True, True, True, True]", "True True True"]
 
 
+def test_the_step_measurement_is_one_object_in_every_module():
+    # the benchmark's tracer wraps `sim.measure_turnaround` wherever a
+    # zifsim module holds that object, so the loop pipeline's calls reach
+    # the wrapper too
+    import zifsim.looptrace
+
+    for name in ("find_step", "measure_turnaround"):
+        held = [getattr(module, name) for module in (zifsim.sim, zifsim.looptrace,
+                                                     zifsim.params, zifsim)]
+        assert all(value is held[0] for value in held), name
+
+
+def test_the_step_measurement_imports_without_either_pipeline():
+    # in a child without `site`: both functions live in `params`
+    code = ("import sys; from zifsim import find_step, measure_turnaround; "
+            "print([m for m in ('numpy', 'zifsim.sim', 'zifsim.looptrace') if m in sys.modules])")
+    assert run_python(code, flags=["-S"]).strip() == "[]"
+
+
 def test_no_module_imports_the_spi_codec():
     code = ("import sys, zifsim.cli, zifsim.cli_comply, zifsim.cli_noise, zifsim.cli_trace, "
             "zifsim.cli_turnaround, zifsim.config, zifsim.configtext, zifsim.ensm, "

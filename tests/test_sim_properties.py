@@ -45,7 +45,14 @@ from zifsim import looptrace
 from zifsim.params import cell_text, event_time_ns
 from zifsim.sim import Timeline, _power_field, render_blocks
 
-from conftest import Command, exact_times, from_commands, loop_timeline
+from conftest import (
+    Command,
+    assert_same_text,
+    brute_force_turnaround,
+    exact_times,
+    from_commands,
+    loop_timeline,
+)
 
 # Deterministic and bounded so the tier-1 run stays fast and stable.
 PROFILE = settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -382,6 +389,56 @@ def test_measurements_equal_the_loop(case):
     assert outcomes[0] == outcomes[1]
 
 
+@st.composite
+def step_windows(draw):
+    """A trigger, an LO write at or after it and a write of the other kind
+    a frame or more later, whose divider event ends the step; a drawn SPI
+    clock, grid, window and tau around them."""
+    clocks = ClockConfig(spi_clock_hz=draw(st.sampled_from(SPI_CLOCKS)))
+    kinds = draw(st.permutations((CommandKind.LO_ON, CommandKind.LO_OFF)))
+    trigger = draw(st.integers(0, 2000))
+    first = trigger + draw(st.integers(0, 1000))
+    second = first + math.ceil(frame_duration_ns(clocks)) + draw(st.integers(0, 1000))
+    commands = [Command(trigger, CommandKind.TRIGGER), Command(first, kinds[0]),
+                Command(second, kinds[1])]
+    interval = draw(st.sampled_from((1, 7, 50, 490, 700)) | st.integers(1, 3000))
+    start = trigger - draw(st.integers(0, 3 * interval))
+    window = (start, draw(st.integers(start, second + 4000)))
+    return commands, clocks, window, interval, draw(st.sampled_from((0.0, 40.0, 200.5)))
+
+
+@PROFILE
+@given(step_windows())
+# the step from 640 ns ends at 980 ns: on a grid point, whose settled
+# sample would cross, and 1 ns after one, whose sample crosses
+@example(([Command(0, CommandKind.TRIGGER), Command(0, CommandKind.LO_ON),
+           Command(480, CommandKind.LO_OFF)], ClockConfig(), (0, 1500), 490, 200.5))
+@example(([Command(0, CommandKind.TRIGGER), Command(0, CommandKind.LO_ON),
+           Command(481, CommandKind.LO_OFF)], ClockConfig(), (0, 1500), 490, 0.0))
+# at 7 MHz the end is 6877 4/7 ns: the sample at 6877 ns lies before it
+@example(([Command(0, CommandKind.TRIGGER), Command(0, CommandKind.LO_ON),
+           Command(3429, CommandKind.LO_OFF)], ClockConfig(spi_clock_hz=7_000_000),
+          (0, 7000), 6877, 200.5))
+# the trigger on the last sample
+@example(([Command(1000, CommandKind.TRIGGER), Command(1000, CommandKind.LO_ON),
+           Command(1480, CommandKind.LO_OFF)], ClockConfig(), (0, 1000), 50, 0.0))
+def test_the_step_window_ends_before_the_next_lo_state_change(case):
+    commands, clocks, window, interval, tau = case
+    schedule, profile = from_commands(commands), TimingProfile()
+    timeline = expand_schedule(schedule, clocks, profile)
+    loop = looptrace.expand_schedule(schedule, clocks, profile)
+    step = find_step(timeline)
+    assert step.end_ns is not None and looptrace.find_step(loop) == step
+    for trace in (sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau),
+                  looptrace.sample_trace(loop, window, interval_ns=interval,
+                                         settling_tau_ns=tau)):
+        try:
+            measured = measure_turnaround(trace, step)
+        except MeasurementError as exc:
+            measured = str(exc)
+        assert measured == brute_force_turnaround(trace, step)
+
+
 def timeline_at(times, levels, initial_dbr=0.0):
     """A timeline of events at `times` (ints, or Fractions with one shared
     fractional part), each setting the level in `levels`."""
@@ -439,7 +496,7 @@ def test_settled_ties_at_the_time_limits_render_like_the_loop(start):
     assert bits(trace.samples.tolist()) == bits(loop_samples(timeline, (start, start + 590), 10,
                                                              40.0))
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
 
 
 @PROFILE
@@ -447,9 +504,9 @@ def test_settled_ties_at_the_time_limits_render_like_the_loop(start):
 def test_renderings_of_sampled_traces_equal_the_loop(case):
     timeline, window, interval, tau = case
     trace = sample_trace(timeline, window, interval_ns=interval, settling_tau_ns=tau)
-    assert trace_to_csv(trace) == loop_text(trace, "csv")
+    assert_same_text(trace_to_csv(trace), loop_text(trace, "csv"))
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
 
 
 @PROFILE
@@ -461,7 +518,7 @@ def test_renderings_of_sampled_traces_equal_the_loop(case):
 @example(PowerTrace(-12, 1, [30.0] * 25))  # across zero at 1 ns: ties and -0.00 cells
 def test_renderings_equal_the_loop(trace):
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
 
 
 @PROFILE
@@ -496,7 +553,7 @@ def test_renderings_by_the_microsecond_equal_the_loop(interval, residue, count, 
     start += (residue - start) % 10
     trace = PowerTrace(start, interval, [level] * count)
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
 
 
 def streamed_text(trace, fmt):
@@ -524,7 +581,7 @@ def streamed_text(trace, fmt):
 def test_renderings_of_long_runs_equal_the_loop(trace):
     # each block is checked, and the joined blocks against the loop
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
 
 
 def test_renderings_of_negative_zero_cells():
@@ -532,7 +589,7 @@ def test_renderings_of_negative_zero_cells():
     # the table -0.00 and json -0.0
     trace = PowerTrace(-3, 1, [-0.001, -0.0, 0.0, 0.004, -0.005])
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
     assert streamed_text(trace, "csv").splitlines()[1] == "0.00,0.00"
     assert streamed_text(trace, "table").splitlines()[1] == "-0.00    -0.00"
     assert '"power_db": -0.0' in streamed_text(trace, "json")
@@ -546,7 +603,7 @@ def test_renderings_of_equal_values_held_as_distinct_objects():
     samples = trace.samples.tolist()
     assert len({id(value) for value in samples}) == len(samples)
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
     assert [row.split()[1] for row in loop_text(trace, "table").splitlines()[1:]] == [
         "0.00", "-0.00", "0.00", "-0.00", "nan", "nan", "2.50", "-0.00", "0.00"]
     assert loop_text(trace, "json").count('"power_db": -0.0\n') == 3
@@ -555,7 +612,7 @@ def test_renderings_of_equal_values_held_as_distinct_objects():
 def test_renderings_of_an_empty_trace():
     trace = PowerTrace(0, 50, [])
     for fmt in FORMATS:
-        assert streamed_text(trace, fmt) == loop_text(trace, fmt), fmt
+        assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
 
 
 @PROFILE
@@ -598,7 +655,7 @@ def test_ties_round_by_the_float_quotient():
     # 0.005 us is just above its tie and 0.015 us just below
     trace = PowerTrace(5, 10, [0.0, 0.0])
     assert streamed_text(trace, "csv") == "time_us,power_db\n0.01,0.00\n0.01,0.00\n"
-    assert streamed_text(trace, "csv") == loop_text(trace, "csv")
+    assert_same_text(streamed_text(trace, "csv"), loop_text(trace, "csv"))
 
 
 @PROFILE
