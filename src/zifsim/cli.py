@@ -7,6 +7,14 @@ comply (deadline matrix), config (dump settings).
 Exit codes: 0 success, 1 runtime or data error, 2 usage or configuration
 error, 3 compliance requirement not met. Error lines always go to stderr.
 
+`main` reads a well-formed argv from one table of the options
+(`GLOBAL_OPTION`, `SUBCOMMANDS`, `EXCLUSIVE`) through `parse_argv`, which
+gives the namespace argparse would give. Only for an argv that it
+declines, help and usage errors among them, does `main` import argparse,
+whose parser `build_parser` makes from the same table, so help and error
+text are argparse's own. A well-formed call so loads neither argparse
+nor `gettext`, nor the `shutil` its help formatter imports.
+
 Each subcommand's handler lives in a module of its own, which `main`
 imports when it dispatches to it (`cli_turnaround`, `cli_trace`,
 `cli_noise`, `cli_comply`; `config` is handled here), so a call compiles
@@ -31,10 +39,10 @@ neither disables nor freezes, since tests and benchmarks call it many
 times in one process and need the collector as usual.
 """
 
-import argparse
 import gc
 import importlib
 import sys
+import types
 
 from .config import (
     OUTPUT_FORMATS,
@@ -46,56 +54,121 @@ from .config import (
 from .errors import ConfigError, DataError
 from .params import Band, Direction, EnsmMode
 
-MODE_NAMES = [m.value for m in EnsmMode]
-BAND_NAMES = [b.value for b in Band]
-DIR_NAMES = [d.value for d in Direction]
+MODE_NAMES = tuple(m.value for m in EnsmMode)
+BAND_NAMES = tuple(b.value for b in Band)
+DIR_NAMES = tuple(d.value for d in Direction)
+
+# The command line, described once. Each option is (flags, dest, action,
+# choices, metavar, help), in `add_argument` order; the action "int" is a
+# store of an int.
+GLOBAL_OPTION = ("-c --config", "config", "store", None, "FILE", "run configuration file")
+OUTPUT_OPTIONS = (
+    ("--format", "format", "store", OUTPUT_FORMATS, None, None),
+    ("--out", "out", "store", None, "PATH", "output file ('-' = stdout)"),
+)
+# each subcommand's help and options
+SUBCOMMANDS = {
+    "turnaround": ("itemized switching budgets", (
+        ("--mode", "mode", "store", MODE_NAMES, None, "single mode, itemized"),
+        ("--all", "all", "store_true", None, None, "sweep all modes"),
+        ("--dir", "direction", "store", DIR_NAMES, None, "one direction of --mode"),
+        *OUTPUT_OPTIONS)),
+    "trace": ("simulate a Tx power trace", (
+        ("--band", "band", "store", BAND_NAMES, None, None),
+        *OUTPUT_OPTIONS)),
+    "noise": ("receiver noise-floor analysis", (
+        ("--mode", "mode", "store", MODE_NAMES, None, None),
+        ("--band", "band", "store", BAND_NAMES, None, None),
+        ("--n", "n", "int", None, None, "synthetic sample count"),
+        ("--seed", "seed", "int", None, None, "synthetic noise seed"),
+        ("--capture", "capture", "store", None, "FILE", "capture file to analyze"),
+        *OUTPUT_OPTIONS)),
+    "comply": ("deadline compliance matrix", (
+        ("--require", "require", "store", MODE_NAMES, "MODE",
+         "exit 3 unless MODE passes every deadline"),
+        ("--deadline", "deadline", "append", None, "NAME",
+         "restrict to named deadlines (repeatable)"),
+        *OUTPUT_OPTIONS)),
+    "config": ("show configuration", (
+        ("--dump", "dump", "store_true", None, None, "print the effective configuration"),)),
+}
+# the options of a subcommand of which a call may give only one
+EXCLUSIVE = {"turnaround": ("--mode", "--all")}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_argv(argv):
+    """The namespace argparse makes of a well-formed ARGV, or None.
+
+    It reads only exact option strings, each followed by a separate value
+    that does not start with '-', and declines everything else: help,
+    abbreviations, `--format=csv` and `-cFILE`, `--`, negative numbers
+    and '-' as values, unknown or extra tokens, a missing subcommand or
+    value, a bad choice or int, and both options of an exclusive pair.
+    """
+    args = {}
+    options = _options(args, [GLOBAL_OPTION])
+    seen = set()
+    tokens = iter(argv)
+    for token in tokens:
+        if token not in options:
+            if "command" in args or token not in SUBCOMMANDS:
+                return None
+            args["command"] = token
+            options = _options(args, SUBCOMMANDS[token][1])
+            continue
+        seen.add(token)
+        _, dest, action, choices, *_ = options[token]
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as '-' does
+        if value[:1] == "-":
+            return None
+        if action == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices and value not in choices:
+            return None
+        args[dest] = [*(args[dest] or ()), value] if action == "append" else value
+    group = EXCLUSIVE.get(args.get("command"), ())
+    if "command" not in args or group and seen.issuperset(group):
+        return None
+    return types.SimpleNamespace(**args)
+
+
+def _options(args, options):
+    """OPTIONS by each of their flags, with their defaults set in ARGS."""
+    for _, dest, action, *_ in options:
+        args[dest] = False if action == "store_true" else None
+    return {flag: option for option in options for flag in option[0].split()}
+
+
+def build_parser():
+    """argparse's parser of the same table, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="zifsim",
         description="Turnaround-time and self-interference model for a "
         "zero-IF SDR front-end.",
     )
-    parser.add_argument("-c", "--config", metavar="FILE", help="run configuration file")
+    _add_options(parser, [GLOBAL_OPTION], ())
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_turn = sub.add_parser("turnaround", help="itemized switching budgets")
-    which = p_turn.add_mutually_exclusive_group()
-    which.add_argument("--mode", choices=MODE_NAMES, help="single mode, itemized")
-    which.add_argument("--all", action="store_true", help="sweep all modes")
-    p_turn.add_argument("--dir", dest="direction", choices=DIR_NAMES,
-                        help="one direction of --mode")
-    _output_flags(p_turn)
-
-    p_trace = sub.add_parser("trace", help="simulate a Tx power trace")
-    p_trace.add_argument("--band", choices=BAND_NAMES)
-    _output_flags(p_trace)
-
-    p_noise = sub.add_parser("noise", help="receiver noise-floor analysis")
-    p_noise.add_argument("--mode", choices=MODE_NAMES)
-    p_noise.add_argument("--band", choices=BAND_NAMES)
-    p_noise.add_argument("--n", type=int, help="synthetic sample count")
-    p_noise.add_argument("--seed", type=int, help="synthetic noise seed")
-    p_noise.add_argument("--capture", metavar="FILE", help="capture file to analyze")
-    _output_flags(p_noise)
-
-    p_comply = sub.add_parser("comply", help="deadline compliance matrix")
-    p_comply.add_argument("--require", choices=MODE_NAMES, metavar="MODE",
-                          help="exit 3 unless MODE passes every deadline")
-    p_comply.add_argument("--deadline", action="append", metavar="NAME",
-                          help="restrict to named deadlines (repeatable)")
-    _output_flags(p_comply)
-
-    p_config = sub.add_parser("config", help="show configuration")
-    p_config.add_argument("--dump", action="store_true",
-                          help="print the effective configuration")
+    for name, (help_text, options) in SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), options, EXCLUSIVE.get(name, ()))
     return parser
 
 
-def _output_flags(sub_parser):
-    sub_parser.add_argument("--format", choices=OUTPUT_FORMATS)
-    sub_parser.add_argument("--out", metavar="PATH", help="output file ('-' = stdout)")
+def _add_options(parser, options, exclusive):
+    group = exclusive and parser.add_mutually_exclusive_group()
+    for flags, dest, action, choices, metavar, help_text in options:
+        kwargs = {"dest": dest, "help": help_text}
+        if action != "store_true":
+            kwargs.update(choices=choices, metavar=metavar, type=int if action == "int" else None)
+        (group if flags in exclusive else parser).add_argument(
+            *flags.split(), action="store" if action == "int" else action, **kwargs)
 
 
 class _Emitter:
@@ -139,14 +212,16 @@ def cmd_config(args, config: RunConfig, emitter: _Emitter, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if isinstance(code, int):
-            return code
-        return 0 if code is None else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parse_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if isinstance(code, int):
+                return code
+            return 0 if code is None else 2
 
     out_path = getattr(args, "out", None)
     if out_path == "":

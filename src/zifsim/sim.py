@@ -438,7 +438,7 @@ def _rows(times_ns, power_index, power, fmt, width) -> bytes:
         parts.append(np.take(_texts([" " * k for k in range(int(pad.max()) + 1)]), pad, axis=0))
     parts += [_texts([sep]), np.take(power, power_index, axis=0), _texts([end])]
     text = np.concatenate([np.broadcast_to(m, (rows, m.shape[1])) for m in parts], axis=1)
-    return text[text != 0].tobytes()
+    return text.tobytes().translate(None, b"\0")
 
 
 def render_blocks(trace: PowerTrace, fmt: str):

@@ -12,6 +12,9 @@ And `trace` writes the same bytes, status lines and errors, with the same
 exit code, whichever pipeline its size bounds choose: the per-row loops
 (`looptrace`) or the numpy arrays (`sim`). The bounds are set around each
 drawn config's own size, so the check also sees which pipeline ran.
+
+And the table parser, `parse_argv`, reads an argv only as argparse does:
+it declines it, or gives the namespace `build_parser()` gives.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +42,7 @@ from zifsim import (
     save_capture,
 )
 from zifsim import cli_trace, looptrace, sim
-from zifsim.cli import main
+from zifsim.cli import build_parser, main, parse_argv
 
 from conftest import assert_same_text
 
@@ -143,6 +147,83 @@ def test_main_returns_a_documented_exit_code(use_config, argv, config_text):
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2, 3), (argv, config_text, code)
+
+
+PARSER = build_parser()
+FLAGS = ("-c", "--config", *sorted({flag for options in COMMANDS.values() for flag in options}))
+# forms the table parser declines: help, abbreviations, `=` and attached
+# values, the end of options, negative numbers and '-' as values
+DECLINED = ("-h", "--help", "--form", "--dea", "--al", "--conf", "--format=csv",
+            "--mode=fdd", "--config=run.cfg", "-crun.cfg", "--", "-", "-1", "-64")
+ARG_VALUES = (*sorted({v for options in COMMANDS.values() for values in options.values()
+                   for v in values or ()}), "", "1_0", " 7", "nope")
+VOCABULARY = (*COMMANDS, *FLAGS, *DECLINED, *ARG_VALUES)
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for ARGV, or None for a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# global options, a subcommand, its options (or any flag with any value)
+# and now and then one more token; that with a declined form put in
+# anywhere; or any tokens at all
+any_flag = st.tuples(st.sampled_from(FLAGS), st.sampled_from(ARG_VALUES)) | st.tuples(
+    st.sampled_from(FLAGS + DECLINED))
+global_options = st.lists(st.sampled_from((("-c", "run.cfg"), ("--config", ""), ("-c", "-"))),
+                          max_size=2).map(lambda pairs: sum(pairs, ()))
+tails = st.just(()) | st.just(()) | st.just(()) | st.sampled_from(VOCABULARY).map(
+    lambda token: (token,))
+
+
+def command_argvs(command):
+    options = option(COMMANDS[command])
+    # or three of its options, none twice, each with a value it is meant to take
+    distinct = st.permutations(sorted(COMMANDS[command])).flatmap(lambda flags: st.tuples(
+        *(option({flag: COMMANDS[command][flag]}) for flag in flags[:3])))
+    return st.builds(lambda head, pairs, tail: [*head, command, *sum(pairs, ()), *tail],
+                     global_options,
+                     st.lists(options | options | options | any_flag, max_size=5) | distinct,
+                     tails)
+
+
+structured = st.sampled_from(sorted(COMMANDS)).flatmap(command_argvs)
+cli_argvs = structured | st.builds(
+    lambda argv, token, at: [*argv[:at], token, *argv[at:]],
+    structured, st.sampled_from(DECLINED), st.integers(0, 12),
+) | st.lists(st.sampled_from(VOCABULARY), max_size=6)
+
+
+@settings(PROFILE, max_examples=1000)
+@given(cli_argvs)
+@example([])
+@example(["config", "--dump"])
+@example(["config", "-"])
+@example(["trace", "--format", "json", "--format", "csv"])
+@example(["comply", "--deadline", "sifs-2g4", "--deadline", "nope"])
+@example(["turnaround", "--mode", "nope"])
+@example(["turnaround", "--mode", "fdd", "--all"])
+@example(["noise", "--n", " 7", "--seed", "1_0", "--capture", ""])
+def test_the_table_parser_reads_argv_as_argparse_does(argv):
+    args = parse_argv(argv)
+    assert args is None or vars(args) == argparse_vars(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["turnaround", "--all"],
+    ["-c", "run.cfg", "turnaround", "--mode", "lo-control", "--dir", "rx-tx", "--format", "csv"],
+    ["trace", "--band", "5g", "--format", "json", "--out", "trace.json"],
+    ["noise", "--mode", "fdd", "--band", "2g4", "--n", "1000", "--seed", "7"],
+    ["noise", "--capture", "cap.bin", "--format", "table"],
+    ["comply", "--require", "lo-control", "--deadline", "sifs-2g4", "--deadline", "sifs-5g"],
+    ["--config", "run.cfg", "config", "--dump"],
+])
+def test_well_formed_argv_is_read_from_the_table(argv):
+    assert vars(parse_argv(argv)) == argparse_vars(argv)
 
 
 SPI_CLOCKS = (50_000_000, 48_000_000, 25_000_000, 9_000_000, 7_000_000)

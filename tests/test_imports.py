@@ -18,7 +18,10 @@ a module that ran from one only registered by its type, which reads no
 attribute. No path loads `dataclasses`, and the numpy-free ones load no
 `inspect` either: the value types build on `params.Record`, which
 generates no code. Nor do they load `typing`, which a child without
-`site` (`python -S`) shows. Each case runs in a fresh interpreter, since
+`site` (`python -S`) shows. A well-formed argv is read from the CLI's
+option table, so only help and usage errors load argparse, with
+`gettext` and, under `python -S`, the `shutil` its help formatter
+imports. Each case runs in a fresh interpreter, since
 a module once imported stays in `sys.modules`.
 """
 
@@ -137,13 +140,14 @@ SUBCOMMANDS = set(HANDLERS)
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     # besides the call's own handler module and, with it, the row renderer
     # of the subcommands that print rows; never `zifsim.cli` itself, which
-    # runs as __main__
+    # runs as __main__. The option table reads each argv, so none loads
+    # argparse or gettext.
     files = {**write_configs(tmp_path), "capture": tmp_path / "cap.iq"}
     files["capture"].write_bytes(bytes(range(1, 41)))
     argv = [arg.format_map(files) for arg in argv]
-    code, _, loaded, ran, *_ = probe(argv)
+    code, watched, loaded, ran, *_ = probe(argv, ["argparse", "gettext"])
     modules = f"{modules} {HANDLERS[next(a for a in argv if a in SUBCOMMANDS)]}".split()
-    assert (code, loaded) == (0, sorted(f"zifsim.{name}" for name in modules))
+    assert (code, watched, loaded) == (0, [], sorted(f"zifsim.{name}" for name in modules))
     # `rf` registers `sim` for the benchmark's tracer; only `trace` runs it
     assert ran == [name for name in loaded if name != "zifsim.sim" or "trace" in argv]
 
@@ -194,9 +198,15 @@ def test_exact_subcommands_start_without_numpy(tmp_path, argv):
 ])
 def test_numpy_free_subcommands_load_no_typing(tmp_path, argv):
     # in a child without `site` (python -S), as a host whose start-up
-    # imports nothing sees them: no zifsim module imports `typing`
+    # imports nothing sees them: no zifsim module imports `typing`, and
+    # no argparse means no `shutil` from its help formatter
     argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
-    assert probe(argv, ["typing"], flags=["-S"])[:2] == (0, [])
+    assert probe(argv, ["typing", "argparse", "shutil"], flags=["-S"])[:2] == (0, [])
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["turnaround", "--mode", "nope"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    assert probe(argv, ["argparse", "gettext"])[:2] == (code, ["argparse", "gettext"])
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -18,12 +18,13 @@ SRC = Path(zifsim.__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def zifsim_process(*argv):
-    """(exit code, stdout bytes, stderr text) of a fresh `python -m zifsim.cli`."""
+def zifsim_process(*argv, **env):
+    """(exit code, stdout bytes, stderr text) of a fresh `python -m zifsim.cli`,
+    with ENV added to its environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "zifsim.cli", *argv], capture_output=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, **env}, timeout=60,
     )
     return result.returncode, result.stdout, result.stderr.decode()
 
@@ -76,3 +77,23 @@ def test_process_exit_codes_and_their_error_lines(tmp_path):
     for argv, expected_code, expected_err in cases:
         code, _, err = zifsim_process(*argv)
         assert (code, err) == (expected_code, expected_err), argv
+
+
+# argparse's text, captured at 80 columns with stdout a pipe: help on
+# stdout with exit code 0, a usage error on stderr with exit code 2
+@pytest.mark.parametrize("name, argv", [
+    ("help.txt", ["--help"]),
+    *[(f"help_{command}.txt", [command, "--help"])
+      for command in ("turnaround", "trace", "noise", "comply", "config")],
+    ("usage_no_command.txt", []),
+    ("usage_bad_choice.txt", ["turnaround", "--mode", "nope"]),
+    ("usage_mode_with_all.txt", ["turnaround", "--mode", "fdd", "--all"]),
+    ("usage_bad_int.txt", ["noise", "--n", "1e6"]),
+    ("usage_config_after_command.txt", ["trace", "-c", "x.cfg"]),
+    ("usage_config_without_value.txt", ["--config"]),
+    ("usage_unrecognized.txt", ["turnaround", "--bogus"]),
+])
+def test_help_and_usage_errors_are_the_golden(name, argv):
+    text = (GOLDEN / name).read_bytes()
+    expected = (0, text, "") if name.startswith("help") else (2, b"", text.decode())
+    assert zifsim_process(*argv, COLUMNS="80") == expected
