@@ -55,15 +55,12 @@ _PUBLIC = {
         "CommandKind",
         "Direction",
         "EnsmMode",
-        "LoStep",
         "Record",
         "RfModelParams",
         "Schedule",
         "TimingProfile",
         "cycles_to_ns",
-        "find_step",
         "frame_duration_ns",
-        "measure_turnaround",
         "ns_value",
     ),
     "rf": (
@@ -95,6 +92,11 @@ _PUBLIC = {
         "decode_frame",
         "encode_frame",
         "lo_divider_command",
+    ),
+    "steps": (
+        "LoStep",
+        "find_step",
+        "measure_turnaround",
     ),
 }
 

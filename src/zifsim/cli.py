@@ -10,10 +10,11 @@ error, 3 compliance requirement not met. Error lines always go to stderr.
 `main` reads a well-formed argv from one table of the options
 (`GLOBAL_OPTION`, `SUBCOMMANDS`, `EXCLUSIVE`) through `parse_argv`, which
 gives the namespace argparse would give. Only for an argv that it
-declines, help and usage errors among them, does `main` import argparse,
-whose parser `build_parser` makes from the same table, so help and error
-text are argparse's own. A well-formed call so loads neither argparse
-nor `gettext`, nor the `shutil` its help formatter imports.
+declines, help and usage errors among them, does `main` import
+`cli_help`, whose `build_parser` makes argparse's parser of the same
+table, so help and error text are argparse's own. A well-formed call so
+compiles no parser code and loads neither argparse nor `gettext`, nor
+the `shutil` its help formatter imports.
 
 Each subcommand's handler lives in a module of its own, which `main`
 imports when it dispatches to it (`cli_turnaround`, `cli_trace`,
@@ -24,11 +25,13 @@ they run: `turnaround` the budgets (`ensm`), `comply` the deadline checks
 one of two pipelines that write the same bytes, chosen from the config's
 sizes before either loads: a small trace the per-row loops
 (`looptrace`), which need no numpy, and any other the array layer
-(`sim`) with numpy (`cli_trace.LOOP_ROWS`, `cli_trace.LOOP_COMMANDS`).
-The row renderer (`cli_rows`) loads with the handlers that print rows,
-and `json` and `csv` with the output formats that use them. No handler
-module imports this one: run as `python -m zifsim.cli`, it is
-`__main__`, and an import of `zifsim.cli` would run it a second time.
+(`sim`) with numpy (`cli_trace.LOOP_ROWS`, `cli_trace.LOOP_COMMANDS`);
+both read the shared trace rules in `steps`, which no other call loads.
+The row renderer (`cli_rows`) loads with the handlers that print rows
+and writes json and csv itself, without the stdlib `json` and `csv`.
+Neither `cli_help` nor any handler module imports this one: run as
+`python -m zifsim.cli`, it is `__main__`, and an import of `zifsim.cli`
+would run it a second time.
 
 The process entry point, `run`, disables the garbage collector before
 `main` and freezes it once `main` returns: a call is short and makes
@@ -100,9 +103,9 @@ def parse_argv(argv):
     """The namespace argparse makes of a well-formed ARGV, or None.
 
     It reads only exact option strings, each followed by a separate value
-    that does not start with '-', and declines everything else: help,
-    abbreviations, `--format=csv` and `-cFILE`, `--`, negative numbers
-    and '-' as values, unknown or extra tokens, a missing subcommand or
+    that is a lone '-' or does not start with '-', and declines everything
+    else: help, abbreviations, `--format=csv` and `-cFILE`, `--`, negative
+    numbers as values, unknown or extra tokens, a missing subcommand or
     value, a bad choice or int, and both options of an exclusive pair.
     """
     args = {}
@@ -121,8 +124,8 @@ def parse_argv(argv):
         if action == "store_true":
             args[dest] = True
             continue
-        value = next(tokens, "-")  # a missing value declines as '-' does
-        if value[:1] == "-":
+        value = next(tokens, "--")  # a missing value declines as an option does
+        if value[:1] == "-" and value != "-":  # a lone '-' is a value to argparse
             return None
         if action == "int":
             try:
@@ -143,32 +146,6 @@ def _options(args, options):
     for _, dest, action, *_ in options:
         args[dest] = False if action == "store_true" else None
     return {flag: option for option in options for flag in option[0].split()}
-
-
-def build_parser():
-    """argparse's parser of the same table, for help and usage errors."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="zifsim",
-        description="Turnaround-time and self-interference model for a "
-        "zero-IF SDR front-end.",
-    )
-    _add_options(parser, [GLOBAL_OPTION], ())
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in SUBCOMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), options, EXCLUSIVE.get(name, ()))
-    return parser
-
-
-def _add_options(parser, options, exclusive):
-    group = exclusive and parser.add_mutually_exclusive_group()
-    for flags, dest, action, choices, metavar, help_text in options:
-        kwargs = {"dest": dest, "help": help_text}
-        if action != "store_true":
-            kwargs.update(choices=choices, metavar=metavar, type=int if action == "int" else None)
-        (group if flags in exclusive else parser).add_argument(
-            *flags.split(), action="store" if action == "int" else action, **kwargs)
 
 
 class _Emitter:
@@ -216,7 +193,9 @@ def main(argv=None) -> int:
     args = parse_argv(argv)
     if args is None:
         try:
-            args = build_parser().parse_args(argv)
+            from .cli_help import build_parser
+
+            args = build_parser(GLOBAL_OPTION, SUBCOMMANDS, EXCLUSIVE).parse_args(argv)
         except SystemExit as exc:
             code = exc.code
             if isinstance(code, int):

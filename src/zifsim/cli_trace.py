@@ -5,13 +5,14 @@ runs the per-row loop pipeline (`looptrace`), which loads no numpy; a
 larger one the array pipeline (`sim`). Each bound is the largest power of
 two below the measured fresh-call crossover of the two, in every output
 format (README, "Power trace simulation"; BENCH_25.json, BENCH_26.json
-and BENCH_28.json). Both bind `params.find_step` and `measure_turnaround`,
+and BENCH_28.json). Both bind `steps.find_step` and `measure_turnaround`,
 looked up on the pipeline module at call time.
 """
 
 from .config import RunConfig
 from .errors import MeasurementError
-from .params import PACKET_WARNING, Band, ns_value
+from .params import Band, ns_value
+from .steps import PACKET_WARNING
 
 LOOP_ROWS = 2**16
 LOOP_COMMANDS = 2**15

@@ -13,7 +13,7 @@ a `LoopTimeline` of event rows, `sample_trace` a `LoopTrace` of a list of
 samples, and `render_blocks` the whole text as one block. An event's
 time is an integer key, as in `sim`'s columns, with the frame's fraction
 held once per timeline. `find_step` and `measure_turnaround` are the
-`params` functions `sim` binds too, reading `step_event` and `first_past`.
+`steps` functions `sim` binds too, reading `step_event` and `first_past`.
 """
 
 import math
@@ -22,6 +22,16 @@ from operator import itemgetter
 from .errors import OverlappingSpiError, ScheduleError
 from .params import (
     COMMAND_KINDS,
+    Band,
+    ClockConfig,
+    Record,
+    RfModelParams,
+    Schedule,
+    TimingProfile,
+    check_sampling,
+    frame_duration_ns,
+)
+from .steps import (
     EFFECTS,
     NOT_SORTED,
     PACKET_INSIDE,
@@ -29,17 +39,9 @@ from .params import (
     PACKET_UNMATCHED,
     SPI_OVERLAP,
     TRACE_ROW,
-    Band,
-    ClockConfig,
-    Record,
-    RfModelParams,
-    Schedule,
-    TimingProfile,
     cell_text,
-    check_sampling,
     event_time_ns,
     find_step,  # the step measurement of both pipelines, under looptrace's names
-    frame_duration_ns,
     measure_turnaround,
     time_width,
     trace_header,
@@ -58,7 +60,7 @@ class LoopTimeline(Record):
     warned, lo_change): the integer key 2 * floor_ns + plus_frac of the
     event's time, the Effect, the power after the event, whether it
     carries PACKET_WARNING and whether it changes the LO state. The
-    frame's fraction `frac_ns` is held once; `params.event_time_ns` makes
+    frame's fraction `frac_ns` is held once; `steps.event_time_ns` makes
     the exact time of a key."""
 
     events: list
@@ -256,7 +258,7 @@ def render_blocks(trace: LoopTrace, fmt: str):
     # lead and the time cell, or its part up to the two hundredths
     # digits), a tail (those digits, the table's pad and the separator)
     # and the power cell with the row end. A time of t >= 0 ns off a tie
-    # is (t + 5) // 10 hundredths of a microsecond (see params.cell_text),
+    # is (t + 5) // 10 hundredths of a microsecond (see steps.cell_text),
     # its last two digits from a table; negative times and ties take
     # cell_text itself, a cell per row
     cents = [f"{k:02d}" for k in range(100)]

@@ -8,7 +8,7 @@ traces are numpy columns; expansion, sampling and the crossing search
 work on whole columns, and text rendering on a block of rows at a time.
 `looptrace` does the same steps as per-row loops without numpy, for the
 small traces that cost less that way. The facts both must agree on live
-in `params`, and so does the step measurement both bind (`find_step`,
+in `steps`, and so does the step measurement both bind (`find_step`,
 `measure_turnaround`), reading `Timeline.step_event` and
 `PowerTrace.first_past`.
 """
@@ -20,6 +20,16 @@ import numpy as np
 from .errors import OverlappingSpiError, ScheduleError
 from .params import (
     COMMAND_KINDS,
+    Band,
+    ClockConfig,
+    Record,
+    RfModelParams,
+    Schedule,
+    TimingProfile,
+    check_sampling,
+    frame_duration_ns,
+)
+from .steps import (
     EFFECTS,
     NOT_SORTED,
     PACKET_INSIDE,
@@ -27,17 +37,9 @@ from .params import (
     PACKET_UNMATCHED,
     SPI_OVERLAP,
     TRACE_ROW,
-    Band,
-    ClockConfig,
-    Record,
-    RfModelParams,
-    Schedule,
-    TimingProfile,
     cell_text,
-    check_sampling,
     event_time_ns,
     find_step,  # the step measurement of both pipelines, under sim's names
-    frame_duration_ns,
     measure_turnaround,
     time_width,
     trace_header,
@@ -94,7 +96,7 @@ class Timeline(Record):
                 in zip(self.floor_ns[self.warned].tolist(), self.plus_frac[self.warned].tolist())]
 
     def step_event(self) -> tuple:
-        """The event at step_index as `params.find_step` reads it: whether
+        """The event at step_index as `steps.find_step` reads it: whether
         it rises, the level after it, whether it changes the LO state, and
         the key 2 * floor_ns + plus_frac of the next LO state change (None:
         none follows)."""
@@ -390,7 +392,7 @@ def _decimal_field(hundredths, negative, fmt):
 
 def _time_field(times_ns, fmt):
     """The time column in microseconds, as a byte matrix. t / 1000 rounds
-    to (t + 5) // 10 hundredths unless t % 10 == 5 (`params.cell_text`
+    to (t + 5) // 10 hundredths unless t % 10 == 5 (`steps.cell_text`
     says why); then q = fl(t / 1000) rounds as its text does, up, down or
     to even as q * 1000 - t is above, below or at 0. A Veltkamp split of q
     into 26-bit halves makes that sign exact: each half times 1000 is

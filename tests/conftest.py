@@ -14,17 +14,19 @@ from zifsim import ClockConfig, RfModelParams, TimingProfile
 from zifsim.looptrace import LoopTimeline
 from zifsim.params import (
     COMMAND_KINDS,
-    EFFECTS,
-    NO_CROSSING,
-    NO_STEP,
-    PACKET_WARNING,
-    TRIGGER_OUTSIDE,
     CommandKind,
     Direction,
     Record,
     Schedule,
     check_command_time,
     check_fields,
+)
+from zifsim.steps import (
+    EFFECTS,
+    NO_CROSSING,
+    NO_STEP,
+    PACKET_WARNING,
+    TRIGGER_OUTSIDE,
     event_time_ns,
 )
 

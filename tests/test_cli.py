@@ -554,6 +554,17 @@ def test_trace_writes_the_same_text_to_stdout_and_to_a_file(tmp_path, fmt):
     assert text.count("\n") == (1 + rows if fmt != "json" else 4 * rows + 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace"],
+    ["turnaround", "--all", "--format", "json"],
+    ["comply", "--format", "csv"],
+])
+def test_out_dash_writes_what_no_out_writes(capsys, argv):
+    # '-' is stdout, the default output.path: the same data, status lines
+    # and exit code
+    assert run_cli(capsys, *argv, "--out", "-") == run_cli(capsys, *argv)
+
+
 def test_out_writes_file_and_status_to_stdout(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, err = run_cli(capsys, "turnaround", "--mode", "lo-control",

@@ -14,7 +14,7 @@ exit code, whichever pipeline its size bounds choose: the per-row loops
 drawn config's own size, so the check also sees which pipeline ran.
 
 And the table parser, `parse_argv`, reads an argv only as argparse does:
-it declines it, or gives the namespace `build_parser()` gives.
+it declines it, or gives the namespace `build_parser` gives.
 """
 
 import contextlib
@@ -42,7 +42,8 @@ from zifsim import (
     save_capture,
 )
 from zifsim import cli_trace, looptrace, sim
-from zifsim.cli import build_parser, main, parse_argv
+from zifsim.cli import EXCLUSIVE, GLOBAL_OPTION, SUBCOMMANDS, main, parse_argv
+from zifsim.cli_help import build_parser
 
 from conftest import assert_same_text
 
@@ -149,12 +150,14 @@ def test_main_returns_a_documented_exit_code(use_config, argv, config_text):
     assert code in (0, 1, 2, 3), (argv, config_text, code)
 
 
-PARSER = build_parser()
+PARSER = build_parser(GLOBAL_OPTION, SUBCOMMANDS, EXCLUSIVE)
 FLAGS = ("-c", "--config", *sorted({flag for options in COMMANDS.values() for flag in options}))
 # forms the table parser declines: help, abbreviations, `=` and attached
-# values, the end of options, negative numbers and '-' as values
+# values, the end of options and negative numbers as values
 DECLINED = ("-h", "--help", "--form", "--dea", "--al", "--conf", "--format=csv",
-            "--mode=fdd", "--config=run.cfg", "-crun.cfg", "--", "-", "-1", "-64")
+            "--mode=fdd", "--config=run.cfg", "-crun.cfg", "--", "-1", "-64")
+# values, '-' (an --out value) among them: argparse reads a lone '-' as a
+# value, and so does the table parser
 ARG_VALUES = (*sorted({v for options in COMMANDS.values() for values in options.values()
                    for v in values or ()}), "", "1_0", " 7", "nope")
 VOCABULARY = (*COMMANDS, *FLAGS, *DECLINED, *ARG_VALUES)
@@ -203,6 +206,12 @@ cli_argvs = structured | st.builds(
 @example([])
 @example(["config", "--dump"])
 @example(["config", "-"])
+# a lone '-' is a value, a missing value or one that starts with '-' is not
+@example(["trace", "--out", "-"])
+@example(["trace", "--out"])
+@example(["trace", "--out", "-h"])
+@example(["-c", "-crun.cfg", "config"])
+@example(["noise", "--n", "-1"])
 @example(["trace", "--format", "json", "--format", "csv"])
 @example(["comply", "--deadline", "sifs-2g4", "--deadline", "nope"])
 @example(["turnaround", "--mode", "nope"])
@@ -217,6 +226,9 @@ def test_the_table_parser_reads_argv_as_argparse_does(argv):
     ["turnaround", "--all"],
     ["-c", "run.cfg", "turnaround", "--mode", "lo-control", "--dir", "rx-tx", "--format", "csv"],
     ["trace", "--band", "5g", "--format", "json", "--out", "trace.json"],
+    ["trace", "--out", "-"],
+    ["-c", "-", "turnaround", "--all", "--format", "json", "--out", "-"],
+    ["comply", "--deadline", "-", "--format", "csv", "--out", "-"],
     ["noise", "--mode", "fdd", "--band", "2g4", "--n", "1000", "--seed", "7"],
     ["noise", "--capture", "cap.bin", "--format", "table"],
     ["comply", "--require", "lo-control", "--deadline", "sifs-2g4", "--deadline", "sifs-5g"],

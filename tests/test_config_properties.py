@@ -22,7 +22,8 @@ from zifsim import (
     parse_config,
 )
 from zifsim.config import OUTPUT_FORMATS
-from zifsim.configtext import _fast_schedule, _Irregular, _parse_lines, _parse_per_line
+from zifsim.configfast import fast_schedule
+from zifsim.configtext import _Irregular, _parse_lines, _parse_per_line
 
 from conftest import Command, from_commands
 
@@ -195,7 +196,7 @@ def test_fast_path_equals_the_per_line_parser(text):
     # equal configs, or the same first error
     expected = parsed(_parse_per_line, text)
     assert parsed(parse_config, text) == expected
-    fast = _fast_schedule(text)
+    fast = fast_schedule(text)
     if fast is None:
         return
     try:
@@ -211,7 +212,7 @@ def test_regular_schedules_take_the_fast_path():
     text = dump_config(config)
     shuffled = "\n".join(reversed(text.splitlines())) + "\n"
     for text in (text, shuffled):
-        lines, schedule = _fast_schedule(text)
+        lines, schedule = fast_schedule(text)
         assert schedule == config.schedule
         assert not any(line.startswith("schedule.") for _, line in lines)
         assert _parse_lines(lines, schedule) == config

@@ -19,10 +19,10 @@ from zifsim.params import (
     ClockConfig,
     cycles_to_ns,
     exact_ns,
-    first_sample_at,
     frame_duration_ns,
     ns_value,
 )
+from zifsim.steps import first_sample_at
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=300, database=None)
 

@@ -9,9 +9,13 @@ start without numpy, and at clocks that divide evenly without
 small trace the per-row loops (`zifsim.looptrace`), with neither numpy nor
 the array layer, and a large one the array layer (`zifsim.sim`) with
 numpy and no loop module; neither loads `json` for `--format json`. Only
+`trace` loads the rules both pipelines share (`zifsim.steps`). Only
 `noise` runs the capture layer (`zifsim.rf`), with numpy; only `-c` and
-`config --dump` load the config text format (`zifsim.configtext`), and no
-subcommand loads the SPI codec (`zifsim.spi`). `rf` registers `sim` in `sys.modules` for the
+`config --dump` load the config text format (`zifsim.configtext`), only a
+config file with schedule lines its regex fast path (`zifsim.configfast`)
+and `re` with it, and no subcommand loads the SPI codec (`zifsim.spi`).
+The rows of `turnaround`, `comply` and `noise` are written without `json`
+or `csv` in every format. `rf` registers `sim` in `sys.modules` for the
 benchmark's tracer, as a lazy module that runs on the first read of an
 attribute, so a `noise` call holds `sim` but never runs it. The probe tells
 a module that ran from one only registered by its type, which reads no
@@ -19,9 +23,9 @@ attribute. No path loads `dataclasses`, and the numpy-free ones load no
 `inspect` either: the value types build on `params.Record`, which
 generates no code. Nor do they load `typing`, which a child without
 `site` (`python -S`) shows. A well-formed argv is read from the CLI's
-option table, so only help and usage errors load argparse, with
-`gettext` and, under `python -S`, the `shutil` its help formatter
-imports. Each case runs in a fresh interpreter, since
+option table, `--out -` included, so only help and usage errors load
+the help parser (`zifsim.cli_help`) and argparse, with `gettext` and,
+under `python -S`, the `shutil` its help formatter imports. Each case runs in a fresh interpreter, since
 a module once imported stays in `sys.modules`.
 """
 
@@ -41,6 +45,7 @@ import zifsim.ensm
 import zifsim.params
 import zifsim.rf
 import zifsim.sim
+import zifsim.steps
 
 SRC = Path(zifsim.__file__).resolve().parent.parent
 WATCHED = ["numpy", "zifsim.looptrace", "zifsim.rf", "zifsim.sim", "zifsim.spi"]
@@ -96,9 +101,11 @@ LARGE_TRACES = {
 
 
 def write_configs(tmp_path):
-    """A small config and the large ones, as {name: path}."""
-    files = {"config": tmp_path / "run.cfg"}
+    """A small config, one of settings alone and the large ones, as
+    {name: path}."""
+    files = {"config": tmp_path / "run.cfg", "settings": tmp_path / "settings.cfg"}
     files["config"].write_text("trace.band = 5g\nschedule.0 = lo-off @ 10\n")
+    files["settings"].write_text("trace.band = 5g\nclocks.spi_clock_hz = 25000000\n")
     for name, text in LARGE_TRACES.items():
         files[name] = tmp_path / f"{name}.cfg"
         files[name].write_text(text)
@@ -129,19 +136,24 @@ SUBCOMMANDS = set(HANDLERS)
     (["comply"], "config ensm errors mac params"),
     (["comply", "--require", "lo-control"], "config ensm errors mac params"),
     (["config", "--dump"], "config configtext errors params"),
-    (["-c", "{config}", "config", "--dump"], "config configtext errors params"),
-    (["trace"], "config errors looptrace params"),
+    (["-c", "{config}", "config", "--dump"], "config configtext errors params configfast"),
+    (["trace"], "config errors looptrace params steps"),
     (["noise", "--mode", "fdd", "--band", "2g4"], "config errors params rf sim"),
     (["noise", "--capture", "{capture}"], "config errors params rf sim"),
-    (["-c", "{config}", "trace"], "config configtext errors looptrace params"),
-    (["-c", "{rows}", "trace"], "config configtext errors params sim"),
-    (["-c", "{commands}", "trace"], "config configtext errors params sim"),
+    (["-c", "{config}", "trace"], "config configtext errors looptrace params configfast steps"),
+    (["-c", "{rows}", "trace"], "config configtext errors params sim steps"),
+    (["-c", "{commands}", "trace"], "config configtext errors params sim configfast steps"),
+    (["-c", "{settings}", "config", "--dump"], "config configtext errors params"),
+    (["-c", "{settings}", "comply"], "config configtext ensm errors mac params"),
+    (["-c", "{settings}", "trace"], "config configtext errors looptrace params steps"),
 ])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     # besides the call's own handler module and, with it, the row renderer
     # of the subcommands that print rows; never `zifsim.cli` itself, which
     # runs as __main__. The option table reads each argv, so none loads
-    # argparse or gettext.
+    # the help parser (`zifsim.cli_help`), argparse or gettext. Only
+    # `trace` loads the trace rules (`zifsim.steps`), and only schedule
+    # lines in a config file the config fast path (`zifsim.configfast`).
     files = {**write_configs(tmp_path), "capture": tmp_path / "cap.iq"}
     files["capture"].write_bytes(bytes(range(1, 41)))
     argv = [arg.format_map(files) for arg in argv]
@@ -206,7 +218,34 @@ def test_numpy_free_subcommands_load_no_typing(tmp_path, argv):
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["turnaround", "--mode", "nope"], 2)])
 def test_help_and_usage_errors_load_argparse(argv, code):
-    assert probe(argv, ["argparse", "gettext"])[:2] == (code, ["argparse", "gettext"])
+    watched = ["argparse", "gettext", "zifsim.cli_help"]
+    assert probe(argv, watched)[:2] == (code, watched)
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+@pytest.mark.parametrize("argv", [
+    ["trace", "--out", "-"],
+    ["turnaround", "--all", "--format", "json", "--out", "-"],
+    ["comply", "--format", "csv", "--out", "-"],
+])
+def test_out_to_stdout_is_read_from_the_table(argv, flags):
+    # a lone '-' is a value to argparse, and so to the table parser
+    assert probe(argv, ["argparse", "gettext", "zifsim.cli_help"], flags=flags)[:2] == (0, [])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["-c", "{settings}", "config", "--dump"], []),
+    (["-c", "{settings}", "turnaround", "--all"], []),
+    (["-c", "{settings}", "comply", "--format", "json"], []),
+    (["-c", "{settings}", "trace"], []),
+    (["-c", "{config}", "config", "--dump"], ["zifsim.configfast", "re"]),
+    (["-c", "{config}", "trace"], ["zifsim.configfast", "re"]),
+])
+def test_only_schedule_lines_load_the_config_fast_path(tmp_path, argv, loaded):
+    # and `re` with it, which a child without `site` shows: the per-line
+    # parser and every numpy-free path run without it
+    argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
+    assert probe(argv, ["zifsim.configfast", "re"], flags=["-S"])[:2] == (0, loaded)
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -238,15 +277,35 @@ def test_small_traces_load_neither_numpy_nor_the_array_layer(tmp_path, argv):
 @pytest.mark.parametrize("argv, loaded", [
     (["turnaround", "--all"], []),
     (["trace", "--format", "csv"], []),
-    (["turnaround", "--all", "--format", "csv"], ["csv"]),
-    (["turnaround", "--all", "--format", "json"], ["json"]),
+    (["turnaround", "--all", "--format", "csv"], []),
+    (["turnaround", "--all", "--format", "json"], []),
     # only Infinity and NaN need json, on either trace pipeline
     (["trace", "--format", "json"], []),
     (["-c", "{rows}", "trace", "--format", "json"], []),
+    (["turnaround", "--mode", "lo-control", "--format", "json"], []),
+    (["comply", "--format", "csv"], []),
+    (["comply", "--format", "json"], []),
+    (["noise", "--mode", "fdd", "--band", "2g4", "--format", "csv"], []),
+    (["noise", "--mode", "fdd", "--band", "2g4", "--format", "json"], []),
 ])
 def test_json_and_csv_load_only_for_their_formats(tmp_path, argv, loaded):
+    # which is no format: the row renderer writes both texts itself
     argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
     assert probe(argv, ["json", "csv"])[:2] == (0, loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["turnaround", "--all", "--format", "csv"],
+    ["turnaround", "--mode", "lo-control", "--format", "json"],
+    ["comply", "--format", "csv"],
+    ["comply", "--format", "json"],
+    ["trace", "--format", "csv"],
+    ["trace", "--format", "json"],
+])
+def test_numpy_free_outputs_load_no_json_csv_or_re_without_site(argv):
+    # in a child without `site`, where numpy does not import: nothing on
+    # these paths loads `re` either
+    assert probe(argv, ["json", "csv", "re"], flags=["-S"])[:2] == (0, [])
 
 
 # a config as the benchmark writes one for its small calls: clocks, budgets
@@ -317,22 +376,44 @@ def test_the_step_measurement_is_one_object_in_every_module():
 
     for name in ("find_step", "measure_turnaround"):
         held = [getattr(module, name) for module in (zifsim.sim, zifsim.looptrace,
-                                                     zifsim.params, zifsim)]
+                                                     zifsim.steps, zifsim)]
         assert all(value is held[0] for value in held), name
 
 
 def test_the_step_measurement_imports_without_either_pipeline():
-    # in a child without `site`: both functions live in `params`
+    # in a child without `site`: both functions live in `steps`
     code = ("import sys; from zifsim import find_step, measure_turnaround; "
             "print([m for m in ('numpy', 'zifsim.sim', 'zifsim.looptrace') if m in sys.modules])")
     assert run_python(code, flags=["-S"]).strip() == "[]"
 
 
 def test_no_module_imports_the_spi_codec():
-    code = ("import sys, zifsim.cli, zifsim.cli_comply, zifsim.cli_noise, zifsim.cli_trace, "
-            "zifsim.cli_turnaround, zifsim.config, zifsim.configtext, zifsim.ensm, "
-            "zifsim.mac, zifsim.rf, zifsim.sim; print('zifsim.spi' in sys.modules)")
+    code = ("import sys, zifsim.cli, zifsim.cli_comply, zifsim.cli_help, zifsim.cli_noise, "
+            "zifsim.cli_trace, zifsim.cli_turnaround, zifsim.config, zifsim.configfast, "
+            "zifsim.configtext, zifsim.ensm, zifsim.looptrace, zifsim.mac, zifsim.rf, "
+            "zifsim.sim, zifsim.steps; print('zifsim.spi' in sys.modules)")
     assert run_python(code).strip() == "False"
+
+
+def imported_names(nodes) -> set:
+    """The absolute module names the import statements among NODES name."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "zifsim").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_json_or_csv_and_only_the_fast_path_imports_re(path):
+    # read from the source, so a start-up regression fails here even on a
+    # path no other test runs: `json` and `csv` at most inside a function
+    # that needs them, and `re` only in the config fast path
+    tree = ast.parse(path.read_text(), str(path))
+    assert not imported_names(tree.body) & {"json", "csv"}, path.name
+    assert ("re" in imported_names(ast.walk(tree))) == (path.name == "configfast.py"), path.name
 
 
 def test_bare_import_loads_no_submodule():

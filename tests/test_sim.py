@@ -27,7 +27,7 @@ from zifsim import (
     turnaround_budget,
 )
 from zifsim.params import check_sampling
-from zifsim.params import PACKET_WARNING, Effect
+from zifsim.steps import PACKET_WARNING, Effect
 
 from conftest import Command, event_rows, from_commands
 

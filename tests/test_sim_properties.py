@@ -42,7 +42,7 @@ from zifsim import (
     turnaround_budget,
 )
 from zifsim import looptrace
-from zifsim.params import cell_text, event_time_ns
+from zifsim.steps import cell_text, event_time_ns
 from zifsim.sim import Timeline, _power_field, render_blocks
 
 from conftest import (
