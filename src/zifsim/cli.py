@@ -206,7 +206,10 @@ def main(argv=None) -> int:
     if out_path == "":
         return _Emitter.usage_error("--out needs a path ('-' = stdout)")
     try:
-        config = load_config(args.config) if args.config else default_config()
+        numpy_above = None
+        if args.command == "trace":  # which runs numpy for more commands than its loops take
+            from .cli_trace import LOOP_COMMANDS as numpy_above
+        config = load_config(args.config, numpy_above) if args.config else default_config()
         fmt = getattr(args, "format", None) or config.output_format
         emitter = _Emitter(config.output_path if out_path is None else out_path)
         if args.command == "config":

@@ -103,20 +103,23 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse config text into a RunConfig, on top of the defaults."""
+def parse_config(text: str, numpy_above=None) -> RunConfig:
+    """Parse config text into a RunConfig, on top of the defaults; a caller
+    that runs numpy for a schedule of more than `numpy_above` commands
+    says so, and such a schedule is read as numpy columns."""
     from .configtext import parse_text
 
-    return parse_text(text)
+    return parse_text(text, numpy_above)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, numpy_above=None) -> RunConfig:
+    """parse_config of the text of the file at `path`."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config(text)
+    return parse_config(text, numpy_above)
 
 
 def dump_config(config: RunConfig) -> str:

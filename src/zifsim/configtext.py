@@ -4,7 +4,9 @@
 `config.parse_config`, `load_config` and `dump_config` import this module
 on first call. Schedule lines as `dump_text` writes them take a regex
 fast path (`configfast`), which `parse_text` imports only for a text
-that holds `schedule.`: a file of settings alone loads no `re`.
+that holds `schedule.`: a file of settings alone loads no `re`. A
+schedule that the caller runs numpy for is read as numpy columns before
+that (`configcols`), and only then is numpy loaded here.
 """
 
 import functools
@@ -93,23 +95,36 @@ class _Irregular(Exception):
     """A schedule line that the fast path left to the per-line parser."""
 
 
-def parse_text(text: str) -> RunConfig:
+def parse_text(text: str, numpy_above=None) -> RunConfig:
     """Parse config text into a RunConfig, on top of the defaults.
 
     Schedule lines as dump_config writes them take a fast path; a text
     with any other schedule line is parsed line by line throughout, so
-    both give the same config and the same first error.
+    both give the same config and the same first error. A caller that
+    runs numpy for a schedule of more than `numpy_above` commands says
+    so, and such a schedule is read as numpy columns first (`configcols`).
     """
     if "schedule." in text:
-        from .configfast import fast_schedule
-
-        fast = fast_schedule(text)
-        if fast is not None:
-            try:
-                return _parse_lines(*fast)
-            except _Irregular:
-                pass
+        for read in _schedule_readers(text, numpy_above):
+            found = read(text)
+            if found is not None:
+                try:
+                    return _parse_lines(*found)
+                except _Irregular:
+                    pass
     return _parse_per_line(text)
+
+
+def _schedule_readers(text, numpy_above):
+    """The fast paths to try on `text`, each imported when its turn comes."""
+    if numpy_above is not None and (
+            text.count("\nschedule.") + text.startswith("schedule.") > numpy_above):
+        from .configcols import column_schedule
+
+        yield column_schedule
+    from .configfast import fast_schedule
+
+    yield fast_schedule
 
 
 def _parse_per_line(text: str) -> RunConfig:

@@ -346,10 +346,11 @@ def _settle(targets, levels, timeline, seen, times, interval, tau):
 # Every format rounds time (us) and power (dB) to two decimals, as the
 # per-row code it replaces did: csv writes f"{x:.2f}" with -0.00 shown as
 # 0.00, the table f"{round(x, 2):.2f}" and json the float round(x, 2).
-# Rows are assembled as byte matrices, one column block per field, a
-# block of rows at a time so the temporaries stay small. Each field pads
-# its cells with NUL, which no text holds, so one compaction drops every
-# pad of a block.
+# Rows are written into a byte matrix of a block of rows, its literal
+# columns written once per render; each block writes only its fields,
+# each into columns of its own, so the temporaries stay small. Each field
+# pads its cells with NUL, which no text holds, so one compaction drops
+# every pad of a block.
 
 _CHUNK_ROWS = 1 << 16
 
@@ -369,34 +370,75 @@ def _texts(texts):
     return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
-def _decimal_field(hundredths, negative, fmt):
-    """Byte matrix of integer hundredths as two-decimal text, a row each:
-    digits right-aligned behind NUL, "-" ahead of negative rows (csv: not
-    on -0.00), and json drops a trailing zero as repr does (2.5, 0.0)."""
+def _template(rows, parts):
+    """A byte matrix of `rows` rows laid out as `parts`, and a view of each
+    field: a bytes part is a literal written in every row, an int part a
+    field of that many columns."""
+    row = b"".join(bytes(part) if isinstance(part, int) else part for part in parts)
+    matrix = np.empty((rows, len(row)), np.uint8)
+    matrix[:] = np.frombuffer(row, np.uint8)
+    fields, column = [], 0
+    for part in parts:
+        if isinstance(part, int):
+            fields.append(matrix[:, column:column + part])
+        column += part if isinstance(part, int) else len(part)
+    return matrix, fields
+
+
+def _items(matrix):
+    """A byte matrix as an array of one item per row, each its bytes."""
+    return matrix.view(np.dtype((np.void, matrix.shape[1])))[:, 0]
+
+
+def _field_width(high):
+    """The columns of a digit field whose part above its last word is at
+    most `high`: a word of NUL and three digits per group, and that word."""
+    return 4 * -(-len(str(high)) // 3) + 4
+
+
+def _group_words(high, words):
+    """Write `high`, non-negative ints (consumed), into the uint32 columns
+    `words` a group of three digits each, leading zeros NUL."""
     # in place: floor division by a constant is fast, divmod and % are not
-    units = np.abs(hundredths)
-    high = units // 1000
-    units -= 1000 * high
-    groups = -(-len(str(int(high.max()))) // 3)
-    text = np.empty((high.size, 4 * groups + 4), np.uint8)
-    words = text.view(np.uint32)  # a word per group, then "d.dd"
-    words[:, -1] = np.take(_LOW[int(fmt == "json")], units)
-    for column in range(groups - 1, -1, -1):
+    for column in range(words.shape[1] - 1, -1, -1):
         rest = high // 1000
         high -= 1000 * rest
         words[:, column] = np.where(rest > 0, np.take(_PADDED, high), np.take(_ALIGNED, high))
         high = rest
+
+
+def _decimal_field(hundredths, negative, fmt, text=None):
+    """Byte matrix of integer hundredths as two-decimal text, a row each:
+    digits right-aligned behind NUL, "-" ahead of negative rows (csv: not
+    on -0.00), and json drops a trailing zero as repr does (2.5, 0.0).
+    Written into `text` when given, wide enough for every row."""
+    units = np.abs(hundredths)
+    high = units // 1000
+    units -= 1000 * high
+    if text is None:
+        text = np.empty((high.size, _field_width(int(high.max()))), np.uint8)
+    words = text.view(np.uint32)  # a word per group, then "d.dd"
+    words[:, -1] = np.take(_LOW[int(fmt == "json")], units)
+    _group_words(high, words[:, :-1])
     text[:, 0] = np.where(negative & ((hundredths != 0) | (fmt != "csv")), ord("-"), 0)
     return text
 
 
-def _time_field(times_ns, fmt):
-    """The time column in microseconds, as a byte matrix. t / 1000 rounds
-    to (t + 5) // 10 hundredths unless t % 10 == 5 (`steps.cell_text`
-    says why); then q = fl(t / 1000) rounds as its text does, up, down or
-    to even as q * 1000 - t is above, below or at 0. A Veltkamp split of q
-    into 26-bit halves makes that sign exact: each half times 1000 is
-    exact, and (Sterbenz) so is high's minus t."""
+def _integer_field(values, text):
+    """Non-negative ints as decimal text, written into the byte matrix
+    `text` a row each, right-aligned behind NUL."""
+    _group_words(values.copy(), text.view(np.uint32))
+    text[values == 0, -1] = ord("0")
+
+
+def _time_field(times_ns, fmt, text):
+    """The time column in microseconds, written into the byte matrix
+    `text`; returns its hundredths. t / 1000 rounds to (t + 5) // 10
+    hundredths unless t % 10 == 5 (`steps.cell_text` says why); then
+    q = fl(t / 1000) rounds as its text does, up, down or to even as
+    q * 1000 - t is above, below or at 0. A Veltkamp split of q into
+    26-bit halves makes that sign exact: each half times 1000 is exact,
+    and (Sterbenz) so is high's minus t."""
     hundredths = (times_ns + 5) // 10
     ties = np.flatnonzero(10 * hundredths == times_ns + 5)
     q = times_ns[ties] / 1000.0
@@ -404,7 +446,8 @@ def _time_field(times_ns, fmt):
     high -= high - q  # q's upper 26 bits
     excess = (high * 1000.0 - times_ns[ties]) + (q - high) * 1000.0
     hundredths[ties] -= (excess < 0) | (excess == 0) & (hundredths[ties] % 2 == 1)
-    return _decimal_field(hundredths, times_ns < 0, fmt)
+    _decimal_field(hundredths, times_ns < 0, fmt, text)
+    return hundredths
 
 
 def _power_field(values, fmt):
@@ -427,22 +470,6 @@ def _power_field(values, fmt):
     return text
 
 
-def _rows(times_ns, power_index, power, fmt, width) -> bytes:
-    """ASCII text of a block of rows."""
-    rows = times_ns.size
-    lead, sep, end = TRACE_ROW[fmt]
-    time_bytes = _time_field(times_ns, fmt)
-    parts = [_texts([lead])] if lead else []
-    parts.append(time_bytes)
-    if fmt == "table":  # the time column is padded to the widest cell
-        # the text lengths; einsum sums a row's bytes faster than count_nonzero
-        pad = width - np.einsum("ij->i", (time_bytes != 0).view(np.uint8))
-        parts.append(np.take(_texts([" " * k for k in range(int(pad.max()) + 1)]), pad, axis=0))
-    parts += [_texts([sep]), np.take(power, power_index, axis=0), _texts([end])]
-    text = np.concatenate([np.broadcast_to(m, (rows, m.shape[1])) for m in parts], axis=1)
-    return text.tobytes().translate(None, b"\0")
-
-
 def render_blocks(trace: PowerTrace, fmt: str):
     """The trace as csv, json or an aligned table, in ASCII bytes: the
     header, then the rows a block of _CHUNK_ROWS at a time, each block
@@ -455,22 +482,51 @@ def render_blocks(trace: PowerTrace, fmt: str):
         yield trace_header(fmt, 0, 0).encode("ascii")
         return
     start, interval = trace.start_ns, trace.interval_ns
-    width = time_width(fmt, start, start + interval * (rows - 1))
+    last = start + interval * (rows - 1)
+    width = time_width(fmt, start, last)
     # the power of each run (samples of equal bits, so -0.0 and 0.0 keep
     # their own texts) found once and formatted a block at a time
     bits = trace.samples.view(np.int64)
     heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    lead, sep, end = (text.encode("ascii") for text in TRACE_ROW[fmt])
+    # the row's fields: the time, wide enough for the first and the last
+    # (the widest), the table's pad of a time cell of at least "0.00" to
+    # `width`, and the power, as wide as the widest block's so far
+    fields = [_field_width((max(-start, last) + 15) // 10_000)]
+    if fmt == "table":
+        pads = _texts([" " * k for k in range(width - 3)])
+        fields.append(pads.shape[1])
+    template = None
     yield trace_header(fmt, width, rows).encode("ascii")
     for lo in range(0, rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, rows)
-        times = start + interval * np.arange(lo, hi, dtype=np.int64)
         # the runs that overlap the block, the first one (the last head
         # at or before lo) cut to it
         first, stop = np.searchsorted(heads, (lo + 1, hi))
         cuts = np.maximum(heads[first - 1:stop], lo)
         power = _power_field(trace.samples[cuts], fmt)
-        power_index = np.repeat(np.arange(cuts.size), np.diff(cuts, append=hi))
-        block = _rows(times, power_index, power, fmt, width)
+        if template is None or power.shape[1] > power_cells.shape[1]:
+            template, (time_cells, *pad_cells, power_cells) = _template(
+                min(rows, _CHUNK_ROWS), [lead, *fields, sep, power.shape[1], end])
+        n = hi - lo
+        times = start + interval * np.arange(lo, hi, dtype=np.int64)
+        hundredths = _time_field(times, fmt, time_cells[:n])
+        if pad_cells:
+            # the times increase, so a time text lengthens or shortens
+            # only where its hundredths reach a power of ten, and at 0 ns
+            # ("-" ahead): one pad per run of rows between those
+            limits = 10 ** np.arange(3, len(str(max(-hundredths[0], hundredths[-1]))) + 1)
+            edges = np.unique(np.concatenate((
+                [0, n, np.searchsorted(times, 0)], np.searchsorted(hundredths, limits),
+                np.searchsorted(hundredths, -limits, "right"))))
+            for a, b in zip(edges[:-1], edges[1:]):
+                pad_cells[0][a:b] = pads[width - np.count_nonzero(time_cells[a])]
+        # right-aligned behind NUL, over any wider block's cells; a row's
+        # cells copied as one item of their width
+        power = np.pad(power, ((0, 0), (power_cells.shape[1] - power.shape[1], 0)))
+        _items(power_cells[:n])[:] = np.take(
+            _items(power), np.repeat(np.arange(cuts.size), np.diff(cuts, append=hi)))
+        block = template[:n].tobytes().translate(None, b"\0")
         if fmt == "json" and hi == rows:  # the last row closes the list
             block = block[:-2] + b"\n]\n"
         yield block

@@ -6,7 +6,8 @@ types, so a new settings field is covered without an edit here.
 
 import typing
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zifsim import (
@@ -22,8 +23,9 @@ from zifsim import (
     parse_config,
 )
 from zifsim.config import OUTPUT_FORMATS
+from zifsim.configcols import column_schedule
 from zifsim.configfast import fast_schedule
-from zifsim.configtext import _Irregular, _parse_lines, _parse_per_line
+from zifsim.configtext import _Irregular, _parse_lines, _parse_per_line, parse_text
 
 from conftest import Command, from_commands
 
@@ -227,3 +229,119 @@ def test_long_texts_parse_alike_on_both_paths():
     assert config == _parse_per_line(text)
     assert len(config.schedule) == 29_999 and config.trace.band.value == "5g"
     assert parsed(parse_config, text + "bogus = 1\n") == "line 30001: unknown key 'bogus'"
+
+
+# The numpy column reader (`configcols`): a block of schedule lines as
+# dump_text writes them, drawn and then edited, among settings lines.
+EDITS = ("0", "00", " ", "  ", "\t", "\r", "\r\n", "\x1e", "\x85", "\u2028", "\xe9", "#", "=",
+         "@", "-", "_", "9", "\n", "schedule.", "lo-on", "trigger")
+EXTRA_LINES = OTHER_LINES + ["# \xe9", "# schedule.3 = lo-on @ 3", " schedule.0 = lo-on @ 0"]
+
+
+@st.composite
+def edited_dumps(draw):
+    """dump_text of a drawn config with up to 40 commands, edited up to
+    three times: a text put in or cut out, a line repeated, moved or put
+    in, or the last newline dropped."""
+    config = draw(run_configs())
+    count = draw(st.integers(0, 40))
+    config.schedule = Schedule(
+        draw(st.lists(st.integers(0, 10**6) | st.sampled_from(TIME_BOUNDS[:1] + (0, 1, 999, 1000)),
+                      min_size=count, max_size=count)),
+        draw(st.lists(st.integers(0, len(KIND_TEXTS) - 1), min_size=count, max_size=count)))
+    text = dump_config(config)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        lines = text.split("\n")
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        edit = draw(st.sampled_from(("put", "cut", "repeat", "move", "line", "end")))
+        if edit == "put":
+            text = text[:at] + draw(st.sampled_from(EDITS)) + text[at:]
+        elif edit == "cut":
+            text = text[:at] + text[at + draw(st.integers(1, 3)):]
+        elif edit == "end":
+            text = text.rstrip("\n")
+        else:
+            line = draw(st.sampled_from(EXTRA_LINES)) if edit == "line" else lines[i]
+            if edit == "move":
+                del lines[i]
+            lines.insert(j, line)
+            text = "\n".join(lines)
+    return text
+
+
+def with_block(*lines, before="trace.band = 5g\n", after="output.format = csv\n"):
+    return before + "".join(line + "\n" for line in lines) + after
+
+
+BLOCK = ("schedule.0 = lo-on @ 0", "schedule.1 = tx-packet-start @ 700",
+         "schedule.2 = tx-packet-end @ 900", "schedule.3 = lo-off @ 1000")
+# each a text the reader declines, or leaves lines of to the other paths
+DECLINED = {
+    "index with a leading zero": with_block("schedule.00 = lo-on @ 0", *BLOCK[1:]),
+    "time with a leading zero": with_block(BLOCK[0], "schedule.1 = tx-packet-start @ 0700",
+                                           *BLOCK[2:]),
+    "index gap": with_block(*BLOCK[:3], "schedule.4 = lo-off @ 1000"),
+    "index swap": with_block(BLOCK[1], BLOCK[0], *BLOCK[2:]),
+    "index repeat": with_block(*BLOCK[:3], BLOCK[3].replace(".3", ".2")),
+    "comment inside": with_block(*BLOCK[:2], "# between", *BLOCK[2:]),
+    "blank line inside": with_block(*BLOCK[:2], "", *BLOCK[2:]),
+    "double space inside": with_block(BLOCK[0].replace(" @", "  @"), *BLOCK[1:]),
+    "CRLF": with_block(*BLOCK).replace("\n", "\r\n"),
+    "another line break": with_block(BLOCK[0] + "\x1e" + BLOCK[1], *BLOCK[2:]),
+    "17-digit time": with_block(*BLOCK[:3], "schedule.3 = lo-off @ 12345678901234567"),
+    "time of 2**53": with_block(*BLOCK[:3], f"schedule.3 = lo-off @ {2**53}"),
+    "schedule.empty": with_block(*BLOCK, "schedule.empty = true"),
+    "no last newline": "trace.band = 5g\n" + "\n".join(BLOCK),
+    "a kind of a kind's length": with_block(*BLOCK[:3], "schedule.3 = lo_off @ 1000"),
+    "a last line of no command": with_block(*BLOCK, "schedule.x"),
+}
+
+
+@pytest.mark.parametrize("text", DECLINED.values(), ids=DECLINED)
+def test_the_column_reader_declines_what_dump_text_does_not_write(text):
+    found = column_schedule(text)
+    assert found is None or any(line.strip().startswith("schedule.") for _, line in found[0])
+
+
+@settings(PROFILE, max_examples=150)
+@given(edited_dumps())
+@example(DECLINED["index with a leading zero"])
+@example(DECLINED["time with a leading zero"])
+@example(DECLINED["index gap"])
+@example(DECLINED["index swap"])
+@example(DECLINED["index repeat"])
+@example(DECLINED["comment inside"])
+@example(DECLINED["blank line inside"])
+@example(DECLINED["double space inside"])
+@example(DECLINED["CRLF"])
+@example(DECLINED["another line break"])
+@example(with_block(*BLOCK, before="# caf\xe9\n"))  # a non-ASCII comment outside the block
+@example(DECLINED["17-digit time"])
+@example(DECLINED["time of 2**53"])
+@example(DECLINED["schedule.empty"])
+@example(DECLINED["no last newline"])
+@example(with_block(*BLOCK, before="# schedule.0 = lo-on @ 5\n"))  # `schedule.` ahead of it
+@example(with_block(*BLOCK, before=" schedule.0 = trigger @ 5\n"))  # an entry outside it
+@example(DECLINED["a last line of no command"])
+def test_the_column_reader_equals_the_per_line_parser(text):
+    # with the reader's bound at 0, as a trace of any schedule above the
+    # loop bound reads it: equal configs, or the same first error
+    expected = parsed(_parse_per_line, text)
+    assert parsed(parse_text, text, 0) == expected
+    found = column_schedule(text)
+    if found is not None:
+        try:
+            assert parsed(_parse_lines, *found) == expected
+        except _Irregular:
+            pass
+
+
+@settings(PROFILE, max_examples=40)
+@given(run_configs(), st.lists(st.tuples(st.integers(0, 2**53 - 1), st.sampled_from(range(5))),
+                               min_size=1, max_size=40))
+def test_the_column_reader_takes_every_dumped_schedule(config, commands):
+    config.schedule = Schedule([t for t, _ in commands], [kind for _, kind in commands])
+    lines, schedule = column_schedule(dump_config(config))
+    assert schedule == config.schedule
+    assert _parse_lines(lines, schedule) == config

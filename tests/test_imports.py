@@ -13,15 +13,18 @@ numpy and no loop module; neither loads `json` for `--format json`. Only
 `noise` runs the capture layer (`zifsim.rf`), with numpy; only `-c` and
 `config --dump` load the config text format (`zifsim.configtext`), only a
 config file with schedule lines its regex fast path (`zifsim.configfast`)
-and `re` with it, and no subcommand loads the SPI codec (`zifsim.spi`).
-The rows of `turnaround`, `comply` and `noise` are written without `json`
-or `csv` in every format. `rf` registers `sim` in `sys.modules` for the
-benchmark's tracer, as a lazy module that runs on the first read of an
-attribute, so a `noise` call holds `sim` but never runs it. The probe tells
-a module that ran from one only registered by its type, which reads no
-attribute. No path loads `dataclasses`, and the numpy-free ones load no
-`inspect` either: the value types build on `params.Record`, which
-generates no code. Nor do they load `typing`, which a child without
+and `re` with it, only a `trace` of more commands than its loops take the
+numpy schedule reader (`zifsim.configcols`) in its place, and no
+subcommand loads the SPI codec (`zifsim.spi`). The rows of `turnaround`,
+`comply` and `noise` are written without `json` or `csv` in every format,
+and only a json or csv call loads their writers (`zifsim.cli_rowtext`).
+`rf` registers `sim` in `sys.modules` for the benchmark's tracer, as a
+lazy module that runs on the first read of an attribute, so a `noise`
+call holds `sim` but never runs it. The probe tells a module that ran
+from one only registered by its type, which reads no attribute. No
+path loads `dataclasses`, and the numpy-free ones load no `inspect`
+either: the value types build on `params.Record`, which generates no
+code. Nor do they load `typing`, which a child without
 `site` (`python -S`) shows. A well-formed argv is read from the CLI's
 option table, `--out -` included, so only help and usage errors load
 the help parser (`zifsim.cli_help`) and argparse, with `gettext` and,
@@ -142,7 +145,7 @@ SUBCOMMANDS = set(HANDLERS)
     (["noise", "--capture", "{capture}"], "config errors params rf sim"),
     (["-c", "{config}", "trace"], "config configtext errors looptrace params configfast steps"),
     (["-c", "{rows}", "trace"], "config configtext errors params sim steps"),
-    (["-c", "{commands}", "trace"], "config configtext errors params sim configfast steps"),
+    (["-c", "{commands}", "trace"], "config configtext errors params sim configcols steps"),
     (["-c", "{settings}", "config", "--dump"], "config configtext errors params"),
     (["-c", "{settings}", "comply"], "config configtext ensm errors mac params"),
     (["-c", "{settings}", "trace"], "config configtext errors looptrace params steps"),
@@ -246,6 +249,52 @@ def test_only_schedule_lines_load_the_config_fast_path(tmp_path, argv, loaded):
     # parser and every numpy-free path run without it
     argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
     assert probe(argv, ["zifsim.configfast", "re"], flags=["-S"])[:2] == (0, loaded)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["-c", "{commands}", "trace", "--format", "csv"], ["numpy", "zifsim.configcols"]),
+    (["-c", "{commands}", "turnaround", "--all"], []),
+    (["-c", "{commands}", "comply"], []),
+    (["-c", "{commands}", "config", "--dump"], []),
+    (["-c", "{rows}", "trace"], ["numpy"]),
+    (["-c", "{config}", "trace"], []),
+])
+def test_only_a_trace_above_the_loop_bound_reads_its_schedule_as_columns(tmp_path, argv, loaded):
+    # that trace runs numpy anyway; the other calls on the same file run
+    # none, and a trace of few commands in a large window reads them as
+    # it always did
+    argv = [arg.format_map(write_configs(tmp_path)) for arg in argv]
+    assert probe(argv, ["numpy", "zifsim.configcols"])[:2] == (0, loaded)
+
+
+@pytest.mark.parametrize("bound, read", [(2, True), (3, False)])
+def test_the_column_reader_bound_is_the_loop_bound(tmp_path, monkeypatch, bound, read):
+    # `main` passes `cli_trace.LOOP_COMMANDS` itself, read at call time:
+    # patched, it moves the reader's bound with the pipeline's
+    import zifsim.cli
+    import zifsim.configcols
+
+    calls = []
+    reader = zifsim.configcols.column_schedule
+    monkeypatch.setattr(zifsim.configcols, "column_schedule",
+                        lambda text: calls.append(reader(text)) or calls[-1])
+    monkeypatch.setattr(cli_trace, "LOOP_COMMANDS", bound)
+    config = tmp_path / "three.cfg"
+    config.write_text("".join(f"schedule.{k} = lo-on @ {1000 * k}\n" for k in range(3)))
+    out = tmp_path / "out.csv"
+    assert zifsim.cli.main(["-c", str(config), "trace", "--format", "csv", "--out", str(out)]) == 0
+    assert [found is not None for found in calls] == ([True] if read else [])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["turnaround", "--all"], []),
+    (["comply", "--format", "table"], []),
+    (["noise", "--mode", "fdd", "--band", "2g4"], []),
+    (["turnaround", "--all", "--format", "csv"], ["zifsim.cli_rowtext"]),
+    (["comply", "--format", "json"], ["zifsim.cli_rowtext"]),
+])
+def test_only_json_and_csv_rows_load_their_writers(argv, loaded):
+    assert probe(argv, ["zifsim.cli_rowtext"])[:2] == (0, loaded)
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -390,7 +439,8 @@ def test_the_step_measurement_imports_without_either_pipeline():
 def test_no_module_imports_the_spi_codec():
     code = ("import sys, zifsim.cli, zifsim.cli_comply, zifsim.cli_help, zifsim.cli_noise, "
             "zifsim.cli_trace, zifsim.cli_turnaround, zifsim.config, zifsim.configfast, "
-            "zifsim.configtext, zifsim.ensm, zifsim.looptrace, zifsim.mac, zifsim.rf, "
+            "zifsim.configtext, zifsim.configcols, zifsim.cli_rowtext, zifsim.ensm, "
+            "zifsim.looptrace, zifsim.mac, zifsim.rf, "
             "zifsim.sim, zifsim.steps; print('zifsim.spi' in sys.modules)")
     assert run_python(code).strip() == "False"
 

@@ -584,6 +584,27 @@ def test_renderings_of_long_runs_equal_the_loop(trace):
         assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
 
 
+# Traces whose cell widths change at the first block edge (2**16 rows):
+# each block writes its fields into one row template, so a narrower field
+# after a wider one must leave nothing of it behind
+EDGE = 2**16
+WIDTHS_AT_THE_EDGE = {
+    "time 999.99 to 1000.00 us": PowerTrace(1_000_000 - 10 * EDGE, 10, [30.0] * (EDGE + 5)),
+    "table pad 9999.99 to 10000.00 us": PowerTrace(10_000_000 - 10 * EDGE, 10,
+                                                   [2.5] * (EDGE + 5)),
+    "time -0.01 to 0.00 us": PowerTrace(-10 * EDGE, 10, [-0.0] * (EDGE + 5)),
+    "power 12345.67 to 1.00": PowerTrace(0, 1, [12345.67] * EDGE + [1.0] * 5),
+    "power -inf to 30.00": PowerTrace(0, 1, [-math.inf] * EDGE + [30.0] * 5),
+    "power 1.00 to 1e13, wider": PowerTrace(0, 1, [1.0] * EDGE + [1e13] * 5),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("trace", WIDTHS_AT_THE_EDGE.values(), ids=WIDTHS_AT_THE_EDGE)
+def test_renderings_equal_the_loop_where_widths_change_at_a_block_edge(trace, fmt):
+    assert_same_text(streamed_text(trace, fmt), loop_text(trace, fmt))
+
+
 def test_renderings_of_negative_zero_cells():
     # -3 ns and the dB values below round to -0.00: the csv shows 0.00,
     # the table -0.00 and json -0.0
