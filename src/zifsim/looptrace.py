@@ -55,13 +55,13 @@ _SPI_START, _SPI_END, _UP, _DOWN, _PACKET_ON, _PACKET_OFF = EFFECTS
 
 
 class LoopTimeline(Record):
-    """An expanded schedule: the fields of a `sim.Timeline`, with the
-    events as rows in time order. A row is (key, effect, power_after_dbr,
-    warned, lo_change): the integer key 2 * floor_ns + plus_frac of the
-    event's time, the Effect, the power after the event, whether it
-    carries PACKET_WARNING and whether it changes the LO state. The
-    frame's fraction `frac_ns` is held once; `steps.event_time_ns` makes
-    the exact time of a key."""
+    """An expanded schedule: the fields of a `sim.Timeline`, its columns
+    as rows, one per event in time order. A row is (key, effect,
+    power_after_dbr, warned, lo_change): the integer key of the event's
+    time, the Effect, the power after the event, whether it carries
+    PACKET_WARNING and whether it changes the LO state. The frame's
+    fraction `frac_ns` is held once; `steps.event_time_ns` makes the
+    exact time of a key."""
 
     events: list
     frac_ns: "int | Fraction" = 0
@@ -71,7 +71,7 @@ class LoopTimeline(Record):
 
     def warning_times(self) -> list:
         """The exact times of the events that carry PACKET_WARNING."""
-        return [event_time_ns(key >> 1, key & 1, self.frac_ns)
+        return [event_time_ns(key, self.frac_ns)
                 for key, _, _, warned, _ in self.events if warned]
 
     def step_event(self) -> tuple:
@@ -106,7 +106,7 @@ def expand_schedule(
     plus = 1 if frac_ns else 0
     delays = {_LO_ON: (frame_floor + profile.lo_div_powerup_ns, _UP),
               _LO_OFF: (frame_floor + profile.lo_div_powerdown_ns, _DOWN)}
-    # (2 * floor + plus_frac, effect) per event: the key orders the exact
+    # (2 * floor + plus, effect) per event: the key orders the exact
     # times, and a stable sort keeps simultaneous events in schedule order
     pending = []
     last_time = last_lo = overlap = None

@@ -40,6 +40,7 @@ from .steps import (
     cell_text,
     event_time_ns,
     find_step,  # the step measurement of both pipelines, under sim's names
+    first_sample_at,
     measure_turnaround,
     time_width,
     trace_header,
@@ -57,20 +58,20 @@ class Timeline(Record):
     the power level in force before the first event, and the step a
     measurement times.
 
-    Event i happens at floor_ns[i], plus frac_ns when plus_frac[i] is set.
-    An event happens at a command time or one SPI frame and a divider
-    delay after it, so the frame's fractional part is the only one an
-    event time can have. `effect` holds codes into EFFECTS, `warned`
-    marks the events that carry PACKET_WARNING, and `lo_change` the
-    divider events that change the LO state (a write that finds the LO
-    already in the commanded state changes nothing). `trigger_ns` is the
-    first trigger command's time, else the first LO command's (None:
-    neither), and `step_index` the divider event of the first LO command
-    at or after it (-1: none).
+    Event i happens at `steps.event_time_ns(key[i], frac_ns)`: key[i] is
+    twice the time's floor, plus one when the time adds frac_ns, so the
+    keys order the exact times. An event happens at a command time or one
+    SPI frame and a divider delay after it, so the frame's fractional part
+    is the only one an event time can have. `effect` holds codes into
+    EFFECTS, `warned` marks the events that carry PACKET_WARNING, and
+    `lo_change` the divider events that change the LO state (a write that
+    finds the LO already in the commanded state changes nothing).
+    `trigger_ns` is the first trigger command's time, else the first LO
+    command's (None: neither), and `step_index` the divider event of the
+    first LO command at or after it (-1: none).
     """
 
-    floor_ns: np.ndarray  # int64
-    plus_frac: np.ndarray  # bool
+    key: np.ndarray  # int64
     effect: np.ndarray  # int8
     power_after_dbr: np.ndarray  # float64
     warned: np.ndarray  # bool
@@ -84,26 +85,19 @@ class Timeline(Record):
 
     def __len__(self):
         """The number of events."""
-        return self.floor_ns.size
-
-    def ceil_ns(self) -> np.ndarray:
-        """The event times rounded up to whole ns, as int64."""
-        return self.floor_ns + self.plus_frac
+        return self.key.size
 
     def warning_times(self) -> list:
         """The exact times of the events that carry PACKET_WARNING."""
-        return [event_time_ns(floor, plus, self.frac_ns) for floor, plus
-                in zip(self.floor_ns[self.warned].tolist(), self.plus_frac[self.warned].tolist())]
+        return [event_time_ns(key, self.frac_ns) for key in self.key[self.warned].tolist()]
 
     def step_event(self) -> tuple:
         """The event at step_index as `steps.find_step` reads it: whether
         it rises, the level after it, whether it changes the LO state, and
-        the key 2 * floor_ns + plus_frac of the next LO state change (None:
-        none follows)."""
+        the key of the next LO state change (None: none follows)."""
         index = self.step_index
         changes = index + 1 + np.flatnonzero(self.lo_change[index + 1:])
-        end = (2 * int(self.floor_ns[changes[0]]) + bool(self.plus_frac[changes[0]])
-               if changes.size else None)
+        end = int(self.key[changes[0]]) if changes.size else None
         return (bool(self.effect[index] == _LO_UP), float(self.power_after_dbr[index]),
                 bool(self.lo_change[index]), end)
 
@@ -196,12 +190,11 @@ def expand_schedule(
     ends = np.cumsum(counts)  # one past each command's last row
     sub = np.arange(command.size) - np.repeat(ends - counts, counts)
     kind = kinds[command]
-    floor_ns = times[command] + offsets[kind, sub]
-    plus_frac = (sub > 0) & (frac_ns != 0)
+    key = 2 * (times[command] + offsets[kind, sub]) + ((sub > 0) & (frac_ns != 0))
     # a stable sort on the exact time keeps simultaneous events in
-    # schedule order; floor_ns stays below 2**55, so the key fits int64
-    order = np.argsort(2 * floor_ns + plus_frac, kind="stable")
-    floor_ns, plus_frac, effect = floor_ns[order], plus_frac[order], effects[kind, sub][order]
+    # schedule order; the floors stay below 2**55, so the key fits int64
+    order = np.argsort(key, kind="stable")
+    key, effect = key[order], effects[kind, sub][order]
     step_index = -1
     if references.size:  # the first LO command at or after the trigger
         stepping = lo_commands[times[lo_commands] >= trigger_ns]
@@ -215,8 +208,7 @@ def expand_schedule(
                               effect == _PACKET_ON, False)
     levels = np.array(trace_levels(rf, band))
     return Timeline(
-        floor_ns=floor_ns,
-        plus_frac=plus_frac,
+        key=key,
         effect=effect,
         power_after_dbr=levels[2 * lo_on + packet_on],
         warned=(effect == _PACKET_ON) & ~lo_on,
@@ -272,44 +264,48 @@ def sample_trace(
 
     count = int((end_ns - start_ns) // interval_ns) + 1
     # sample k, taken at the integer time start + k * interval, sees an
-    # event at time e exactly when ceil(e) <= start + k * interval, so
-    # each event's first sample is a ceiling division (Fraction times stay
+    # event once it reaches the event's ceiling, (key + 1) >> 1, so each
+    # event's first sample is a ceiling division (Fraction times stay
     # exact); the times are sorted, so runs[j] samples have seen exactly
     # the first j events
-    first = np.clip(-((start_ns - timeline.ceil_ns()) // interval_ns), 0, count)
+    first = np.clip(first_sample_at((timeline.key + 1) >> 1, start_ns, interval_ns), 0, count)
     runs = np.diff(first, prepend=0, append=count)
     # levels[j]: the power after the first j events
     levels = np.concatenate(([timeline.initial_dbr], timeline.power_after_dbr))
     samples = np.repeat(levels, runs)
     if settling_tau_ns > 0:
-        # the number of events each sample has seen, and the sample times
-        seen = np.repeat(np.arange(levels.size), runs)
-        times = start_ns + interval_ns * np.arange(count, dtype=np.int64)
-        samples = _settle(samples, levels[:seen[-1] + 1], timeline, seen, times,
-                          interval_ns, settling_tau_ns)
+        _settle(samples, levels, first, timeline, start_ns, interval_ns, settling_tau_ns)
     return PowerTrace(start_ns=start_ns, interval_ns=interval_ns, samples=samples)
 
 
-def _settle(targets, levels, timeline, seen, times, interval, tau):
-    """First-order settling of a sampled step trace.
+def _settle(samples, levels, first, timeline, start, interval, tau):
+    """First-order settling of a sampled step trace, in place.
 
-    At each level change at time c the value restarts from where it was at
-    c and relaxes toward the new level:
+    `samples` holds each sample's target, the level of the last event at
+    or before it, and first[i] the first sample that sees event i, within
+    [0, samples.size]. At each level change at time c the value restarts
+    from where it was at c and relaxes toward the new level:
     target + (value_at_c - target) * exp(-(t - c) / tau), with the time
     difference exact before it is rounded to float and one math.exp per
     distinct difference (the run the window opens in may repeat some).
+    A change's run of samples goes from its first sample up to the next
+    change's, and is empty when the next change comes before any further
+    sample.
     """
-    changes = np.flatnonzero(levels[1:] != levels[:-1])  # event indices
+    count = samples.size
+    seen = int(np.searchsorted(first, count))  # the events some sample sees
+    changes = np.flatnonzero(levels[1:seen + 1] != levels[:seen])  # event indices
     if not changes.size:
-        return targets
+        return
+    heads = first[changes]
+    runs = np.diff(heads, append=count)
     # change times over the frame's denominator, as exact integers
     frac = timeline.frac_ns  # an int or a Fraction
     den = frac.denominator
-    floor_ns = timeline.floor_ns[changes]
-    bound = (max(abs(int(times[0])), abs(int(times[-1]))) + int(floor_ns[-1]) + 1) * den
+    key = timeline.key[changes]
+    bound = (max(abs(start), abs(start + interval * (count - 1))) + int(key[-1] >> 1) + 1) * den
     dtype = np.int64 if bound < 2**63 else object
-    scaled = floor_ns.astype(dtype) * den + np.where(
-        timeline.plus_frac[changes], frac.numerator, 0).astype(dtype)
+    scaled = (key >> 1).astype(dtype) * den + (key & 1).astype(dtype) * frac.numerator
     # the value at each change, relaxed toward the level before it
     when = scaled.tolist()
     value_at_change = []
@@ -319,26 +315,22 @@ def _settle(targets, levels, timeline, seen, times, interval, tau):
             level = level + (value_at_change[-1] - level) * math.exp(-dt / tau)
         value_at_change.append(level)
 
-    # the runs of samples after each change (rank: the last change seen)
-    rank = np.searchsorted(changes, seen) - 1
-    first = int(np.searchsorted(rank, 0))
-    rank = rank[first:]
-    heads = np.flatnonzero(np.diff(rank, prepend=-1))
-    runs = np.diff(heads, append=rank.size)
     # t - c over the common denominator steps by interval * den along a
-    # run, so its distinct values start at the runs' distinct starts
-    distinct, group = np.unique(times[first + heads].astype(dtype) * den - scaled[rank[heads]],
+    # run, so its distinct values start at the runs' distinct starts (an
+    # empty run spans none of them)
+    distinct, group = np.unique((start + interval * heads).astype(dtype) * den - scaled,
                                 return_inverse=True)
     span = np.zeros(distinct.size, np.int64)
     np.maximum.at(span, group, runs)
-    decay = np.array([math.exp(-((start + k * interval * den) / den) / tau) for start, count
-                      in zip(distinct.tolist(), span.tolist()) for k in range(count)])
-    decay = decay[np.repeat((np.cumsum(span) - span)[group] - heads, runs) + np.arange(rank.size)]
-
-    out = targets.copy()
-    target = targets[first:]
-    out[first:] = target + (np.array(value_at_change)[rank] - target) * decay
-    return out
+    decay = np.array([math.exp(-((u + k * interval * den) / den) / tau) for u, n
+                      in zip(distinct.tolist(), span.tolist()) for k in range(n)])
+    index = np.repeat((np.cumsum(span) - span)[group] - heads, runs)
+    index += np.arange(heads[0], count)
+    gap = np.repeat(np.array(value_at_change), runs)
+    target = samples[heads[0]:]
+    gap -= target
+    gap *= decay[index]
+    target += gap
 
 
 # --- text rendering ---------------------------------------------------------

@@ -118,10 +118,11 @@ class LoStep(Record):
     end_ns: "int | Fraction | None" = None
 
 
-def event_time_ns(floor_ns: int, plus_frac, frac_ns) -> "int | Fraction":
-    """The exact time of an event stored as its floor and whether it adds
-    the SPI frame's fractional part `frac_ns` (see `sim.Timeline`)."""
-    return floor_ns + frac_ns if plus_frac else floor_ns
+def event_time_ns(key: int, frac_ns) -> "int | Fraction":
+    """The exact time of the event of integer key `key` in either
+    timeline: twice the time's floor, plus one when the time adds the SPI
+    frame's fractional part `frac_ns`."""
+    return (key >> 1) + frac_ns if key & 1 else key >> 1
 
 
 def first_sample_at(time_ns, start_ns: int, interval_ns: int) -> int:
@@ -144,7 +145,7 @@ def find_step(timeline) -> LoStep:
     rising, level, lo_change, end = timeline.step_event()
     if not lo_change:
         raise MeasurementError(NO_STATE_CHANGE.format(trigger_ns, "on" if rising else "off"))
-    end_ns = None if end is None else event_time_ns(end >> 1, end & 1, timeline.frac_ns)
+    end_ns = None if end is None else event_time_ns(end, timeline.frac_ns)
     return LoStep(trigger_ns, Direction.RX_TO_TX if rising else Direction.TX_TO_RX, level, end_ns)
 
 

@@ -68,9 +68,9 @@ def from_commands(commands) -> Schedule:
 
 def loop_timeline(timeline):
     """A Timeline as the loop pipeline's LoopTimeline: a (key, effect,
-    power_after_dbr, warned, lo_change) row per event, the key
-    2 * floor_ns + plus_frac, and the frame's fraction held once."""
-    columns = zip((2 * timeline.floor_ns + timeline.plus_frac).tolist(),
+    power_after_dbr, warned, lo_change) row per event, and the frame's
+    fraction held once."""
+    columns = zip(timeline.key.tolist(),
                   timeline.effect.tolist(), timeline.power_after_dbr.tolist(),
                   timeline.warned.tolist(), timeline.lo_change.tolist())
     rows = [(key, EFFECTS[code], power, warned, lo_change)
@@ -81,7 +81,7 @@ def loop_timeline(timeline):
 
 def exact_times(timeline):
     """A LoopTimeline's event times, exact (int or Fraction)."""
-    return [event_time_ns(key >> 1, key & 1, timeline.frac_ns) for key, *_ in timeline.events]
+    return [event_time_ns(key, timeline.frac_ns) for key, *_ in timeline.events]
 
 
 def event_rows(timeline):

@@ -69,7 +69,7 @@ RECORDS = (
     (SpiFrame, {}, ("data", 256)),
     (BitSequence, {"bits": (1, 0, 1, 1)}, ("bits", (2,))),
     (LoDividerConfig, {}, ("on_value", 1)),
-    (Timeline, {name: getattr(TIMELINE, name) for name, _, _ in Timeline.fields[:6]}, None),
+    (Timeline, {name: getattr(TIMELINE, name) for name, _, _ in Timeline.fields[:5]}, None),
     (LoStep, {"trigger_ns": 0, "direction": Direction.RX_TO_TX, "level_dbr": 30.0}, None),
     (PowerTrace, {"start_ns": -50, "interval_ns": 50, "samples": [0.0, 30.0]}, None),
     (LoopTimeline, {"events": []}, None),

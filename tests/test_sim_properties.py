@@ -192,8 +192,7 @@ def exact(timeline):
 
 def array_times(timeline):
     """A Timeline's event times, exact, from its columns."""
-    return [event_time_ns(floor, plus, timeline.frac_ns)
-            for floor, plus in zip(timeline.floor_ns.tolist(), timeline.plus_frac.tolist())]
+    return [event_time_ns(key, timeline.frac_ns) for key in timeline.key.tolist()]
 
 
 @st.composite
@@ -275,6 +274,7 @@ def test_expansion_equals_the_loop(case, band, lo_level, packet_step):
 @given(st.sampled_from(SPI_CLOCKS) | st.integers(1_000_000, 50_000_000),
        st.integers(0, 3000), st.integers(0, 3000),
        st.lists(st.tuples(st.booleans(), st.integers(0, 2000)), max_size=8))
+@example(7_000_000, 100, 200, [(True, 50), (False, 0)])  # odd keys: Fraction times
 def test_event_keys_order_the_exact_times(spi_hz, up, down, writes):
     # LO writes a frame or more apart, and a packet at each write: every
     # key is 2 * floor + plus, its time floor (+ frac_ns) exactly, and the
@@ -445,8 +445,7 @@ def timeline_at(times, levels, initial_dbr=0.0):
     floor = [math.floor(t) for t in times]
     frac = next((t - f for t, f in zip(times, floor) if t != f), 0)
     n = len(times)
-    return Timeline(floor_ns=np.array(floor, np.int64),
-                    plus_frac=np.array([t != f for t, f in zip(times, floor)], bool),
+    return Timeline(key=np.array([2 * f + (t != f) for t, f in zip(times, floor)], np.int64),
                     effect=np.zeros(n, np.int8), power_after_dbr=np.array(levels, np.float64),
                     warned=np.zeros(n, bool), lo_change=np.zeros(n, bool), frac_ns=frac,
                     initial_dbr=initial_dbr)
@@ -468,6 +467,15 @@ def timeline_at(times, levels, initial_dbr=0.0):
     ((Fraction(-1199, 3), Fraction(1, 3), Fraction(604, 3)), (30.0, 0.0, 30.0), (3, 350), 7,
      40.0),
     ((100, 500, 700), (10.0, 20.0, 0.0), (0, 400), 50, 1.0),  # settling, changes after it
+    # two, then three level changes between the same two samples: the
+    # runs of all but the last are empty
+    ((100, 110, 120), (10.0, 20.0, 30.0), (0, 300), 50, 40.0),
+    ((100, 110, 120, 130), (10.0, 20.0, 30.0, 5.0), (0, 300), 50, 40.0),
+    ((100, 300), (10.0, 20.0), (0, 300), 50, 40.0),  # a change on the last sample
+    ((100, 301), (10.0, 20.0), (0, 300), 50, 40.0),  # and just past it
+    ((-300, -120, -50), (10.0, 20.0, 30.0), (0, 200), 50, 40.0),  # all before, settling
+    # the target is the last event's level: -0.0 where the decay underflows
+    ((100, 150, 400), (0.0, -0.0, 20.0), (0, 500), 50, 0.1),
 ])
 def test_grid_edges_sample_like_the_loop(times, levels, window, interval, tau):
     timeline = timeline_at(times, levels, initial_dbr=-1.5)
